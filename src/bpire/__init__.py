@@ -8,7 +8,6 @@ from .config import EXPERIMENTS, ExperimentConfig, load_config
 from .env_model import (
     ConditionReport,
     EnvAtom,
-    EnvDraw,
     EnvSpec,
     ImmigrationFamily,
     ModelSpec,
@@ -20,16 +19,7 @@ from .env_model import (
 )
 from .experiments import RunReport, emit_report, run_experiment
 from .rng import RngState
-from .simulator import (
-    ChainState,
-    StationarySample,
-    choose_truncation,
-    sample_immigration,
-    sample_stationary_backward,
-    simulate_forward,
-    step,
-    thin,
-)
+from .simulator import choose_truncation
 
 __all__ = [
     "EXPERIMENTS",
@@ -37,7 +27,6 @@ __all__ = [
     "load_config",
     "ConditionReport",
     "EnvAtom",
-    "EnvDraw",
     "EnvSpec",
     "ImmigrationFamily",
     "ModelSpec",
@@ -50,13 +39,6 @@ __all__ = [
     "emit_report",
     "run_experiment",
     "RngState",
-    "ChainState",
-    "StationarySample",
     "choose_truncation",
-    "sample_immigration",
-    "sample_stationary_backward",
-    "simulate_forward",
-    "step",
-    "thin",
     "__version__",
 ]

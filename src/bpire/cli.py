@@ -2,7 +2,8 @@
 
 One experiment per invocation: `bpire <experiment> --config FILE`.  Exit
 codes: 0 all metrics pass, 1 a metric failed, 2 the standing condition is
-violated, 3 the config could not be parsed or validated.
+violated, 3 the config could not be parsed or validated, 4 a sampled value
+exceeded the 2^62 guard of the int64 samplers.
 """
 
 from __future__ import annotations
@@ -74,6 +75,9 @@ def main(argv=None) -> int:
     except BpireError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except OverflowError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 4
 
     files = emit_report(report, cfg.out_dir)
     for m in report.metrics:

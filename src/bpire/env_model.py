@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.stats as st
 
 from .errors import QuadratureFailure, SeriesDivergence
 from .rng import RngState
@@ -25,7 +24,6 @@ __all__ = [
     "ImmigrationFamily",
     "EnvAtom",
     "EnvSpec",
-    "EnvDraw",
     "ModelSpec",
     "ConditionReport",
     "EnvIndexBatch",
@@ -36,7 +34,6 @@ __all__ = [
     "moment_A",
     "log_mean_offspring",
     "check_conditions",
-    "sample_environment",
     "draw_env_batch",
     "batch_offspring_means",
     "offspring_pmf",
@@ -201,14 +198,6 @@ class EnvSpec:
 
 
 @dataclass(frozen=True)
-class EnvDraw:
-    """One realized environment: the laws in force for a single generation."""
-
-    offspring: OffspringFamily
-    immigration: ImmigrationFamily
-
-
-@dataclass(frozen=True)
 class ModelSpec:
     """Environment law plus the tail/moment exponents the checks refer to."""
 
@@ -262,18 +251,6 @@ class EnvRateBatch:
 EnvBatch = EnvIndexBatch | EnvRateBatch
 
 
-def sample_environment(env: EnvSpec, rng: RngState) -> EnvDraw:
-    """Draw one environment; atomic specs use inversion on the weights."""
-    if env.is_atomic:
-        u = rng.gen.random()
-        cw = np.cumsum([a.weight for a in env.atoms])
-        j = int(np.searchsorted(cw, u, side="right"))
-        j = min(j, len(env.atoms) - 1)
-        return EnvDraw(env.atoms[j].offspring, env.atoms[j].immigration)
-    lam = env.rate_lo + (env.rate_hi - env.rate_lo) * rng.gen.random()
-    return EnvDraw(OffspringFamily.poisson(lam), env.rate_immigration)
-
-
 def draw_env_batch(env: EnvSpec, rng: RngState, size: int) -> EnvBatch:
     """Draw `size` environments at once; one uniform consumed per draw."""
     u = rng.gen.random(size)
@@ -317,6 +294,8 @@ def offspring_moment(law: OffspringFamily, order: float, tol: float = 1e-12) -> 
     if law.kind == "bernoulli":
         return law.p  # A in {0, 1}
     if law.kind == "binomial":
+        import scipy.stats as st  # deferred: slow to import, sampling never needs it
+
         ks = np.arange(law.n + 1)
         return float(np.sum(ks**order * st.binom.pmf(ks, law.n, law.p)))
     if law.kind == "poisson":
@@ -456,6 +435,8 @@ def thinned_offspring_pmf(law: OffspringFamily, x: int, ks: np.ndarray) -> np.nd
 
     Uses the family's summation closure; x = 0 is the point mass at 0.
     """
+    import scipy.stats as st  # deferred: slow to import, sampling never needs it
+
     _require(x >= 0, "x must be >= 0")
     ks = np.asarray(ks)
     if x == 0:

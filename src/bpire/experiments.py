@@ -352,7 +352,7 @@ def _run_decay(cfg: ExperimentConfig):
         mean = s / n
         var = max(0.0, s2 / n - mean * mean)
         means.append(mean)
-        rows.append((str(d), repr(mean), repr(math.sqrt(var / n))))
+        rows.append((str(d), repr(float(mean)), repr(math.sqrt(var / n))))
     rho_hat, r2 = tailstats.fit_geometric_decay(depths, means)
     metrics = [_metric("decay_rate", rho_hat, rho_theory, cfg.tolerance, "abs")]
     return metrics, [("decay.csv", "csv", ("n,moment,se", rows))]

@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.stats as st
 
 from .env_model import (
     EnvSpec,
@@ -120,6 +119,8 @@ def _single_draw_support(law: OffspringFamily) -> np.ndarray:
     elif law.kind == "binomial":
         hi = law.n
     elif law.kind == "poisson":
+        import scipy.stats as st  # deferred: slow to import, sampling never needs it
+
         hi = int(st.poisson.isf(_SUPPORT_TAIL, law.rate)) + 2 if law.rate > 0 else 0
     else:  # geometric0
         if law.p == 1.0:

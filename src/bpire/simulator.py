@@ -1,9 +1,9 @@
 """Monte Carlo engine for the branching-with-immigration chain.
 
-Everything here is vectorized over replicas; scalar entry points are
-batch-of-one wrappers.  Thinning exploits the offspring families' summation
-closure, so one generation costs one parametric draw per replica no matter
-how large the population is.  Replicas whose population hits zero are masked
+Every sampler is vectorized over replicas; a single draw is a batch of one.
+Thinning exploits the offspring families' summation closure, so one
+generation costs one parametric draw per replica no matter how large the
+population is.  Replicas whose population hits zero are masked
 out of later thinning stages; the draws skipped that way are a deterministic
 function of earlier output, so fixed seeds still give fixed results.
 
@@ -15,13 +15,11 @@ engine supports, and raises OverflowError.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .env_model import (
     EnvBatch,
-    EnvDraw,
     EnvIndexBatch,
     EnvSpec,
     ImmigrationFamily,
@@ -35,56 +33,31 @@ from .errors import NotSubcritical
 from .rng import RngState
 
 __all__ = [
-    "ChainState",
-    "StationarySample",
     "OVERFLOW_LIMIT",
-    "MAGIC",
-    "thin",
     "thin_batch",
-    "sample_immigration",
     "sample_immigration_batch",
     "imm_for_batch",
     "thin_for_batch",
-    "step",
     "step_batch",
-    "simulate_forward",
     "simulate_forward_batch",
     "choose_truncation",
-    "sample_stationary_backward",
     "sample_stationary_backward_batch",
     "backward_terms",
-    "random_sum_sample",
     "random_sum_batch",
-    "composed_thinning_sample",
     "composed_thinning_batch",
-    "grey_sum_sample",
+    "unit_progeny_batch",
     "grey_sum_batch",
     "write_samples_text",
-    "read_samples_text",
-    "write_samples_binary",
-    "read_samples_binary",
 ]
 
 OVERFLOW_LIMIT = 1 << 62
-MAGIC = b"BPIRE001"
-
-
-@dataclass(frozen=True)
-class ChainState:
-    value: int
-    generation: int
-
-
-@dataclass(frozen=True)
-class StationarySample:
-    value: int
-    truncation: int
 
 
 # ---- thinning -------------------------------------------------------------
 
-def _thin_family(law: OffspringFamily, xs: np.ndarray, rng: RngState) -> np.ndarray:
-    """One draw of the xs-fold offspring sum per entry, via closure."""
+def thin_batch(law: OffspringFamily, xs: np.ndarray, rng: RngState) -> np.ndarray:
+    """One draw of the xs-fold offspring sum per entry under one fixed law,
+    sampled as a single closed-family draw."""
     xs = np.asarray(xs, dtype=np.int64)
     if np.any(xs < 0):
         raise ValueError("population sizes must be >= 0")
@@ -110,16 +83,6 @@ def _thin_family(law: OffspringFamily, xs: np.ndarray, rng: RngState) -> np.ndar
     return rng.gen.binomial(xs * law.n, law.p).astype(np.int64)
 
 
-def thin_batch(law: OffspringFamily, xs: np.ndarray, rng: RngState) -> np.ndarray:
-    """Vector thinning under one fixed law."""
-    return _thin_family(law, xs, rng)
-
-
-def thin(law: OffspringFamily, x: int, rng: RngState) -> int:
-    """Sum of x iid offspring draws, sampled as a single closed-family draw."""
-    return int(_thin_family(law, np.array([x], dtype=np.int64), rng)[0])
-
-
 def thin_for_batch(batch: EnvBatch, values: np.ndarray, rng: RngState) -> np.ndarray:
     """One thinning stage under per-replica environments.
 
@@ -134,7 +97,7 @@ def thin_for_batch(batch: EnvBatch, values: np.ndarray, rng: RngState) -> np.nda
         for j, atom in enumerate(batch.env.atoms):
             sel = active & (batch.idx == j)
             if sel.any():
-                out[sel] = _thin_family(atom.offspring, values[sel], rng)
+                out[sel] = thin_batch(atom.offspring, values[sel], rng)
         return out
     if active.any():
         lam = batch.rates[active] * values[active].astype(float)
@@ -211,10 +174,6 @@ def sample_immigration_batch(law: ImmigrationFamily, rng: RngState, size: int) -
     return _invert_by_bisection(law, u)
 
 
-def sample_immigration(law: ImmigrationFamily, rng: RngState) -> int:
-    return int(sample_immigration_batch(law, rng, 1)[0])
-
-
 def imm_for_batch(batch: EnvBatch, rng: RngState) -> np.ndarray:
     """Immigration per draw under per-replica environments (atom order fixed)."""
     if isinstance(batch, EnvIndexBatch):
@@ -230,32 +189,10 @@ def imm_for_batch(batch: EnvBatch, rng: RngState) -> np.ndarray:
 
 # ---- chain steps ------------------------------------------------------------
 
-def step(state: ChainState, draw: EnvDraw, rng: RngState) -> ChainState:
-    """One generation: thin the current population, add immigration."""
-    survivors = thin(draw.offspring, state.value, rng)
-    b = sample_immigration(draw.immigration, rng)
-    return ChainState(value=survivors + b, generation=state.generation + 1)
-
-
 def step_batch(values: np.ndarray, env: EnvSpec, rng: RngState) -> np.ndarray:
     """One generation for a vector of replicas under fresh environments."""
     batch = draw_env_batch(env, rng, np.asarray(values).size)
     return thin_for_batch(batch, values, rng) + imm_for_batch(batch, rng)
-
-
-def simulate_forward(x0: int, steps: int, env: EnvSpec, rng: RngState) -> list[ChainState]:
-    """Trajectory of length steps+1 from x0, environments drawn per step."""
-    if x0 < 0 or steps < 0:
-        raise ValueError("x0 and steps must be >= 0")
-    state = ChainState(value=int(x0), generation=0)
-    out = [state]
-    for _ in range(steps):
-        draw = sample_environment_scalar(env, rng)
-        state = step(state, draw, rng)
-        if state.value > OVERFLOW_LIMIT:
-            raise OverflowError("population exceeds 2^62; model looks supercritical")
-        out.append(state)
-    return out
 
 
 def simulate_forward_batch(x0: int, steps: int, env: EnvSpec, rng: RngState, size: int) -> np.ndarray:
@@ -266,13 +203,6 @@ def simulate_forward_batch(x0: int, steps: int, env: EnvSpec, rng: RngState, siz
         if v.max(initial=0) > OVERFLOW_LIMIT:
             raise OverflowError("population exceeds 2^62; model looks supercritical")
     return v
-
-
-def sample_environment_scalar(env: EnvSpec, rng: RngState) -> EnvDraw:
-    # local import indirection keeps the scalar path on the same batch code
-    from .env_model import sample_environment
-
-    return sample_environment(env, rng)
 
 
 # ---- stationary sampling -----------------------------------------------------
@@ -337,11 +267,6 @@ def backward_terms(model: ModelSpec, trunc: int, rng: RngState, size: int) -> np
     return terms
 
 
-def sample_stationary_backward(model: ModelSpec, trunc: int, rng: RngState) -> StationarySample:
-    value = int(sample_stationary_backward_batch(model, trunc, rng, 1)[0])
-    return StationarySample(value=value, truncation=trunc)
-
-
 # ---- one-shot samplers for the limit-constant experiments ---------------------
 
 def random_sum_batch(model: ModelSpec, b_law: ImmigrationFamily, rng: RngState, size: int) -> np.ndarray:
@@ -350,10 +275,6 @@ def random_sum_batch(model: ModelSpec, b_law: ImmigrationFamily, rng: RngState, 
     stage = draw_env_batch(model.env, rng, size)
     b = sample_immigration_batch(b_law, rng, size)
     return thin_for_batch(stage, b, rng)
-
-
-def random_sum_sample(model: ModelSpec, b_law: ImmigrationFamily, rng: RngState) -> int:
-    return int(random_sum_batch(model, b_law, rng, 1)[0])
 
 
 def composed_thinning_batch(model: ModelSpec, depth: int, rng: RngState, size: int) -> np.ndarray:
@@ -369,10 +290,6 @@ def composed_thinning_batch(model: ModelSpec, depth: int, rng: RngState, size: i
         stage = draw_env_batch(model.env, rng, size)
         v = thin_for_batch(stage, v, rng)
     return v
-
-
-def composed_thinning_sample(model: ModelSpec, depth: int, rng: RngState) -> int:
-    return int(composed_thinning_batch(model, depth, rng, 1)[0])
 
 
 def unit_progeny_batch(model: ModelSpec, depth: int, rng: RngState, size: int) -> np.ndarray:
@@ -399,58 +316,12 @@ def grey_sum_batch(model: ModelSpec, n_law: ImmigrationFamily, rng: RngState, si
     return b + thin_for_batch(stage, n, rng)
 
 
-def grey_sum_sample(model: ModelSpec, n_law: ImmigrationFamily, rng: RngState) -> int:
-    return int(grey_sum_batch(model, n_law, rng, 1)[0])
-
-
 # ---- sample dumps --------------------------------------------------------------
 
 def write_samples_text(path, samples) -> None:
-    """One value per line; integers as decimal, floats via repr."""
+    """One sample per line, as a decimal integer."""
     arr = np.asarray(samples)
+    if not np.issubdtype(arr.dtype, np.integer) or (arr.size and arr.min() < 0):
+        raise ValueError("sample dumps hold integers >= 0")
     with open(path, "w") as fh:
-        if arr.size == 0:
-            return
-        if np.issubdtype(arr.dtype, np.integer):
-            if arr.min() < 0:
-                raise ValueError("sample values must be >= 0")
-            fh.write("\n".join(str(int(v)) for v in arr))
-        else:
-            fh.write("\n".join(repr(float(v)) for v in arr))
-        fh.write("\n")
-
-
-def read_samples_text(path) -> np.ndarray:
-    with open(path) as fh:
-        toks = fh.read().split()
-    if not toks:
-        return np.array([], dtype=np.int64)
-    if any(("." in t) or ("e" in t) or ("E" in t) for t in toks):
-        return np.array([float(t) for t in toks], dtype=np.float64)
-    return np.array([int(t) for t in toks], dtype=np.int64)
-
-
-def write_samples_binary(path, samples) -> None:
-    """8-byte magic then the samples as little-endian u64."""
-    arr = np.asarray(samples)
-    if not np.issubdtype(arr.dtype, np.integer):
-        raise ValueError("binary dumps hold unsigned integers only")
-    if arr.size and arr.min() < 0:
-        raise ValueError("sample values must be >= 0")
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(np.ascontiguousarray(arr, dtype="<u8").tobytes())
-
-
-def read_samples_binary(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        head = fh.read(len(MAGIC))
-        if head != MAGIC:
-            raise ValueError(f"bad magic {head!r}; not a sample dump")
-        body = fh.read()
-    if len(body) % 8:
-        raise ValueError("truncated sample dump")
-    arr = np.frombuffer(body, dtype="<u8")
-    if arr.size and arr.max() <= np.iinfo(np.int64).max:
-        return arr.astype(np.int64)
-    return arr.copy()
+        fh.writelines(f"{int(v)}\n" for v in arr)

@@ -16,20 +16,7 @@ from .env_model import ModelSpec, batch_offspring_means, draw_env_batch
 from .rng import RngState
 from .simulator import OVERFLOW_LIMIT, imm_for_batch, thin_for_batch
 
-__all__ = [
-    "sre_step",
-    "sample_perpetuity",
-    "sample_perpetuity_batch",
-    "coupled_gap_sample",
-    "coupled_gap_batch",
-]
-
-
-def sre_step(y: float, c: float, d: float) -> float:
-    """One affine update y -> c * y + d."""
-    if c < 0.0 or d < 0.0 or y < 0.0:
-        raise ValueError("sre_step expects nonnegative inputs")
-    return c * y + d
+__all__ = ["sample_perpetuity_batch", "coupled_gap_batch"]
 
 
 def sample_perpetuity_batch(model: ModelSpec, trunc: int, rng: RngState, size: int) -> np.ndarray:
@@ -50,10 +37,6 @@ def sample_perpetuity_batch(model: ModelSpec, trunc: int, rng: RngState, size: i
         total += prod * b
         prod *= batch_offspring_means(batch)
     return total
-
-
-def sample_perpetuity(model: ModelSpec, trunc: int, rng: RngState) -> float:
-    return float(sample_perpetuity_batch(model, trunc, rng, 1)[0])
 
 
 def coupled_gap_batch(model: ModelSpec, depth: int, rng: RngState, size: int) -> np.ndarray:
@@ -78,7 +61,3 @@ def coupled_gap_batch(model: ModelSpec, depth: int, rng: RngState, size: int) ->
         if v.max(initial=0) > OVERFLOW_LIMIT:
             raise OverflowError("thinned term exceeds 2^62; model looks supercritical")
     return v.astype(np.float64) - prod * b.astype(np.float64)
-
-
-def coupled_gap_sample(model: ModelSpec, depth: int, rng: RngState) -> float:
-    return float(coupled_gap_batch(model, depth, rng, 1)[0])

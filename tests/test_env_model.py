@@ -32,7 +32,6 @@ from bpire.env_model import (
     moment_A,
     offspring_moment,
     pareto_tail_params,
-    sample_environment,
 )
 from bpire.rng import RngState
 
@@ -247,9 +246,9 @@ def test_sample_environment_single_atom_is_deterministic():
     )
     rng = RngState.from_seed(1)
     for _ in range(5):
-        draw = sample_environment(env, rng)
-        assert draw.offspring == OffspringFamily.poisson(0.7)
-        assert draw.immigration == ImmigrationFamily.constant(2)
+        atom = env.atoms[draw_env_batch(env, rng, 1).idx[0]]
+        assert atom.offspring == OffspringFamily.poisson(0.7)
+        assert atom.immigration == ImmigrationFamily.constant(2)
 
 
 def test_draw_env_batch_frequencies_and_determinism():

@@ -4,13 +4,13 @@ import json
 import math
 import os
 
+import numpy as np
 import pytest
 
 from bpire import cli
 from bpire.config import load_config
 from bpire.errors import NotSubcritical
 from bpire.experiments import CHUNK_REPLICAS, _metric, emit_report, run_experiment
-from bpire.simulator import read_samples_text
 
 SUBCRITICAL = """\
 [model]
@@ -177,6 +177,27 @@ def test_oracle_experiment_small(tmp_path):
     assert (out / "stationary.csv").exists() and (out / "empirical.csv").exists()
 
 
+HALVING = """\
+[model]
+kappa = 1
+
+[env]
+atoms =
+    1.0 poisson:0.5 constant:1
+"""
+
+
+def test_decay_csv_is_numeric(tmp_path):
+    path = _cfg_file(tmp_path, HALVING, "replicas = 20000\nn_gens = 4\n")
+    out = tmp_path / "decay_out"
+    emit_report(run_experiment(load_config(path, experiment="decay")), out)
+    header, *rows = (out / "decay.csv").read_text().splitlines()
+    assert header == "n,moment,se" and len(rows) == 4
+    for row in rows:
+        for cell in row.split(","):
+            float(cell)
+
+
 def test_dump_samples_round_trip(tmp_path):
     path = _cfg_file(
         tmp_path,
@@ -186,7 +207,7 @@ def test_dump_samples_round_trip(tmp_path):
     cfg = load_config(path, experiment="theorem")
     out = tmp_path / "dump_out"
     emit_report(run_experiment(cfg), out)
-    samples = read_samples_text(out / "samples.txt")
+    samples = np.loadtxt(out / "samples.txt", dtype=np.int64)
     assert samples.size == 2000
     assert (samples >= 0).all()
 
@@ -245,6 +266,21 @@ def test_cli_missing_file_exit_three(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 3
     assert "config error" in captured.err
+
+
+def test_cli_overflow_exit_four(tmp_path, capsys):
+    # passes the standing condition (E[m^0.3] = 0.3^0.3 < 1), but a kappa of
+    # 0.3 puts immigration draws past the 2^62 guard at this scale
+    heavy = SUBCRITICAL.replace("kappa = 2", "kappa = 0.3").replace(
+        "    0.5 poisson:0.3 dpareto:2,1,0\n    0.5 poisson:0.9 dpareto:2,1,0\n",
+        "    1.0 poisson:0.3 dpareto:0.3,1,0\n",
+    )
+    path = _cfg_file(tmp_path, heavy, "seed = 12345\nreplicas = 200000\nb_law = dpareto:0.3,1,0\n")
+    assert cli.main(["check", "--config", path, "--out", str(tmp_path / "c")]) == 0
+    code = cli.main(["theorem", "--config", path, "--out", str(tmp_path / "t")])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 def test_cli_seed_override_lands_in_report(tmp_path, capsys):

@@ -1,5 +1,5 @@
 """Sampling layer: thinning closure, inversion immigration, chain steps,
-truncation choice, backward sampler, dump round trips.
+truncation choice, backward sampler, sample dumps.
 
 The load-bearing check is the closure audit: the thinning operator samples
 the x-fold offspring sum through the family's summation closure, so we (a)
@@ -17,7 +17,6 @@ from hypothesis import strategies as hst
 
 from bpire.env_model import (
     EnvAtom,
-    EnvDraw,
     EnvSpec,
     ImmigrationFamily,
     ModelSpec,
@@ -31,25 +30,16 @@ from bpire.env_model import (
 from bpire.errors import NotSubcritical
 from bpire.rng import RngState
 from bpire.simulator import (
-    ChainState,
     backward_terms,
     choose_truncation,
     composed_thinning_batch,
     random_sum_batch,
-    read_samples_binary,
-    read_samples_text,
-    sample_immigration,
     sample_immigration_batch,
-    sample_stationary_backward,
     sample_stationary_backward_batch,
-    simulate_forward,
     simulate_forward_batch,
-    step,
     step_batch,
-    thin,
     thin_batch,
     unit_progeny_batch,
-    write_samples_binary,
     write_samples_text,
 )
 
@@ -65,18 +55,22 @@ FAMILIES = [
 
 # ---- thinning ---------------------------------------------------------------
 
+def thin_one(law, x, rng):
+    return int(thin_batch(law, np.array([x], dtype=np.int64), rng)[0])
+
+
 def test_thin_of_zero_population_is_zero():
     rng = RngState.from_seed(0)
     for law in FAMILIES:
-        assert thin(law, 0, rng) == 0
+        assert thin_one(law, 0, rng) == 0
 
 
 def test_thin_degenerate_laws():
     rng = RngState.from_seed(0)
-    assert thin(OffspringFamily.poisson(0.0), 10, rng) == 0
-    assert thin(OffspringFamily.bernoulli(0.0), 10, rng) == 0
-    assert thin(OffspringFamily.geometric0(1.0), 10, rng) == 0
-    assert thin(OffspringFamily.bernoulli(1.0), 10, rng) == 10
+    assert thin_one(OffspringFamily.poisson(0.0), 10, rng) == 0
+    assert thin_one(OffspringFamily.bernoulli(0.0), 10, rng) == 0
+    assert thin_one(OffspringFamily.geometric0(1.0), 10, rng) == 0
+    assert thin_one(OffspringFamily.bernoulli(1.0), 10, rng) == 10
 
 
 @pytest.mark.parametrize("law", FAMILIES, ids=lambda l: l.kind)
@@ -124,7 +118,7 @@ def test_thin_rejects_negative_population():
 def test_thin_overflow_guard():
     rng = RngState.from_seed(0)
     with pytest.raises(OverflowError):
-        thin(OffspringFamily.poisson(4.0), 1 << 61, rng)
+        thin_one(OffspringFamily.poisson(4.0), 1 << 61, rng)
 
 
 # ---- immigration ------------------------------------------------------------
@@ -140,7 +134,7 @@ class _FixedU:
 
 
 def test_immigration_constant():
-    assert sample_immigration(ImmigrationFamily.constant(3), RngState.from_seed(0)) == 3
+    assert sample_immigration_batch(ImmigrationFamily.constant(3), RngState.from_seed(0), 1)[0] == 3
 
 
 def test_immigration_inversion_closed_form_boundary():
@@ -191,26 +185,27 @@ def test_immigration_sampler_pmf_chi_square():
 
 # ---- chain steps -------------------------------------------------------------
 
+def one_atom_env(offspring, immigration) -> EnvSpec:
+    return EnvSpec.from_atoms([EnvAtom(1.0, offspring, immigration)])
+
+
 def test_step_adds_immigration_to_survivors():
-    draw = EnvDraw(OffspringFamily.bernoulli(1.0), ImmigrationFamily.constant(3))
-    got = step(ChainState(value=5, generation=0), draw, RngState.from_seed(0))
-    assert got == ChainState(value=8, generation=1)
+    env = one_atom_env(OffspringFamily.bernoulli(1.0), ImmigrationFamily.constant(3))
+    got = step_batch(np.array([5]), env, RngState.from_seed(0))
+    assert got.tolist() == [8]
 
 
 def test_step_from_zero_is_pure_immigration():
-    draw = EnvDraw(OffspringFamily.poisson(0.9), ImmigrationFamily.constant(2))
-    got = step(ChainState(value=0, generation=4), draw, RngState.from_seed(0))
-    assert got.value == 2 and got.generation == 5
+    env = one_atom_env(OffspringFamily.poisson(0.9), ImmigrationFamily.constant(2))
+    got = step_batch(np.array([0]), env, RngState.from_seed(0))
+    assert got.tolist() == [2]
 
 
 def test_simulate_forward_trajectory_shape():
-    env = EnvSpec.from_atoms(
-        [EnvAtom(1.0, OffspringFamily.bernoulli(1.0), ImmigrationFamily.constant(1))]
-    )
-    traj = simulate_forward(3, 4, env, RngState.from_seed(0))
-    assert [s.value for s in traj] == [3, 4, 5, 6, 7]
-    assert [s.generation for s in traj] == [0, 1, 2, 3, 4]
-    assert simulate_forward(7, 0, env, RngState.from_seed(0)) == [ChainState(7, 0)]
+    env = one_atom_env(OffspringFamily.bernoulli(1.0), ImmigrationFamily.constant(1))
+    ends = [simulate_forward_batch(3, steps, env, RngState.from_seed(0), 1)[0] for steps in range(5)]
+    assert ends == [3, 4, 5, 6, 7]
+    assert simulate_forward_batch(7, 0, env, RngState.from_seed(0), 1).tolist() == [7]
 
 
 def test_forward_mean_decays_at_the_mean_offspring_rate():
@@ -322,12 +317,6 @@ def test_backward_mass_at_zero_matches_infinite_product():
     assert abs(emp - prod) <= 4 * se
 
 
-def test_backward_scalar_wrapper():
-    s = sample_stationary_backward(two_atom_model(), 5, RngState.from_seed(3))
-    assert s.truncation == 5
-    assert s.value >= 0
-
-
 def test_backward_rejects_negative_truncation():
     with pytest.raises(ValueError):
         sample_stationary_backward_batch(two_atom_model(), -1, RngState.from_seed(0), 8)
@@ -371,32 +360,10 @@ def test_text_dump_round_trip(tmp_path):
     path = tmp_path / "samples.txt"
     data = np.array([0, 3, 17, 2**40], dtype=np.int64)
     write_samples_text(path, data)
-    assert np.array_equal(read_samples_text(path), data)
-    fdata = np.array([0.5, 1.25, 3.0])
-    write_samples_text(path, fdata)
-    assert np.allclose(read_samples_text(path), fdata)
-
-
-def test_binary_dump_round_trip_and_magic(tmp_path):
-    path = tmp_path / "samples.bin"
-    data = np.array([0, 1, 2**62], dtype=np.uint64)
-    write_samples_binary(path, data)
-    assert np.array_equal(read_samples_binary(path), data)
-    with open(path, "r+b") as fh:
-        fh.write(b"NOTMAGIC")
+    assert path.read_text() == "0\n3\n17\n1099511627776\n"
+    assert np.array_equal(np.loadtxt(path, dtype=np.int64), data)
     with pytest.raises(ValueError):
-        read_samples_binary(path)
-
-
-def test_binary_dump_rejects_floats_and_truncation(tmp_path):
-    path = tmp_path / "samples.bin"
-    with pytest.raises(ValueError):
-        write_samples_binary(path, np.array([0.5]))
-    write_samples_binary(path, np.arange(10, dtype=np.uint64))
-    raw = path.read_bytes()
-    path.write_bytes(raw[:-3])
-    with pytest.raises(ValueError):
-        read_samples_binary(path)
+        write_samples_text(path, np.array([0.5]))
 
 
 # ---- stream determinism ----------------------------------------------------------

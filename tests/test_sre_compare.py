@@ -21,28 +21,9 @@ from bpire.env_model import (
     env_immigration_survival,
 )
 from bpire.rng import RngState
-from bpire.sre_compare import (
-    coupled_gap_batch,
-    coupled_gap_sample,
-    sample_perpetuity,
-    sample_perpetuity_batch,
-    sre_step,
-)
+from bpire.sre_compare import coupled_gap_batch, sample_perpetuity_batch
 
 from conftest import two_atom_model
-
-
-def test_sre_step_values():
-    assert sre_step(0.0, 0.7, 3.0) == 3.0
-    assert sre_step(5.0, 1.0, 0.0) == 5.0
-    assert sre_step(2.0, 0.5, 1.0) == 2.0
-
-
-def test_sre_step_rejects_negative_inputs():
-    with pytest.raises(ValueError):
-        sre_step(-1.0, 0.5, 0.0)
-    with pytest.raises(ValueError):
-        sre_step(1.0, -0.5, 0.0)
 
 
 def test_perpetuity_degenerate_env_is_a_geometric_series():
@@ -68,15 +49,10 @@ def test_perpetuity_zero_truncation_is_a_plain_immigration_draw():
     assert abs(emp - s) <= 4 * se
 
 
-def test_perpetuity_scalar_wrapper():
-    v = sample_perpetuity(two_atom_model(), 4, RngState.from_seed(1))
-    assert v >= 0.0
-
-
 def test_coupled_gap_depth_zero_is_identically_zero():
     gaps = coupled_gap_batch(two_atom_model(), 0, RngState.from_seed(2), 4096)
     assert np.all(gaps == 0.0)
-    assert coupled_gap_sample(two_atom_model(), 0, RngState.from_seed(3)) == 0.0
+    assert coupled_gap_batch(two_atom_model(), 0, RngState.from_seed(3), 1)[0] == 0.0
 
 
 def test_coupled_gap_deterministic_thinning_is_zero():
