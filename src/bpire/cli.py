@@ -2,13 +2,15 @@
 
 One experiment per invocation: `bpire <experiment> --config FILE`.  Exit
 codes: 0 all metrics pass, 1 a metric failed, 2 the standing condition is
-violated, 3 the config could not be parsed or validated, 4 a sampled value
-exceeded the 2^62 guard of the int64 samplers.
+violated, 3 the config could not be parsed or validated, or its output
+directory could not be created (checked before the run starts), 4 a sampled
+value exceeded the 2^62 guard of the int64 samplers.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .config import EXPERIMENTS, load_config
@@ -63,6 +65,7 @@ def main(argv=None) -> int:
             workers=args.workers,
             out_dir=args.out,
         )
+        os.makedirs(cfg.out_dir, exist_ok=True)
     except (ParseError, ValidationError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 3

@@ -462,7 +462,11 @@ def immigration_survival(law: ImmigrationFamily, x) -> np.ndarray | float:
     x = np.asarray(x, dtype=float)
     xc = np.maximum(x, 0.0)
     if law.kind == "dpareto":
-        s = np.minimum(1.0, law.c * np.log(math.e + xc) ** law.beta * (1.0 + xc) ** (-law.kappa))
+        # ln(e + x) ** 0 is exactly 1.0, so skipping it changes no bit
+        if law.beta == 0.0:
+            s = np.minimum(1.0, law.c * (1.0 + xc) ** (-law.kappa))
+        else:
+            s = np.minimum(1.0, law.c * np.log(math.e + xc) ** law.beta * (1.0 + xc) ** (-law.kappa))
     elif law.kind == "bernoulli":
         s = np.where(xc < 1.0, law.q, 0.0)
     elif law.kind == "constant":

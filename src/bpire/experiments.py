@@ -34,7 +34,7 @@ from .env_model import (
 )
 from .errors import NotSubcritical, ValidationError
 from .oracle import build_kernel, empirical_pmf, stationary_power_iteration, tv_distance
-from .rng import RngState
+from .rng import STREAM_VERSION, RngState
 from .simulator import (
     choose_truncation,
     composed_thinning_batch,
@@ -200,6 +200,7 @@ class RunReport:
         return {
             "experiment": self.experiment,
             "seed": self.seed,
+            "stream_version": STREAM_VERSION,
             "pass": self.passed,
             "metrics": list(self.metrics),
             "wall_ms": self.wall_ms,

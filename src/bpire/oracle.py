@@ -40,6 +40,8 @@ __all__ = [
 
 MAX_STATES = 4096
 _SUPPORT_TAIL = 1e-16
+# block size B of build_kernel's matrix product; bounds its scratch memory
+_KERNEL_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -79,14 +81,24 @@ def build_kernel(env: EnvSpec, n_max: int) -> TruncatedKernel:
     ks = np.arange(n_max + 1)
     size = n_max + 1
     body = np.zeros((size, size))
-    exact_at_cap = np.zeros(size)
+    # Rows of weighted thinned pmfs times the upper-triangular Toeplitz
+    # matrix toep[j, k] = imm[k - j] give the convolutions cut at n_max.
+    # toep is constant along diagonals: its rows j0 .. j0 + B - 1 from column
+    # j0 on are shifts[:, :size - j0] (imm moved right by 0 .. B - 1 places),
+    # so blocking rows and inner index keeps scratch at a few (B, size) arrays.
+    shifts = np.zeros((_KERNEL_BLOCK, size))
     for atom in env.atoms:
         imm = immigration_pmf(atom.immigration, ks)
-        for x in range(size):
-            t = thinned_offspring_pmf(atom.offspring, x, ks)
-            conv = np.convolve(t, imm)
-            body[x, :n_max] += atom.weight * conv[:n_max]
-            exact_at_cap[x] += atom.weight * conv[n_max]
+        for a in range(min(_KERNEL_BLOCK, size)):
+            shifts[a, a:] = imm[: size - a]
+        for lo in range(0, size, _KERNEL_BLOCK):
+            hi = min(lo + _KERNEL_BLOCK, size)
+            rows = [thinned_offspring_pmf(atom.offspring, x, ks) for x in range(lo, hi)]
+            thinned = atom.weight * np.array(rows)
+            for j0 in range(0, size, _KERNEL_BLOCK):
+                j1 = min(j0 + _KERNEL_BLOCK, size)
+                body[lo:hi, j0:] += thinned[:, j0:j1] @ shifts[: j1 - j0, : size - j0]
+    exact_at_cap = body[:, n_max].copy()
     body[:, n_max] = np.maximum(0.0, 1.0 - body[:, :n_max].sum(axis=1))
     row_clip = np.maximum(0.0, body[:, n_max] - exact_at_cap)
     return TruncatedKernel(n_max=n_max, matrix=body, row_clip=row_clip)

@@ -6,6 +6,11 @@ tuple of split ids; splitting derives a statistically independent child
 stream without consuming state from the parent.  Worker-parallel code
 derives one stream per fixed-size chunk of work from the chunk index, so
 merged output is invariant to how chunks are spread over workers.
+
+`STREAM_VERSION` names which draws a (seed, path) stands for; reports echo
+it.  A change that alters what any sampler draws from a given stream bumps
+it.  Version 1 is the original sampler set; version 2 builds the stationary
+sum in nested (Horner) form.
 """
 
 from __future__ import annotations
@@ -13,6 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+
+STREAM_VERSION = 2
 
 
 @dataclass

@@ -3,9 +3,9 @@
 Every sampler is vectorized over replicas; a single draw is a batch of one.
 Thinning exploits the offspring families' summation closure, so one
 generation costs one parametric draw per replica no matter how large the
-population is.  Replicas whose population hits zero are masked
-out of later thinning stages; the draws skipped that way are a deterministic
-function of earlier output, so fixed seeds still give fixed results.
+population is.  Entries at zero consume no randomness in a thinning stage;
+the draws skipped that way are a deterministic function of earlier output,
+so fixed seeds still give fixed results.
 
 Values live in int64 and are guarded against exceeding 2^62: crossing that
 limit signals a supercritical misconfiguration, not a sampling regime this
@@ -228,42 +228,44 @@ def choose_truncation(model: ModelSpec, epsilon: float) -> int:
     return k
 
 
-def _backward_pass(model: ModelSpec, trunc: int, rng: RngState, size: int, keep_terms: bool):
+def sample_stationary_backward_batch(model: ModelSpec, trunc: int, rng: RngState, size: int) -> np.ndarray:
+    """`size` draws of the K-truncated backward sum (stationary law up to
+    truncation bias bounded by choose_truncation's epsilon).
+
+    Built in nested form B_0 + T_0(B_1 + T_1(... + T_{K-1}(B_K))), T_j the
+    thinning under generation j's environment: K + 1 forward steps from 0.
+    Individuals thin independently given the environment, so this equals
+    the term-by-term sum of `backward_terms` in law, with one thinning per
+    generation instead of one per term and shallower generation.
+    """
+    if trunc < 0:
+        raise ValueError("truncation must be >= 0")
+    return simulate_forward_batch(0, trunc + 1, model.env, rng, size)
+
+
+def backward_terms(model: ModelSpec, trunc: int, rng: RngState, size: int) -> np.ndarray:
+    """(K+1, size) matrix of individual backward terms; rows share their
+    environment draws, so cumulative sums over rows are the partial sums.
+    Term i is T_0(... T_{i-1}(B_i)) on its own: the independent route to
+    the law of `sample_stationary_backward_batch`."""
+    if trunc < 0:
+        raise ValueError("truncation must be >= 0")
     # environments for generations 0..K drawn first and shared by every term;
     # term i is the immigration of generation i pushed through generations
     # i-1 down to 0, innermost first
     gens = [draw_env_batch(model.env, rng, size) for _ in range(trunc + 1)]
+    terms = np.zeros((trunc + 1, size), dtype=np.int64)
     total = np.zeros(size, dtype=np.int64)
-    terms = np.zeros((trunc + 1, size), dtype=np.int64) if keep_terms else None
     for i in range(trunc + 1):
         v = imm_for_batch(gens[i], rng)
         for j in range(i - 1, -1, -1):
             if not v.any():
                 break
             v = thin_for_batch(gens[j], v, rng)
+        terms[i] = v
         total += v
-        if keep_terms:
-            terms[i] = v
         if total.max(initial=0) > OVERFLOW_LIMIT:
             raise OverflowError("backward sum exceeds 2^62; model looks supercritical")
-    return total, terms
-
-
-def sample_stationary_backward_batch(model: ModelSpec, trunc: int, rng: RngState, size: int) -> np.ndarray:
-    """`size` draws of the K-truncated backward sum (stationary law up to
-    truncation bias bounded by choose_truncation's epsilon)."""
-    if trunc < 0:
-        raise ValueError("truncation must be >= 0")
-    total, _ = _backward_pass(model, trunc, rng, size, keep_terms=False)
-    return total
-
-
-def backward_terms(model: ModelSpec, trunc: int, rng: RngState, size: int) -> np.ndarray:
-    """(K+1, size) matrix of individual backward terms; rows share their
-    environment draws, so cumulative sums over rows are the partial sums."""
-    if trunc < 0:
-        raise ValueError("truncation must be >= 0")
-    _, terms = _backward_pass(model, trunc, rng, size, keep_terms=True)
     return terms
 
 

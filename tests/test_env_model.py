@@ -192,6 +192,20 @@ def test_dpareto_survival_monotone_and_pmf_telescopes(kappa, c, beta):
     assert total == pytest.approx(1.0 - float(s[-1]), abs=1e-12)
 
 
+@pytest.mark.parametrize(
+    "kappa, c, beta", [(2.0, 1.0, 0.0), (0.3, 0.7, 0.0), (2.5, 0.4, 0.0), (2.0, 1.0, 0.3), (1.5, 0.2, 2.0)]
+)
+def test_dpareto_survival_equals_the_general_formula_exactly(kappa, c, beta):
+    # at beta = 0 the log factor is skipped; ln(e + x) ** 0 == 1.0 exactly,
+    # so every bit must still match the general formula
+    x = np.concatenate([-np.arange(1.0, 6.0), np.arange(0.0, 5000.0), np.geomspace(5000.0, 1e18, 200)])
+    xc = np.maximum(x, 0.0)
+    tail = c * np.log(math.e + xc) ** beta * (1.0 + xc) ** (-kappa)
+    general = np.where(x < 0.0, 1.0, np.minimum(1.0, tail))
+    got = immigration_survival(ImmigrationFamily.discrete_pareto(kappa, c, beta), x)
+    assert np.array_equal(got, general)
+
+
 def test_pmf_at_zero_is_one_minus_survival():
     law = ImmigrationFamily.discrete_pareto(2.0, 0.7)
     assert immigration_pmf(law, np.array([0]))[0] == pytest.approx(0.3, rel=1e-12)

@@ -283,6 +283,24 @@ def test_cli_overflow_exit_four(tmp_path, capsys):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
+def test_cli_unwritable_out_exit_three_before_running(tmp_path, capsys):
+    blocker = tmp_path / "a_file"
+    blocker.write_text("")
+    path = _cfg_file(tmp_path, SUBCRITICAL)
+    code = cli.main(["check", "--config", path, "--out", str(blocker / "sub")])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err.startswith("config error: ") and captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
+def test_report_records_stream_version(tmp_path):
+    cfg = load_config(_cfg_file(tmp_path, SUBCRITICAL), experiment="check")
+    emit_report(run_experiment(cfg), tmp_path / "o")
+    with open(tmp_path / "o" / "report.json") as fh:
+        assert json.load(fh)["stream_version"] == 2
+
+
 def test_cli_seed_override_lands_in_report(tmp_path, capsys):
     path = _cfg_file(tmp_path, SUBCRITICAL)
     out = tmp_path / "seeded"

@@ -21,6 +21,8 @@ from bpire.env_model import (
     ModelSpec,
     OffspringFamily,
     env_immigration_survival,
+    immigration_pmf,
+    thinned_offspring_pmf,
 )
 from bpire.errors import PmfUnavailable, ResidualTooLarge
 from bpire.oracle import (
@@ -31,7 +33,7 @@ from bpire.oracle import (
     tv_distance,
 )
 from bpire.rng import RngState
-from bpire.simulator import random_sum_batch, sample_stationary_backward_batch
+from bpire.simulator import backward_terms, random_sum_batch, sample_stationary_backward_batch
 
 from conftest import coin_env, coin_model, two_atom_env
 
@@ -65,6 +67,29 @@ def test_kernel_rows_are_distributions_across_configs(off_p, imm_q, n_max):
     kern = build_kernel(env, n_max)
     assert np.allclose(kern.matrix.sum(axis=1), 1.0, atol=1e-12)
     assert kern.matrix.min() >= -1e-15
+
+
+@pytest.mark.parametrize("n_max", [8, 63, 200])
+@pytest.mark.parametrize("make_env", [two_atom_env, coin_env], ids=["config_a", "coin"])
+def test_kernel_matches_per_row_convolution(make_env, n_max):
+    # the build's blocked Toeplitz product against one np.convolve per row
+    # and atom; 200 is not a multiple of the block size
+    env = make_env()
+    ks = np.arange(n_max + 1)
+    body = np.zeros((n_max + 1, n_max + 1))
+    at_cap = np.zeros(n_max + 1)
+    for atom in env.atoms:
+        imm = immigration_pmf(atom.immigration, ks)
+        for x in ks:
+            conv = np.convolve(thinned_offspring_pmf(atom.offspring, int(x), ks), imm)
+            body[x, :n_max] += atom.weight * conv[:n_max]
+            at_cap[x] += atom.weight * conv[n_max]
+    body[:, n_max] = np.maximum(0.0, 1.0 - body[:, :n_max].sum(axis=1))
+    row_clip = np.maximum(0.0, body[:, n_max] - at_cap)
+    kern = build_kernel(env, n_max)
+    assert np.abs(kern.matrix - body).max() <= 1e-15
+    assert np.abs(kern.row_clip - row_clip).max() <= 1e-15
+    assert kern.matrix.min() >= 0.0
 
 
 def test_kernel_hand_entry_for_the_coin_config():
@@ -183,10 +208,12 @@ def test_tv_distance_hand_values_and_padding():
 
 def test_backward_sampler_meets_the_kernel_stationary_law():
     # the acceptance-scale version runs in the acceptance gate; this is the
-    # same dual route at a tenth the size
+    # same dual route at a tenth the size, for the nested sampler and for the
+    # term-by-term sum
     model = coin_model()
     kern = build_kernel(model.env, 64)
     exact = stationary_power_iteration(kern)
-    draws = sample_stationary_backward_batch(model, 10, RngState.from_seed(71), 100_000)
-    emp = empirical_pmf(draws, 64)
-    assert tv_distance(exact.pmf, emp) <= 0.01
+    nested = sample_stationary_backward_batch(model, 10, RngState.from_seed(71), 100_000)
+    summed = backward_terms(model, 10, RngState.from_seed(72), 100_000).sum(axis=0)
+    for draws in (nested, summed):
+        assert tv_distance(exact.pmf, empirical_pmf(draws, 64)) <= 0.01

@@ -42,6 +42,7 @@ from bpire.simulator import (
     unit_progeny_batch,
     write_samples_text,
 )
+from bpire.tailstats import ks_distance, ks_threshold
 
 from conftest import chi_square_pvalue, two_atom_model
 
@@ -315,6 +316,16 @@ def test_backward_mass_at_zero_matches_infinite_product():
     emp = float((draws == 0).mean())
     se = math.sqrt(prod * (1 - prod) / 1_000_000)
     assert abs(emp - prod) <= 4 * se
+
+
+def test_nested_sampler_matches_the_term_by_term_sum():
+    # the nested (Horner) form and the term-by-term sum are two routes to
+    # the K-truncated backward law; config_a at its truncation K = 18
+    model = two_atom_model()
+    n = 100_000
+    nested = sample_stationary_backward_batch(model, 18, RngState.from_seed(31), n)
+    summed = backward_terms(model, 18, RngState.from_seed(32), n).sum(axis=0)
+    assert ks_distance(nested, summed) < ks_threshold(n, n, 0.01)
 
 
 def test_backward_rejects_negative_truncation():
