@@ -2,9 +2,10 @@
 
 One experiment per invocation: `bpire <experiment> --config FILE`.  Exit
 codes: 0 all metrics pass, 1 a metric failed, 2 the standing condition is
-violated, 3 the config could not be parsed or validated, or its output
-directory could not be created (checked before the run starts), 4 a sampled
-value exceeded the 2^62 guard of the int64 samplers.
+violated, 3 the config could not be parsed or validated, its output
+directory could not be created (checked before the run starts) or the
+results could not be written there, 4 a sampled value exceeded the 2^62
+guard of the int64 samplers.
 """
 
 from __future__ import annotations
@@ -82,7 +83,11 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 4
 
-    files = emit_report(report, cfg.out_dir)
+    try:
+        files = emit_report(report, cfg.out_dir)
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return 3
     for m in report.metrics:
         print(_metric_line(m))
     print(f"wrote {len(files)} files to {cfg.out_dir}")

@@ -360,20 +360,17 @@ def _adaptive_simpson(f, a: float, b: float, tol: float, max_depth: int = 60) ->
     return rec(a, fa, m, fm, b, fb, whole, tol, max_depth)
 
 
-def kappa_moment(env: EnvSpec, kappa: float, tol: float = 1e-10) -> float:
-    """E[m(xi)^kappa]: exact weighted sum for atoms, quadrature otherwise.
+def kappa_moment(env: EnvSpec, kappa: float) -> float:
+    """E[m(xi)^kappa], in closed form for both environment modes.
 
-    kappa = 0 returns exactly 1.  The continuous mode integrates
-    lambda^kappa over the uniform rate range to absolute error <= tol.
+    Atoms give the weighted sum; the uniform rate range [lo, hi] gives
+    (hi^(kappa+1) - lo^(kappa+1)) / ((kappa+1)(hi-lo)), exactly 1 at kappa = 0.
     """
     _require(kappa >= 0.0 and math.isfinite(kappa), "kappa must be >= 0")
     if env.is_atomic:
         return math.fsum(a.weight * mean_offspring(a.offspring) ** kappa for a in env.atoms)
-    if kappa == 0.0:
-        return 1.0
     lo, hi = env.rate_lo, env.rate_hi
-    integral = _adaptive_simpson(lambda lam: lam**kappa, lo, hi, tol * (hi - lo))
-    return integral / (hi - lo)
+    return (hi ** (kappa + 1.0) - lo ** (kappa + 1.0)) / ((kappa + 1.0) * (hi - lo))
 
 
 def moment_A(env: EnvSpec, order: float, tol: float = 1e-10) -> float:
@@ -418,7 +415,7 @@ def check_conditions(model: ModelSpec, tol: float = 1e-10) -> ConditionReport:
     of order max(1, kappa) + delta; subcriticality of the log mean follows
     and is reported alongside.
     """
-    km = kappa_moment(model.env, model.kappa, tol=tol)
+    km = kappa_moment(model.env, model.kappa)
     lm = log_mean_offspring(model.env)
     ma = moment_A(model.env, max(1.0, model.kappa) + model.delta, tol=tol)
     subcritical = lm < 0.0

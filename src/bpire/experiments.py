@@ -1,12 +1,14 @@
 """Named experiments: chunked data-parallel sampling, metric evaluation,
 and deterministic report emission.
 
-Replica generation is cut into fixed chunks of 131072; chunk c of a purpose
-draws from the stream (seed, purpose, ..., c), so the merged output is a
-pure function of (config, seed) no matter how chunks land on workers.
-Workers return either raw sample arrays (when later statistics need order
-statistics) or per-threshold exceedance counts (when they do not), keeping
-the 10^8-replica experiments within constant memory.
+Every experiment samples through one protocol.  A chunk sampler
+`sampler(model, arg, rng, size)` runs on fixed chunks of 131072 replicas;
+chunk c of a job draws from the stream (seed, purpose, ..., c), so the merged
+output is a pure function of (config, seed) no matter how chunks land on
+workers.  A chunk returns its raw samples (when later statistics need order
+statistics) or reduces them to a sufficient statistic, per-threshold
+exceedance counts or moment sums, which merge by summing and keep the
+10^8-replica experiments within constant memory.
 """
 
 from __future__ import annotations
@@ -17,13 +19,14 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
 from . import tailstats
 from .config import ExperimentConfig, config_to_dict
 from .env_model import (
-    ImmigrationFamily,
     ModelSpec,
     check_conditions,
     env_immigration_survival,
@@ -64,18 +67,17 @@ _P_SRE = 6
 
 @dataclass(frozen=True)
 class _Task:
-    """One worker unit: everything needed to rebuild its RNG stream."""
+    """One worker unit: a chunk sampler `sampler(model, arg, rng, count)`, the
+    path of its RNG stream, and the statistic it reduces to (None keeps the
+    raw samples)."""
 
-    kind: str
+    sampler: Callable
+    model: ModelSpec
+    arg: object
     seed: int
     path: tuple[int, ...]
     count: int
-    model: ModelSpec
-    trunc: int = 0
-    depth: int = 0
-    law: ImmigrationFamily | None = None
-    thresholds: tuple[float, ...] = ()
-    alpha: float = 1.0
+    stat: Callable | None
 
 
 def _stream(seed: int, path: tuple[int, ...]) -> RngState:
@@ -89,70 +91,48 @@ def _count_exceed(values: np.ndarray, thresholds: tuple[float, ...]) -> np.ndarr
     return np.array([(values > t).sum() for t in thresholds], dtype=np.int64)
 
 
+def _moment_sums(values: np.ndarray, alpha: float) -> np.ndarray:
+    v = values.astype(np.float64)
+    if alpha != 1.0:
+        v = v**alpha
+    return np.array([v.sum(), (v * v).sum()])
+
+
 def _run_chunk(task: _Task):
-    rng = _stream(task.seed, task.path)
-    if task.kind == "stationary":
-        return sample_stationary_backward_batch(task.model, task.trunc, rng, task.count)
-    if task.kind == "random_sum":
-        return _count_exceed(random_sum_batch(task.model, task.law, rng, task.count), task.thresholds)
-    if task.kind == "composed":
-        return _count_exceed(composed_thinning_batch(task.model, task.depth, rng, task.count), task.thresholds)
-    if task.kind == "grey":
-        return _count_exceed(grey_sum_batch(task.model, task.law, rng, task.count), task.thresholds)
-    if task.kind == "sre":
-        return _count_exceed(sample_perpetuity_batch(task.model, task.trunc, rng, task.count), task.thresholds)
-    if task.kind == "decay":
-        v = unit_progeny_batch(task.model, task.depth, rng, task.count).astype(np.float64)
-        if task.alpha != 1.0:
-            v = v**task.alpha
-        return np.array([v.sum(), (v * v).sum()])
-    raise ValueError(f"unknown chunk kind {task.kind!r}")
+    values = task.sampler(task.model, task.arg, _stream(task.seed, task.path), task.count)
+    return values if task.stat is None else task.stat(values)
 
 
-def _chunk_tasks(kind: str, seed: int, path: tuple[int, ...], total: int, **kw) -> list[_Task]:
-    tasks = []
-    index = 0
-    left = total
-    while left > 0:
-        count = min(CHUNK_REPLICAS, left)
-        tasks.append(_Task(kind=kind, seed=seed, path=path + (index,), count=count, **kw))
-        index += 1
-        left -= count
-    return tasks
+def _gather(cfg: ExperimentConfig, sampler, jobs, stat=None) -> list:
+    """One merged result per job `(stream path prefix, sampler argument)`.
 
-
-def _map_tasks(tasks: list[_Task], workers: int) -> list:
-    if workers <= 1 or len(tasks) <= 1:
-        return [_run_chunk(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
-        return list(pool.map(_run_chunk, tasks))
-
-
-def _gather_stationary(cfg: ExperimentConfig, trunc: int) -> np.ndarray:
-    tasks = _chunk_tasks(
-        "stationary", cfg.seed, (_P_STATIONARY,), cfg.replicas, model=cfg.model, trunc=trunc
-    )
-    return np.concatenate(_map_tasks(tasks, cfg.workers))
-
-
-def _gather_counts(cfg: ExperimentConfig, kind: str, path: tuple[int, ...], thresholds, **kw) -> np.ndarray:
-    tasks = _chunk_tasks(
-        kind, cfg.seed, path, cfg.replicas,
-        model=cfg.model, thresholds=tuple(float(t) for t in thresholds), **kw,
-    )
-    return np.sum(_map_tasks(tasks, cfg.workers), axis=0)
-
-
-def _gather_by_depth(cfg: ExperimentConfig, kind: str, purpose: int, depths, **kw) -> list[np.ndarray]:
-    """One merged result per depth, all depths mapped over a single pool."""
+    Each job's cfg.replicas are cut into chunks of CHUNK_REPLICAS, the last
+    one partial, and chunk c draws from the stream (seed, *prefix, c); the
+    chunks of every job map over one pool.  Statistics merge by sum, raw
+    samples by concatenation in chunk order.
+    """
     tasks: list[_Task] = []
     bounds = []
-    for d in depths:
-        sub = _chunk_tasks(kind, cfg.seed, (purpose, d), cfg.replicas, model=cfg.model, depth=d, **kw)
-        bounds.append((len(tasks), len(tasks) + len(sub)))
-        tasks.extend(sub)
-    parts = _map_tasks(tasks, cfg.workers)
+    for prefix, arg in jobs:
+        start = len(tasks)
+        for index, offset in enumerate(range(0, cfg.replicas, CHUNK_REPLICAS)):
+            count = min(CHUNK_REPLICAS, cfg.replicas - offset)
+            tasks.append(_Task(sampler, cfg.model, arg, cfg.seed, prefix + (index,), count, stat))
+        bounds.append((start, len(tasks)))
+    if cfg.workers <= 1 or len(tasks) <= 1:
+        parts = [_run_chunk(t) for t in tasks]
+    else:
+        with ProcessPoolExecutor(max_workers=min(cfg.workers, len(tasks))) as pool:
+            parts = list(pool.map(_run_chunk, tasks))
+    if stat is None:
+        return [np.concatenate(parts[a:b]) for a, b in bounds]
     return [np.sum(parts[a:b], axis=0) for a, b in bounds]
+
+
+def _stationary(cfg: ExperimentConfig) -> np.ndarray:
+    trunc = choose_truncation(cfg.model, cfg.epsilon_trunc)
+    [samples] = _gather(cfg, sample_stationary_backward_batch, [((_P_STATIONARY,), trunc)])
+    return samples
 
 
 # ---- metrics and reports ----------------------------------------------------
@@ -243,62 +223,73 @@ def _run_check(cfg: ExperimentConfig):
     return metrics, [("condition.json", "json", rep.to_dict())]
 
 
-def _run_theorem(cfg: ExperimentConfig):
-    env = cfg.model.env
-    km = kappa_moment(env, cfg.model.kappa)
-    theory = 1.0 / (1.0 - km)
-    trunc = choose_truncation(cfg.model, cfg.epsilon_trunc)
+def _survival(survival_fn, law):
+    """x -> float survival of `law` (an immigration law or an environment)."""
+    return lambda x: float(survival_fn(law, x))
 
-    def surv(x):
-        return float(env_immigration_survival(env, x))
 
-    xs, x_for = _eval_grid(surv, cfg)
-    samples = _gather_stationary(cfg, trunc)
-    report = tailstats.tail_ratio(samples, surv, xs)
-    metrics = _level_metrics(cfg, report, x_for, theory)
+def _stationary_constant(cfg: ExperimentConfig) -> float:
+    return 1.0 / (1.0 - kappa_moment(cfg.model.env, cfg.model.kappa))
 
+
+def _hill(cfg: ExperimentConfig, samples: np.ndarray):
+    """Hill estimate at cfg.hill_k (default k = n^(2/3)) and its artifacts."""
     k = cfg.hill_k if cfg.hill_k > 0 else tailstats.default_hill_k(samples.size)
     kappa_hat, _ = tailstats.hill_estimate(samples, k)
-    const_hat = _ratio_at(report, x_for[cfg.metric_levels[-1]])
-    artifacts = [
-        ("ratio.csv", "tail_csv", (report, _reliable_flags(surv, xs, samples.size))),
-        ("hill.csv", "hill_csv", tailstats.hill_sweep(samples)),
-        ("summary.json", "json", tailstats.summary_dict(const_hat, theory, kappa_hat)),
-    ]
+    artifacts = [("hill.csv", "hill_csv", tailstats.hill_sweep(samples))]
     if cfg.dump_samples:
         artifacts.append(("samples.txt", "samples_text", samples))
-    return metrics, artifacts
+    return kappa_hat, artifacts
+
+
+def _run_tail_ratio(cfg: ExperimentConfig, surv, theory: float, sampler, job, hill: bool = False):
+    """Shared body of theorem, lemma1, grey and sre: evaluation grid, sampled
+    tail against `surv` at each level, ratio.csv and summary.json.
+
+    Chunks return per-threshold exceedance counts, or with `hill` their raw
+    samples, which then also give the Hill estimate and its artifacts.
+    """
+    xs, x_for = _eval_grid(surv, cfg)
+    if hill:
+        [samples] = _gather(cfg, sampler, [job])
+        report = tailstats.tail_ratio(samples, surv, xs)
+        kappa_hat, hill_artifacts = _hill(cfg, samples)
+    else:
+        stat = partial(_count_exceed, thresholds=tuple(float(x) for x in xs))
+        [counts] = _gather(cfg, sampler, [job], stat)
+        report = tailstats.ratio_from_counts(counts, cfg.replicas, surv, xs)
+        kappa_hat, hill_artifacts = None, []
+    const_hat = _ratio_at(report, x_for[cfg.metric_levels[-1]])
+    artifacts = [
+        ("ratio.csv", "tail_csv", (report, _reliable_flags(surv, xs, cfg.replicas))),
+        ("summary.json", "json", tailstats.summary_dict(const_hat, theory, kappa_hat)),
+        *hill_artifacts,
+    ]
+    return _level_metrics(cfg, report, x_for, theory), artifacts
+
+
+def _run_theorem(cfg: ExperimentConfig):
+    surv = _survival(env_immigration_survival, cfg.model.env)
+    job = ((_P_STATIONARY,), choose_truncation(cfg.model, cfg.epsilon_trunc))
+    return _run_tail_ratio(
+        cfg, surv, _stationary_constant(cfg), sample_stationary_backward_batch, job, hill=True
+    )
 
 
 def _run_lemma1(cfg: ExperimentConfig):
     km = kappa_moment(cfg.model.env, cfg.model.kappa)
-
-    def surv(x):
-        return float(immigration_survival(cfg.b_law, x))
-
-    xs, x_for = _eval_grid(surv, cfg)
-    counts = _gather_counts(cfg, "random_sum", (_P_RANDOM_SUM,), xs, law=cfg.b_law)
-    report = tailstats.ratio_from_counts(counts, cfg.replicas, surv, xs)
-    metrics = _level_metrics(cfg, report, x_for, km)
-    const_hat = _ratio_at(report, x_for[cfg.metric_levels[-1]])
-    artifacts = [
-        ("ratio.csv", "tail_csv", (report, _reliable_flags(surv, xs, cfg.replicas))),
-        ("summary.json", "json", tailstats.summary_dict(const_hat, km, None)),
-    ]
-    return metrics, artifacts
+    surv = _survival(immigration_survival, cfg.b_law)
+    return _run_tail_ratio(cfg, surv, km, random_sum_batch, ((_P_RANDOM_SUM,), cfg.b_law))
 
 
 def _run_corollary(cfg: ExperimentConfig):
-    env = cfg.model.env
-    km = kappa_moment(env, cfg.model.kappa)
-
-    def surv(x):
-        return float(env_immigration_survival(env, x))
-
+    km = kappa_moment(cfg.model.env, cfg.model.kappa)
+    surv = _survival(env_immigration_survival, cfg.model.env)
     x0 = tailstats.threshold_for_level(surv, cfg.level)
     ref = surv(x0)
     depths = list(range(cfg.i_max + 1))
-    counts = _gather_by_depth(cfg, "composed", _P_COMPOSED, depths, thresholds=(float(x0),))
+    stat = partial(_count_exceed, thresholds=(float(x0),))
+    counts = _gather(cfg, composed_thinning_batch, [((_P_COMPOSED, d), d) for d in depths], stat)
     n = cfg.replicas
     rows = []
     ratios = []
@@ -326,26 +317,15 @@ def _run_grey(cfg: ExperimentConfig):
     if (round(kap_n, 15), round(beta_n, 15)) != (round(kap_b, 15), round(beta_b, 15)):
         raise ValidationError("n_law", "count law must share the immigration tail exponent and log power")
     theory = 1.0 + (c_n / c_b) * km
-
-    def surv(x):
-        return float(env_immigration_survival(env, x))
-
-    xs, x_for = _eval_grid(surv, cfg)
-    counts = _gather_counts(cfg, "grey", (_P_GREY,), xs, law=cfg.n_law)
-    report = tailstats.ratio_from_counts(counts, cfg.replicas, surv, xs)
-    metrics = _level_metrics(cfg, report, x_for, theory)
-    const_hat = _ratio_at(report, x_for[cfg.metric_levels[-1]])
-    artifacts = [
-        ("ratio.csv", "tail_csv", (report, _reliable_flags(surv, xs, cfg.replicas))),
-        ("summary.json", "json", tailstats.summary_dict(const_hat, theory, None)),
-    ]
-    return metrics, artifacts
+    surv = _survival(env_immigration_survival, env)
+    return _run_tail_ratio(cfg, surv, theory, grey_sum_batch, ((_P_GREY,), cfg.n_law))
 
 
 def _run_decay(cfg: ExperimentConfig):
     rho_theory = kappa_moment(cfg.model.env, cfg.alpha)
     depths = list(range(1, cfg.n_gens + 1))
-    sums = _gather_by_depth(cfg, "decay", _P_DECAY, depths, alpha=cfg.alpha)
+    stat = partial(_moment_sums, alpha=cfg.alpha)
+    sums = _gather(cfg, unit_progeny_batch, [((_P_DECAY, d), d) for d in depths], stat)
     n = cfg.replicas
     means = []
     rows = []
@@ -360,31 +340,15 @@ def _run_decay(cfg: ExperimentConfig):
 
 
 def _run_sre(cfg: ExperimentConfig):
-    env = cfg.model.env
-    km = kappa_moment(env, cfg.model.kappa)
-    theory = 1.0 / (1.0 - km)
-    trunc = choose_truncation(cfg.model, cfg.epsilon_trunc)
-
-    def surv(x):
-        return float(env_immigration_survival(env, x))
-
-    xs, x_for = _eval_grid(surv, cfg)
-    counts = _gather_counts(cfg, "sre", (_P_SRE,), xs, trunc=trunc)
-    report = tailstats.ratio_from_counts(counts, cfg.replicas, surv, xs)
-    metrics = _level_metrics(cfg, report, x_for, theory)
-    const_hat = _ratio_at(report, x_for[cfg.metric_levels[-1]])
-    artifacts = [
-        ("ratio.csv", "tail_csv", (report, _reliable_flags(surv, xs, cfg.replicas))),
-        ("summary.json", "json", tailstats.summary_dict(const_hat, theory, None)),
-    ]
-    return metrics, artifacts
+    surv = _survival(env_immigration_survival, cfg.model.env)
+    job = ((_P_SRE,), choose_truncation(cfg.model, cfg.epsilon_trunc))
+    return _run_tail_ratio(cfg, surv, _stationary_constant(cfg), sample_perpetuity_batch, job)
 
 
 def _run_oracle(cfg: ExperimentConfig):
     kernel = build_kernel(cfg.model.env, cfg.state_cap)
     exact = stationary_power_iteration(kernel)
-    trunc = choose_truncation(cfg.model, cfg.epsilon_trunc)
-    samples = _gather_stationary(cfg, trunc)
+    samples = _stationary(cfg)
     emp = empirical_pmf(samples, cfg.state_cap)
     tv = tv_distance(exact.pmf, emp)
     metrics = [
@@ -401,15 +365,8 @@ def _run_oracle(cfg: ExperimentConfig):
 
 
 def _run_hill(cfg: ExperimentConfig):
-    trunc = choose_truncation(cfg.model, cfg.epsilon_trunc)
-    samples = _gather_stationary(cfg, trunc)
-    k = cfg.hill_k if cfg.hill_k > 0 else tailstats.default_hill_k(samples.size)
-    kappa_hat, _ = tailstats.hill_estimate(samples, k)
-    metrics = [_metric("kappa_hat", kappa_hat, cfg.model.kappa, cfg.tolerance, "rel")]
-    artifacts = [("hill.csv", "hill_csv", tailstats.hill_sweep(samples))]
-    if cfg.dump_samples:
-        artifacts.append(("samples.txt", "samples_text", samples))
-    return metrics, artifacts
+    kappa_hat, artifacts = _hill(cfg, _stationary(cfg))
+    return [_metric("kappa_hat", kappa_hat, cfg.model.kappa, cfg.tolerance, "rel")], artifacts
 
 
 _RUNNERS = {

@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 import scipy.stats as st
+from scipy import integrate
 from hypothesis import given
 from hypothesis import strategies as hst
 
@@ -88,6 +89,11 @@ def test_kappa_moment_uniform_rate_quadrature():
     cont = EnvSpec.uniform_poisson_rate(0.0, 1.0, ImmigrationFamily.constant(1))
     # integral of r^2 over [0, 1] is 1/3
     assert kappa_moment(cont, 2.0) == pytest.approx(1.0 / 3.0, abs=1e-9)
+    # closed form against numerical quadrature of r^kappa over [lo, hi]
+    for lo, hi, kappa in [(0.2, 1.3, 0.5), (0.5, 0.9, 2.0), (0.1, 1.1, 1.7), (0.0, 2.0, 0.3), (1.0, 4.0, 3.25)]:
+        env = EnvSpec.uniform_poisson_rate(lo, hi, ImmigrationFamily.constant(1))
+        integral, _ = integrate.quad(lambda r: r**kappa, lo, hi, epsabs=0.0, epsrel=1e-13)
+        assert kappa_moment(env, kappa) == pytest.approx(integral / (hi - lo), rel=1e-12, abs=0.0)
 
 
 @given(

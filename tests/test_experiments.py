@@ -1,16 +1,20 @@
 """Experiment driver: metric judging, chunked determinism, reports, CLI."""
 
+import hashlib
 import json
 import math
 import os
+import pathlib
+import re
 
 import numpy as np
 import pytest
 
-from bpire import cli
+from bpire import cli, experiments
 from bpire.config import load_config
 from bpire.errors import NotSubcritical
 from bpire.experiments import CHUNK_REPLICAS, _metric, emit_report, run_experiment
+from bpire.rng import STREAM_VERSION
 
 SUBCRITICAL = """\
 [model]
@@ -212,6 +216,80 @@ def test_dump_samples_round_trip(tmp_path):
     assert (samples >= 0).all()
 
 
+# ---- stream pin ----------------------------------------------------------------
+
+CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
+PIN_CHUNK = 1000
+# Every bundled experiment at seed 7 on 1000-replica chunks, each run ending
+# in a partial chunk.  corollary and decay need enough replicas for their
+# deepest level to be hit at all, or the log-linear fit has nothing to fit.
+PIN_RUNS = (
+    ("check", "config_a.cfg", 2_500),
+    ("theorem", "config_a.cfg", 2_500),
+    ("lemma1", "config_a.cfg", 2_500),
+    ("corollary", "config_a.cfg", 30_500),
+    ("grey", "grey.cfg", 2_500),
+    ("decay", "decay_poisson.cfg", 3_500),
+    ("sre", "config_a.cfg", 2_500),
+    ("oracle", "oracle_bernoulli.cfg", 2_500),
+    ("hill", "config_a.cfg", 2_500),
+)
+# sha256 of each artifact under STREAM_VERSION 2; report.json without its
+# wall_ms and out_dir lines
+PIN_DIGESTS = {
+    "check/condition.json": "dad419b5018c0d18582aff87119eef58f8aa44acef4fb11864448080654da245",
+    "check/report.json": "9f25cd2f8cbbfd4b08691bd4df4a8e299c0586fdcad042399c95434c18d760b0",
+    "theorem/ratio.csv": "e10810261e72cd80c76acd3da75409907fef8491b481d49016385a2cad97949f",
+    "theorem/hill.csv": "26d1d40f0ba6ca04e9b29590f5711bfc0b5bc836d8df73feaef98128276d5f31",
+    "theorem/summary.json": "280141a87760c1ccf3912e766be8baba0afebbd987ff6023cd93b86ba1156993",
+    "theorem/samples.txt": "071be78497bec1a296f4c138aba8644dca36d001629f65e3a76b0c2f643788ab",
+    "theorem/report.json": "87d1ee68ba0289041767ceed8e9e7a789b169688d666e654c79487f67decf1ad",
+    "lemma1/ratio.csv": "f770faf80bad5b8fae780ed4c8a70fd12f3d16560354b2f1e58714f608fc7369",
+    "lemma1/summary.json": "2f7c64be63843876f1792b18b233a4d962a75c3c0a27335fafeea04dbcbe7518",
+    "lemma1/report.json": "9a388bff2a9448f06977fe55872a6e265db8a4a14bb68225175aa4f841fb66a0",
+    "corollary/depth_ratio.csv": "e9bd6cafc1d8c5fd82b852ec5b7be713b3f87d2cd9d7738a21727410011bf593",
+    "corollary/report.json": "3d2502c9bd3ebc310b7d9fc9345e83def9dc66944419f80eebb03da76d25ee94",
+    "grey/ratio.csv": "a653d6fd98ff14cf82588d75ea44bfefdfb0e1720256d441cd13db9d9f2d78fb",
+    "grey/summary.json": "0e0240e67098ad6ae6ad0d51eb367e5c45ee6ca8a72c8799d53723280e619b33",
+    "grey/report.json": "754c42012a7450be53c25646abe90cc062f204af00ee19957b2eeb4ef0b42ca5",
+    "decay/decay.csv": "2a616b239465ff1879737c86b1b6750a14c5a19edb47a3875a931627dae6c09d",
+    "decay/report.json": "7f8f7448fea3be06bfdf2cab8fcec05ae1f248400c532d52a12ab2aa79a29722",
+    "sre/ratio.csv": "149642952a1bc06585caa265f7213ea0de8c159ba45c9129122d83a6656a6a0f",
+    "sre/summary.json": "a0bad560eefba2996ffbd28fb612319b888224238f0bacb6420a1bd4fea616b3",
+    "sre/report.json": "fe2ca785183e871fd321e715689f109e981a9f58f299d9ebdfe27396a50ae1d1",
+    "oracle/stationary.csv": "6b996be0580862e871043dddce7299e9191ceee620329525408b8dccf9d0da72",
+    "oracle/empirical.csv": "05d3a118bb0a089db92834e0be6f43f18dac14656b3c338946bf21cb2c81e1cc",
+    "oracle/report.json": "88b74ce74a8bb4970acc9cdc2c1418ca328681756c9c6d6575d91b86afa5985d",
+    "hill/hill.csv": "26d1d40f0ba6ca04e9b29590f5711bfc0b5bc836d8df73feaef98128276d5f31",
+    "hill/samples.txt": "071be78497bec1a296f4c138aba8644dca36d001629f65e3a76b0c2f643788ab",
+    "hill/report.json": "3dcbe967fad4fa72222cc033664002b614c6ca9f44bf15cc0678953dceb08ea5",
+}
+
+
+def _pin_digests(tmp_path) -> dict:
+    digests = {}
+    for name, config, replicas in PIN_RUNS:
+        path = tmp_path / f"pin_{name}.cfg"
+        path.write_text((CONFIGS / config).read_text() + f"\nreplicas = {replicas}\ndump_samples = true\n")
+        cfg = load_config(str(path), experiment=name, seed=7, workers=1, out_dir=str(tmp_path / name))
+        for file in emit_report(run_experiment(cfg), cfg.out_dir):
+            data = pathlib.Path(file).read_bytes()
+            if file.endswith("report.json"):
+                data = re.sub(rb'(?m)^ *"(wall_ms|out_dir)": .*\n', b"", data)
+            digests[f"{name}/{os.path.basename(file)}"] = hashlib.sha256(data).hexdigest()
+    return digests
+
+
+def test_bundled_experiments_keep_their_streams(tmp_path, monkeypatch):
+    # A change that alters what a seed draws must say so: bump STREAM_VERSION
+    # (bpire/rng.py) and re-record PIN_DIGESTS with it.
+    monkeypatch.setattr(experiments, "CHUNK_REPLICAS", PIN_CHUNK)
+    got = _pin_digests(tmp_path)
+    changed = sorted(k for k in got.keys() | PIN_DIGESTS.keys() if got.get(k) != PIN_DIGESTS.get(k))
+    assert STREAM_VERSION == 2, "STREAM_VERSION moved: re-record PIN_DIGESTS under the new version"
+    assert not changed, f"outputs changed under STREAM_VERSION 2: {changed}; bump it and re-record PIN_DIGESTS"
+
+
 # ---- CLI ---------------------------------------------------------------------
 
 
@@ -291,6 +369,18 @@ def test_cli_unwritable_out_exit_three_before_running(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 3
     assert captured.err.startswith("config error: ") and captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
+def test_cli_unwritable_result_exit_three(tmp_path, capsys):
+    # the directory exists, but report.json cannot be written into it
+    out = tmp_path / "o"
+    (out / "report.json").mkdir(parents=True)
+    path = _cfg_file(tmp_path, SUBCRITICAL)
+    code = cli.main(["check", "--config", path, "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err.startswith("output error: ") and captured.err.count("\n") == 1
     assert captured.out == ""
 
 

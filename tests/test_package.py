@@ -1,7 +1,10 @@
-"""Package surface: every exported name resolves, and the CLI starts
-without the slow scipy.stats import."""
+"""Package surface: every exported name resolves, the benchmark's tracer
+still finds what it wraps, and the CLI starts without the slow scipy.stats
+import."""
 
 import importlib
+import importlib.util
+import inspect
 import os
 import pkgutil
 import subprocess
@@ -27,3 +30,34 @@ def test_cli_import_leaves_scipy_stats_out():
     code = "import sys, bpire.cli; print('scipy.stats' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def _load_spans():
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "spans.py")
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    return spans
+
+
+def test_benchmark_tracer_names_resolve():
+    # The tracer swaps these names at run time; a renamed function would only
+    # show up as failed benchmark operations.
+    spans = _load_spans()
+    for mod_name, attr, _, _ in spans.TRACED:
+        assert callable(getattr(importlib.import_module(mod_name), attr, None)), f"{mod_name}.{attr}"
+    rng_state = importlib.import_module("bpire.rng").RngState
+    for name in spans.RNG_METHODS:
+        assert callable(getattr(rng_state, name, None)), f"RngState.{name}"
+    # each counter reads one positional argument at a fixed place
+    positions = {
+        ("bpire.env_model", "draw_env_batch"): (2, "size"),
+        ("bpire.simulator", "thin_for_batch"): (1, "values"),
+        ("bpire.simulator", "sample_immigration_batch"): (2, "size"),
+        ("bpire.oracle", "build_kernel"): (1, "n_max"),
+    }
+    counted = {(m, a) for m, a, _, counter in spans.TRACED if counter is not None}
+    assert counted == set(positions)
+    for (mod_name, attr), (index, param) in positions.items():
+        params = list(inspect.signature(getattr(importlib.import_module(mod_name), attr)).parameters)
+        assert params.index(param) == index, f"{mod_name}.{attr}: {param} moved to {params.index(param)}"
