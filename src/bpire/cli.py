@@ -3,9 +3,9 @@
 One experiment per invocation: `bpire <experiment> --config FILE`.  Exit
 codes: 0 all metrics pass, 1 a metric failed, 2 the standing condition is
 violated, 3 the config could not be parsed or validated, its output
-directory could not be created (checked before the run starts) or the
-results could not be written there, 4 a sampled value exceeded the 2^62
-guard of the int64 samplers.
+directory could not be created (checked before the run starts), an
+estimator got too few replicas, or the results could not be written there,
+4 a sampled value exceeded the 2^62 guard of the int64 samplers.
 """
 
 from __future__ import annotations

@@ -387,8 +387,10 @@ def load_config(
     if tv_tol <= 0.0:
         raise ValidationError("tv_tol", "must be > 0")
     hill_k = _get_int(exp_section, "hill_k", 0)
-    if hill_k < 0:
-        raise ValidationError("hill_k", "must be >= 0 (0 = automatic)")
+    if hill_k < 0 or hill_k == 1:
+        raise ValidationError("hill_k", "must be 0 (automatic) or >= 2")
+    if hill_k >= replicas and name in ("theorem", "hill"):
+        raise ValidationError("hill_k", f"must be below replicas ({replicas})")
 
     return ExperimentConfig(
         experiment=name,

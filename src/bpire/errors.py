@@ -10,11 +10,6 @@ class BpireError(Exception):
     """Base class for package-specific failures."""
 
 
-class QuadratureFailure(BpireError):
-    """Adaptive quadrature could not reach the requested absolute error
-    within the bisection depth cap."""
-
-
 class SeriesDivergence(BpireError):
     """A moment series failed its tail bound within the iteration cap.
 
@@ -45,6 +40,11 @@ class ReferenceVanishes(BpireError):
 
 class DegenerateOrderStats(BpireError):
     """Order statistics needed by an estimator are tied or non-positive."""
+
+
+class InsufficientData(BpireError, ValueError):
+    """An estimator got too few samples, or a level no sample reached, to
+    produce a value; more replicas are needed."""
 
 
 class ParseError(BpireError):

@@ -49,7 +49,7 @@ from .simulator import (
 )
 from .sre_compare import sample_perpetuity_batch
 
-__all__ = ["CHUNK_REPLICAS", "RunReport", "run_experiment", "emit_report"]
+__all__ = ["RunReport", "run_experiment", "emit_report"]
 
 CHUNK_REPLICAS = 1 << 17
 

@@ -28,9 +28,6 @@ from .env_model import (
 from .errors import NoConvergence, PmfUnavailable, ResidualTooLarge
 
 __all__ = [
-    "TruncatedKernel",
-    "ExactDistribution",
-    "MAX_STATES",
     "build_kernel",
     "stationary_power_iteration",
     "brute_force_random_sum_tail",

@@ -1,7 +1,9 @@
 """Monte Carlo engine for the branching-with-immigration chain.
 
 Every sampler is vectorized over replicas; a single draw is a batch of one.
-Thinning exploits the offspring families' summation closure, so one
+A generation's environments arrive as one EnvBatch; thinning and
+immigration run over its groups in group order, which is part of the stream
+contract.  Thinning exploits the offspring families' summation closure, so one
 generation costs one parametric draw per replica no matter how large the
 population is.  Entries at zero consume no randomness in a thinning stage;
 the draws skipped that way are a deterministic function of earlier output,
@@ -20,7 +22,6 @@ import numpy as np
 
 from .env_model import (
     EnvBatch,
-    EnvIndexBatch,
     EnvSpec,
     ImmigrationFamily,
     ModelSpec,
@@ -33,13 +34,9 @@ from .errors import NotSubcritical
 from .rng import RngState
 
 __all__ = [
-    "OVERFLOW_LIMIT",
-    "thin_batch",
     "sample_immigration_batch",
     "imm_for_batch",
     "thin_for_batch",
-    "step_batch",
-    "simulate_forward_batch",
     "choose_truncation",
     "sample_stationary_backward_batch",
     "backward_terms",
@@ -55,6 +52,12 @@ OVERFLOW_LIMIT = 1 << 62
 
 # ---- thinning -------------------------------------------------------------
 
+def _poisson(lam: np.ndarray, rng: RngState) -> np.ndarray:
+    if lam.size and lam.max(initial=0.0) > OVERFLOW_LIMIT:
+        raise OverflowError("thinning parameter exceeds 2^62; model looks supercritical")
+    return rng.gen.poisson(lam).astype(np.int64)
+
+
 def thin_batch(law: OffspringFamily, xs: np.ndarray, rng: RngState) -> np.ndarray:
     """One draw of the xs-fold offspring sum per entry under one fixed law,
     sampled as a single closed-family draw."""
@@ -62,10 +65,7 @@ def thin_batch(law: OffspringFamily, xs: np.ndarray, rng: RngState) -> np.ndarra
     if np.any(xs < 0):
         raise ValueError("population sizes must be >= 0")
     if law.kind == "poisson":
-        lam = law.rate * xs.astype(float)
-        if lam.size and lam.max(initial=0.0) > OVERFLOW_LIMIT:
-            raise OverflowError("thinning parameter exceeds 2^62; model looks supercritical")
-        return rng.gen.poisson(lam).astype(np.int64)
+        return _poisson(law.rate * xs.astype(float), rng)
     if law.kind == "bernoulli":
         return rng.gen.binomial(xs, law.p).astype(np.int64)
     if law.kind == "geometric0":
@@ -86,24 +86,22 @@ def thin_batch(law: OffspringFamily, xs: np.ndarray, rng: RngState) -> np.ndarra
 def thin_for_batch(batch: EnvBatch, values: np.ndarray, rng: RngState) -> np.ndarray:
     """One thinning stage under per-replica environments.
 
-    Entries with value 0 stay 0 and consume no randomness.  Atomic draws are
-    grouped by atom in declaration order; that order is part of the stream
-    contract.
+    Entries with value 0 stay 0 and consume no randomness.  Draws are thinned
+    group by group in the batch's group order, which is part of the stream
+    contract; a group without an offspring law is Poisson at each draw's
+    own mean.
     """
     values = np.asarray(values, dtype=np.int64)
     out = np.zeros_like(values)
     active = values > 0
-    if isinstance(batch, EnvIndexBatch):
-        for j, atom in enumerate(batch.env.atoms):
-            sel = active & (batch.idx == j)
-            if sel.any():
-                out[sel] = thin_batch(atom.offspring, values[sel], rng)
-        return out
-    if active.any():
-        lam = batch.rates[active] * values[active].astype(float)
-        if lam.max(initial=0.0) > OVERFLOW_LIMIT:
-            raise OverflowError("thinning parameter exceeds 2^62; model looks supercritical")
-        out[active] = rng.gen.poisson(lam)
+    for j, (offspring, _) in enumerate(batch.laws):
+        sel = active & (batch.group == j)
+        if not sel.any():
+            continue
+        if offspring is None:
+            out[sel] = _poisson(batch.means[sel] * values[sel].astype(float), rng)
+        else:
+            out[sel] = thin_batch(offspring, values[sel], rng)
     return out
 
 
@@ -175,16 +173,15 @@ def sample_immigration_batch(law: ImmigrationFamily, rng: RngState, size: int) -
 
 
 def imm_for_batch(batch: EnvBatch, rng: RngState) -> np.ndarray:
-    """Immigration per draw under per-replica environments (atom order fixed)."""
-    if isinstance(batch, EnvIndexBatch):
-        out = np.zeros(batch.idx.shape, dtype=np.int64)
-        for j, atom in enumerate(batch.env.atoms):
-            sel = batch.idx == j
-            cnt = int(sel.sum())
-            if cnt:
-                out[sel] = sample_immigration_batch(atom.immigration, rng, cnt)
-        return out
-    return sample_immigration_batch(batch.env.rate_immigration, rng, batch.rates.size)
+    """Immigration per draw under per-replica environments, group by group
+    in the batch's group order."""
+    out = np.zeros(batch.group.shape, dtype=np.int64)
+    for j, (_, immigration) in enumerate(batch.laws):
+        sel = batch.group == j
+        cnt = int(sel.sum())
+        if cnt:
+            out[sel] = sample_immigration_batch(immigration, rng, cnt)
+    return out
 
 
 # ---- chain steps ------------------------------------------------------------

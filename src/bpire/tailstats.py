@@ -15,13 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateOrderStats, ReferenceVanishes
+from .errors import DegenerateOrderStats, InsufficientData, ReferenceVanishes
 
 __all__ = [
     "TailReport",
-    "HillReport",
-    "empirical_tail",
-    "tail_from_counts",
     "tail_ratio",
     "ratio_from_counts",
     "threshold_for_level",
@@ -30,8 +27,6 @@ __all__ = [
     "hill_estimate",
     "hill_sweep",
     "fit_geometric_decay",
-    "ks_distance",
-    "ks_threshold",
     "summary_dict",
     "write_tail_csv",
     "write_hill_csv",
@@ -194,7 +189,7 @@ def hill_estimate(samples, k: int) -> tuple[float, float]:
     vals = _hill_values(samples)
     n = vals.size
     if not 2 <= k < n:
-        raise ValueError("need 2 <= k < n")
+        raise InsufficientData(f"Hill estimate needs 2 <= k < n (k = {k}, n = {n})")
     part = np.partition(vals, n - k - 1)
     threshold = part[n - k - 1]
     top = part[n - k:]
@@ -213,7 +208,7 @@ def hill_sweep(samples, k_grid=None) -> HillReport:
     vals = _hill_values(samples)
     n = vals.size
     if n < 4:
-        raise ValueError("too few samples for a Hill sweep")
+        raise InsufficientData(f"too few samples for a Hill sweep (n = {n}, need 4)")
     if k_grid is None:
         hi = max(3, n // 10)
         k_grid = np.unique(np.round(np.logspace(math.log10(2), math.log10(hi), 30)).astype(int))
@@ -254,7 +249,9 @@ def fit_geometric_decay(ns, values) -> tuple[float, float]:
     if np.unique(ns).size < 3:
         raise ValueError("need at least 3 distinct n")
     if np.any(v <= 0.0):
-        raise ValueError("values must be > 0 for a log-linear fit")
+        raise InsufficientData(
+            "values must be > 0 for a log-linear fit; a level no sample reached needs more replicas"
+        )
     y = np.log(v)
     slope, intercept = np.polyfit(ns, y, 1)
     pred = slope * ns + intercept

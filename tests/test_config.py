@@ -110,6 +110,20 @@ def test_negative_replicas_rejected(tmp_path):
     assert err.value.field == "replicas"
 
 
+def test_hill_k_must_leave_a_tail_to_estimate(tmp_path):
+    def load(hill_k, experiment):
+        text = MINIMAL + f"\n[experiment]\nhill_k = {hill_k}\nreplicas = 1000\n"
+        return load_config(_write(tmp_path, text), experiment=experiment)
+
+    for hill_k, experiment in ((1, "check"), (1000, "theorem"), (1001, "hill")):
+        with pytest.raises(ValidationError) as err:
+            load(hill_k, experiment)
+        assert err.value.field == "hill_k"
+    assert load(999, "hill").hill_k == 999
+    # only theorem and hill take a Hill estimate
+    assert load(1000, "check").hill_k == 1000
+
+
 def test_seed_must_fit_64_bits(tmp_path):
     with pytest.raises(ValidationError) as err:
         load_config(_write(tmp_path, MINIMAL), experiment="check", seed=2**64)

@@ -20,7 +20,6 @@ from bpire.env_model import (
     ImmigrationFamily,
     ModelSpec,
     OffspringFamily,
-    batch_offspring_means,
     check_conditions,
     draw_env_batch,
     env_immigration_survival,
@@ -117,10 +116,32 @@ def test_moment_A_mixture_order_two():
     assert moment_A(two_atom_env(), 2.0) == pytest.approx(1.05, rel=1e-9)
 
 
+def _poisson_moment_direct(lam, order):
+    # pmf-weighted sum, out to where the Poisson(lam) mass is far below 1e-16
+    ks = np.arange(int(lam + 40 * math.sqrt(lam) + 60 + 4 * order))
+    return float(np.sum(ks.astype(float) ** order * st.poisson.pmf(ks, lam)))
+
+
 def test_moment_A_uniform_rate_quadrature():
     cont = EnvSpec.uniform_poisson_rate(0.0, 1.0, ImmigrationFamily.constant(1))
     # integral of (r + r^2) dr over [0, 1] = 1/2 + 1/3
     assert moment_A(cont, 2.0) == pytest.approx(5.0 / 6.0, abs=1e-8)
+    # against adaptive quadrature of the directly summed Poisson moment
+    cases = [
+        (0.0, 1.0, 2.0),
+        (0.0, 0.9, 2.5),
+        (0.2, 1.3, 1.5),
+        (0.5, 50.0, 11.0),
+        (1.0, 4.0, 3.25),
+        (0.1, 0.3, 7.0),
+        (0.0, 0.05, 1.2),
+    ]
+    for lo, hi, order in cases:
+        env = EnvSpec.uniform_poisson_rate(lo, hi, ImmigrationFamily.constant(1))
+        integral, _ = integrate.quad(
+            _poisson_moment_direct, lo, hi, args=(order,), epsabs=0.0, epsrel=1e-13, limit=200
+        )
+        assert moment_A(env, order) == pytest.approx(integral / (hi - lo), rel=1e-12, abs=0.0)
 
 
 def test_log_mean_offspring_values():
@@ -266,7 +287,7 @@ def test_sample_environment_single_atom_is_deterministic():
     )
     rng = RngState.from_seed(1)
     for _ in range(5):
-        atom = env.atoms[draw_env_batch(env, rng, 1).idx[0]]
+        atom = env.atoms[draw_env_batch(env, rng, 1).group[0]]
         assert atom.offspring == OffspringFamily.poisson(0.7)
         assert atom.immigration == ImmigrationFamily.constant(2)
 
@@ -274,20 +295,23 @@ def test_sample_environment_single_atom_is_deterministic():
 def test_draw_env_batch_frequencies_and_determinism():
     env = two_atom_env()
     batch = draw_env_batch(env, RngState.from_seed(42), 200_000)
-    freq = float((batch.idx == 0).mean())
+    freq = float((batch.group == 0).mean())
     se = math.sqrt(0.25 / 200_000)
     assert abs(freq - 0.5) <= 4 * se
     again = draw_env_batch(env, RngState.from_seed(42), 200_000)
-    assert np.array_equal(batch.idx, again.idx)
+    assert np.array_equal(batch.group, again.group)
 
 
 def test_batch_offspring_means_lookup():
     env = two_atom_env()
     batch = draw_env_batch(env, RngState.from_seed(3), 1000)
-    means = batch_offspring_means(batch)
-    table = np.where(batch.idx == 0, 0.3, 0.9)
-    assert np.allclose(means, table)
-    cont = EnvSpec.uniform_poisson_rate(0.2, 0.8, ImmigrationFamily.constant(1))
+    assert batch.laws == tuple((a.offspring, a.immigration) for a in env.atoms)
+    assert np.allclose(batch.means, np.where(batch.group == 0, 0.3, 0.9))
+    # the continuous mode is one group, Poisson at each draw's uniform rate
+    imm = ImmigrationFamily.constant(1)
+    cont = EnvSpec.uniform_poisson_rate(0.2, 0.8, imm)
     cbatch = draw_env_batch(cont, RngState.from_seed(3), 1000)
-    assert np.array_equal(batch_offspring_means(cbatch), cbatch.rates)
-    assert cbatch.rates.min() >= 0.2 and cbatch.rates.max() <= 0.8
+    assert cbatch.laws == ((None, imm),)
+    assert not cbatch.group.any()
+    assert np.array_equal(cbatch.means, 0.2 + (0.8 - 0.2) * RngState.from_seed(3).gen.random(1000))
+    assert cbatch.means.min() >= 0.2 and cbatch.means.max() <= 0.8

@@ -221,8 +221,10 @@ def test_dump_samples_round_trip(tmp_path):
 CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
 PIN_CHUNK = 1000
 # Every bundled experiment at seed 7 on 1000-replica chunks, each run ending
-# in a partial chunk.  corollary and decay need enough replicas for their
-# deepest level to be hit at all, or the log-linear fit has nothing to fit.
+# in a partial chunk, then the samplers on the PIN_INLINE environments.
+# corollary and decay need enough replicas for their deepest level to be hit
+# at all, or the log-linear fit has nothing to fit; lemma1 on the inline
+# environments needs enough for their tail counts to differ.
 PIN_RUNS = (
     ("check", "config_a.cfg", 2_500),
     ("theorem", "config_a.cfg", 2_500),
@@ -233,7 +235,51 @@ PIN_RUNS = (
     ("sre", "config_a.cfg", 2_500),
     ("oracle", "oracle_bernoulli.cfg", 2_500),
     ("hill", "config_a.cfg", 2_500),
+    ("continuous/theorem", "continuous", 2_500),
+    ("continuous/lemma1", "continuous", 20_500),
+    ("continuous/sre", "continuous", 2_500),
+    ("continuous/decay", "continuous", 3_500),
+    ("mixed/theorem", "mixed", 2_500),
+    ("mixed/lemma1", "mixed", 20_500),
+    ("mixed/corollary", "mixed", 30_500),
+    ("mixed/sre", "mixed", 2_500),
+    ("mixed/decay", "mixed", 3_500),
 )
+# Environments no bundled config covers, written out here: a uniform Poisson
+# rate range, which thins at each draw's own rate, and four atoms covering
+# every offspring family and three immigration samplers (dpareto with a log
+# power inverts by bisection).
+PIN_INLINE = {
+    "continuous": """\
+[model]
+kappa = 2
+
+[env]
+uniform_poisson_rate = 0.0, 0.9
+immigration = dpareto:2,1,0
+
+[experiment]
+b_law = dpareto:2,1,0
+n_gens = 5
+""",
+    "mixed": """\
+[model]
+kappa = 2
+
+[env]
+atoms =
+    0.4 poisson:0.3 dpareto:2,1,0.5
+    0.3 geometric0:0.6 bernoulli:0.5
+    0.2 binomial:2,0.2 geometric0:0.5
+    0.1 bernoulli:0.5 dpareto:2,1,0.5
+
+[experiment]
+b_law = dpareto:2,1,0
+level = 1e-2
+i_max = 2
+n_gens = 5
+""",
+}
 # sha256 of each artifact under STREAM_VERSION 2; report.json without its
 # wall_ms and out_dir lines
 PIN_DIGESTS = {
@@ -263,15 +309,45 @@ PIN_DIGESTS = {
     "hill/hill.csv": "26d1d40f0ba6ca04e9b29590f5711bfc0b5bc836d8df73feaef98128276d5f31",
     "hill/samples.txt": "071be78497bec1a296f4c138aba8644dca36d001629f65e3a76b0c2f643788ab",
     "hill/report.json": "3dcbe967fad4fa72222cc033664002b614c6ca9f44bf15cc0678953dceb08ea5",
+    "continuous/theorem/ratio.csv": "2f54dd300c3bbda135a6bf304bf64d4aa898479a86b5cfcc50fd27d8c4520896",
+    "continuous/theorem/summary.json": "6442ef1b66f903c0f11cf7b6cbbbe86b485551093106891b7daf31c48927fc97",
+    "continuous/theorem/hill.csv": "c6265224c17ef2a5147f8f5991d55b96baf14996630d888ac321ebb6bad8121a",
+    "continuous/theorem/samples.txt": "4ba677e15a187a18d500d13fd71e029448490a4ce3f5d2150aa219b0e5f26e26",
+    "continuous/theorem/report.json": "fc37b2e1712eb747fefe3588ec461638e684455df2fc249b47de6873e8dd95ba",
+    "continuous/lemma1/ratio.csv": "8ae1c9db83d89b28914dc3c0916c3732201da1ac569dc5fd36b7b42d70750225",
+    "continuous/lemma1/summary.json": "d5e1eda9d9fde33fe2dc037c32b486a8dd72b5788b46b8618fc80913c6a1d1c7",
+    "continuous/lemma1/report.json": "65c4a4d0217a4658a60060381710def92423f9692e6fe3aeb3ed58929d5ab094",
+    "continuous/decay/decay.csv": "53f508b8e312a3200b736d1d61ffa8299520ffccb2a22122dc7ab45719c8e9fc",
+    "continuous/decay/report.json": "e063ba39fe349d4fb7004f16de963f60f764cb24beb7bb52cfeb8944088470bc",
+    "continuous/sre/ratio.csv": "83bb543d22a09c9b367c90446ea48230737e6e37122b178a77a1667b923a2445",
+    "continuous/sre/summary.json": "20c620c4e1796a56a7edb9c62334592a106fc2609064dcc3ccd39efe879fdd13",
+    "continuous/sre/report.json": "e666e6d82a24c3c9712632cbd9a56e075db4e80d6078648b4d01a740b4c83a40",
+    "mixed/theorem/ratio.csv": "0c1008aa7d73bf987c3e7eecbab21ef22b7f23d02c1c5466295ace5b99c4951a",
+    "mixed/theorem/summary.json": "178dec84edebfa54522c2fada7b6165c2d50caf9d833f21afa29b921dae8726f",
+    "mixed/theorem/hill.csv": "7e1391c2f1e7997897b1485dc520d724229b0226c40d7b110a7acfc35386234a",
+    "mixed/theorem/samples.txt": "30b4c93d09a17ed292cd0d258ec77ec6f0b513248f3bb88dfe52af25b22b9e37",
+    "mixed/theorem/report.json": "c8c10429b2ec96461316f6449ad5ffd73fee81b73b64bca73dae67ec191acf08",
+    "mixed/lemma1/ratio.csv": "ce7fecba720b18778ea45b2a97472124462697584c656bf2f473f0c8a7cba519",
+    "mixed/lemma1/summary.json": "00ee5b0c800cde9005943425de01d07ec06d6a49ce627ddc7bab2c70d02ef9b5",
+    "mixed/lemma1/report.json": "95b6fdf7525c3e62fa6721964396e97b2ac642c94c25f46b26ed57bcd7a3e46b",
+    "mixed/corollary/depth_ratio.csv": "f3f56d602489d6fd513291daf85e314d854d8fa70f60ae2e571c22b43e729ce6",
+    "mixed/corollary/report.json": "8d6f1916b7ec1e0e7c487c504b19c95891346bd703f0dc717bde4c917f6610cd",
+    "mixed/decay/decay.csv": "f3056f2e5e6c5607466966aa571bc320f8ddfb54587d381b54626904ee090c40",
+    "mixed/decay/report.json": "0946fb8eac2bd749386ef3d015c6ff819ec8e4faadbc283f4a202da0783b8151",
+    "mixed/sre/ratio.csv": "aa845aea95a890a20820f6d24c8ba07d73e041ea67361d7688e6089eaa0da4ea",
+    "mixed/sre/summary.json": "b97779a9dceec88ff169e183995397fa4ff828b4a7c592ad4eb02ddefee1c266",
+    "mixed/sre/report.json": "7e9d204c8fd8afcfc642934789f53a382b48fb9923af084d9e1dea71d9a43e7a",
 }
 
 
 def _pin_digests(tmp_path) -> dict:
     digests = {}
     for name, config, replicas in PIN_RUNS:
-        path = tmp_path / f"pin_{name}.cfg"
-        path.write_text((CONFIGS / config).read_text() + f"\nreplicas = {replicas}\ndump_samples = true\n")
-        cfg = load_config(str(path), experiment=name, seed=7, workers=1, out_dir=str(tmp_path / name))
+        text = PIN_INLINE[config] if config in PIN_INLINE else (CONFIGS / config).read_text()
+        path = tmp_path / f"pin_{name.replace('/', '_')}.cfg"
+        path.write_text(text + f"\nreplicas = {replicas}\ndump_samples = true\n")
+        experiment = name.rpartition("/")[2]
+        cfg = load_config(str(path), experiment=experiment, seed=7, workers=1, out_dir=str(tmp_path / name))
         for file in emit_report(run_experiment(cfg), cfg.out_dir):
             data = pathlib.Path(file).read_bytes()
             if file.endswith("report.json"):
@@ -337,6 +413,26 @@ def test_cli_config_error_exit_three(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 3
     assert "config error" in captured.err
+
+
+@pytest.mark.parametrize(
+    "experiment, replicas, hill_k",
+    [
+        ("corollary", 2000, 0),  # no replica reaches the deepest level
+        ("theorem", 3, 0),
+        ("hill", 3, 0),
+        ("decay", 3, 0),
+        ("theorem", 2, 0),  # the automatic k = n^(2/3) rounds down to 1
+        ("hill", 1000, 1),
+        ("hill", 1000, 1000),
+    ],
+)
+def test_cli_too_few_data_exit_three(tmp_path, capsys, experiment, replicas, hill_k):
+    path = _cfg_file(tmp_path, SUBCRITICAL, f"replicas = {replicas}\nhill_k = {hill_k}\n")
+    code = cli.main([experiment, "--config", path, "--out", str(tmp_path / "o")])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err.startswith(("error: ", "config error: hill_k")) and captured.err.count("\n") == 1
 
 
 def test_cli_missing_file_exit_three(tmp_path, capsys):
