@@ -488,6 +488,9 @@ def env_pareto_prefactor(env: EnvSpec) -> tuple[float, float, float]:
     """
     if not env.is_atomic:
         return pareto_tail_params(env.rate_immigration)
+    for i, atom in enumerate(env.atoms, 1):
+        label = f"atom {i} immigration {law_label(atom.immigration)}"
+        _require(atom.immigration.kind == "dpareto", f"{label} is not heavy-tailed (dpareto)")
     params = [pareto_tail_params(a.immigration) for a in env.atoms]
     kappas = {round(k, 15) for _, k, _ in params}
     betas = {round(b, 15) for _, _, b in params}

@@ -5,10 +5,12 @@ Every experiment samples through one protocol.  A chunk sampler
 `sampler(model, arg, rng, size)` runs on fixed chunks of 131072 replicas;
 chunk c of a job draws from the stream (seed, purpose, ..., c), so the merged
 output is a pure function of (config, seed) no matter how chunks land on
-workers.  A chunk returns its raw samples (when later statistics need order
-statistics) or reduces them to a sufficient statistic, per-threshold
-exceedance counts or moment sums, which merge by summing and keep the
-10^8-replica experiments within constant memory.
+workers.  A chunk reduces its draws to a sufficient statistic: per-threshold
+exceedance counts or moment sums, which merge by summing, or, where order
+statistics are needed (theorem, hill, oracle), a value histogram, which
+merges by adding counts on the union of values.  Memory therefore does not
+grow with the replica count.  Only a sample dump (`dump_samples`) keeps the
+raw draws, concatenated in chunk order, and builds its histogram from them.
 """
 
 from __future__ import annotations
@@ -69,7 +71,7 @@ _P_SRE = 6
 class _Task:
     """One worker unit: a chunk sampler `sampler(model, arg, rng, count)`, the
     path of its RNG stream, and the statistic it reduces to (None keeps the
-    raw samples)."""
+    raw samples, for dumps)."""
 
     sampler: Callable
     model: ModelSpec
@@ -98,18 +100,29 @@ def _moment_sums(values: np.ndarray, alpha: float) -> np.ndarray:
     return np.array([v.sum(), (v * v).sum()])
 
 
+_value_histogram = partial(np.unique, return_counts=True)
+
+
+def _merge_histograms(parts) -> tuple[np.ndarray, np.ndarray]:
+    """Chunk histograms merged by adding counts on the union of values."""
+    union, where = np.unique(np.concatenate([v for v, _ in parts]), return_inverse=True)
+    counts = np.zeros(union.size, dtype=np.int64)
+    np.add.at(counts, where, np.concatenate([c for _, c in parts]))
+    return union, counts
+
+
 def _run_chunk(task: _Task):
     values = task.sampler(task.model, task.arg, _stream(task.seed, task.path), task.count)
     return values if task.stat is None else task.stat(values)
 
 
-def _gather(cfg: ExperimentConfig, sampler, jobs, stat=None) -> list:
+def _gather(cfg: ExperimentConfig, sampler, jobs, stat=None, merge=partial(np.sum, axis=0)) -> list:
     """One merged result per job `(stream path prefix, sampler argument)`.
 
     Each job's cfg.replicas are cut into chunks of CHUNK_REPLICAS, the last
     one partial, and chunk c draws from the stream (seed, *prefix, c); the
-    chunks of every job map over one pool.  Statistics merge by sum, raw
-    samples by concatenation in chunk order.
+    chunks of every job map over one pool.  `merge` folds a job's chunk
+    results, in chunk order, into one.
     """
     tasks: list[_Task] = []
     bounds = []
@@ -124,15 +137,19 @@ def _gather(cfg: ExperimentConfig, sampler, jobs, stat=None) -> list:
     else:
         with ProcessPoolExecutor(max_workers=min(cfg.workers, len(tasks))) as pool:
             parts = list(pool.map(_run_chunk, tasks))
-    if stat is None:
-        return [np.concatenate(parts[a:b]) for a, b in bounds]
-    return [np.sum(parts[a:b], axis=0) for a, b in bounds]
+    return [merge(parts[a:b]) for a, b in bounds]
 
 
-def _stationary(cfg: ExperimentConfig) -> np.ndarray:
-    trunc = choose_truncation(cfg.model, cfg.epsilon_trunc)
-    [samples] = _gather(cfg, sample_stationary_backward_batch, [((_P_STATIONARY,), trunc)])
-    return samples
+def _stationary_histogram(cfg: ExperimentConfig, keep_samples: bool):
+    """Value histogram (values, counts) of cfg.replicas stationary draws, and
+    the draws in chunk order when kept for a dump (else None).  A dump's
+    histogram is built from the dumped draws, which gives the same arrays."""
+    job = ((_P_STATIONARY,), choose_truncation(cfg.model, cfg.epsilon_trunc))
+    if keep_samples:
+        [samples] = _gather(cfg, sample_stationary_backward_batch, [job], merge=np.concatenate)
+        return _value_histogram(samples), samples
+    [hist] = _gather(cfg, sample_stationary_backward_batch, [job], _value_histogram, _merge_histograms)
+    return hist, None
 
 
 # ---- metrics and reports ----------------------------------------------------
@@ -232,36 +249,39 @@ def _stationary_constant(cfg: ExperimentConfig) -> float:
     return 1.0 / (1.0 - kappa_moment(cfg.model.env, cfg.model.kappa))
 
 
-def _hill(cfg: ExperimentConfig, samples: np.ndarray):
-    """Hill estimate at cfg.hill_k (default k = n^(2/3)) and its artifacts."""
-    k = cfg.hill_k if cfg.hill_k > 0 else tailstats.default_hill_k(samples.size)
-    kappa_hat, _ = tailstats.hill_estimate(samples, k)
-    artifacts = [("hill.csv", "hill_csv", tailstats.hill_sweep(samples))]
-    if cfg.dump_samples:
+def _hill(cfg: ExperimentConfig, hist, samples):
+    """Hill estimate at cfg.hill_k (default k = n^(2/3)) from a value
+    histogram, and its artifacts: hill.csv, and samples.txt for a dump."""
+    values, counts = hist
+    k = cfg.hill_k if cfg.hill_k > 0 else tailstats.default_hill_k(cfg.replicas)
+    kappa_hat, _ = tailstats.hill_estimate(values, k, counts)
+    artifacts = [("hill.csv", "csv", tailstats.hill_table(tailstats.hill_sweep(values, counts=counts)))]
+    if samples is not None:
         artifacts.append(("samples.txt", "samples_text", samples))
     return kappa_hat, artifacts
 
 
-def _run_tail_ratio(cfg: ExperimentConfig, surv, theory: float, sampler, job, hill: bool = False):
+def _run_tail_ratio(cfg: ExperimentConfig, surv, theory: float, sampler=None, job=None):
     """Shared body of theorem, lemma1, grey and sre: evaluation grid, sampled
     tail against `surv` at each level, ratio.csv and summary.json.
 
-    Chunks return per-threshold exceedance counts, or with `hill` their raw
-    samples, which then also give the Hill estimate and its artifacts.
+    Chunks of `sampler` return per-threshold exceedance counts.  theorem
+    passes no sampler: its stationary draws reduce to a value histogram,
+    which gives the exceedance counts and the Hill estimate.
     """
     xs, x_for = _eval_grid(surv, cfg)
-    if hill:
-        [samples] = _gather(cfg, sampler, [job])
-        report = tailstats.tail_ratio(samples, surv, xs)
-        kappa_hat, hill_artifacts = _hill(cfg, samples)
+    if sampler is None:
+        hist, samples = _stationary_histogram(cfg, cfg.dump_samples)
+        counts = tailstats.exceedances(hist[0], xs, hist[1])
+        kappa_hat, hill_artifacts = _hill(cfg, hist, samples)
     else:
         stat = partial(_count_exceed, thresholds=tuple(float(x) for x in xs))
         [counts] = _gather(cfg, sampler, [job], stat)
-        report = tailstats.ratio_from_counts(counts, cfg.replicas, surv, xs)
         kappa_hat, hill_artifacts = None, []
+    report = tailstats.ratio_from_counts(counts, cfg.replicas, surv, xs)
     const_hat = _ratio_at(report, x_for[cfg.metric_levels[-1]])
     artifacts = [
-        ("ratio.csv", "tail_csv", (report, _reliable_flags(surv, xs, cfg.replicas))),
+        ("ratio.csv", "csv", tailstats.tail_table(report, _reliable_flags(surv, xs, cfg.replicas))),
         ("summary.json", "json", tailstats.summary_dict(const_hat, theory, kappa_hat)),
         *hill_artifacts,
     ]
@@ -270,10 +290,7 @@ def _run_tail_ratio(cfg: ExperimentConfig, surv, theory: float, sampler, job, hi
 
 def _run_theorem(cfg: ExperimentConfig):
     surv = _survival(env_immigration_survival, cfg.model.env)
-    job = ((_P_STATIONARY,), choose_truncation(cfg.model, cfg.epsilon_trunc))
-    return _run_tail_ratio(
-        cfg, surv, _stationary_constant(cfg), sample_stationary_backward_batch, job, hill=True
-    )
+    return _run_tail_ratio(cfg, surv, _stationary_constant(cfg))
 
 
 def _run_lemma1(cfg: ExperimentConfig):
@@ -311,6 +328,9 @@ def _run_grey(cfg: ExperimentConfig):
     km = kappa_moment(env, cfg.model.kappa)
     try:
         c_b, kap_b, beta_b = env_pareto_prefactor(env)
+    except ValueError as exc:
+        raise ValidationError("env", str(exc)) from exc
+    try:
         c_n, kap_n, beta_n = pareto_tail_params(cfg.n_law)
     except ValueError as exc:
         raise ValidationError("n_law", str(exc)) from exc
@@ -348,8 +368,8 @@ def _run_sre(cfg: ExperimentConfig):
 def _run_oracle(cfg: ExperimentConfig):
     kernel = build_kernel(cfg.model.env, cfg.state_cap)
     exact = stationary_power_iteration(kernel)
-    samples = _stationary(cfg)
-    emp = empirical_pmf(samples, cfg.state_cap)
+    (values, counts), _ = _stationary_histogram(cfg, False)
+    emp = empirical_pmf(values, cfg.state_cap, counts)
     tv = tv_distance(exact.pmf, emp)
     metrics = [
         _metric("tv_distance", tv, 0.0, cfg.tv_tol, "upper"),
@@ -365,7 +385,8 @@ def _run_oracle(cfg: ExperimentConfig):
 
 
 def _run_hill(cfg: ExperimentConfig):
-    kappa_hat, artifacts = _hill(cfg, _stationary(cfg))
+    hist, samples = _stationary_histogram(cfg, cfg.dump_samples)
+    kappa_hat, artifacts = _hill(cfg, hist, samples)
     return [_metric("kappa_hat", kappa_hat, cfg.model.kappa, cfg.tolerance, "rel")], artifacts
 
 
@@ -419,12 +440,7 @@ def emit_report(report: RunReport, out_dir) -> list[str]:
     written = []
     for name, kind, payload in report.artifacts:
         path = os.path.join(out_dir, name)
-        if kind == "tail_csv":
-            rep, reliable = payload
-            tailstats.write_tail_csv(path, rep, reliable)
-        elif kind == "hill_csv":
-            tailstats.write_hill_csv(path, payload)
-        elif kind == "csv":
+        if kind == "csv":
             header, rows = payload
             with open(path, "w") as fh:
                 fh.write(header + "\n")

@@ -169,16 +169,17 @@ def brute_force_random_sum_tail(env: EnvSpec, b_law: ImmigrationFamily, x: int, 
     return total
 
 
-def empirical_pmf(samples, n_max: int) -> np.ndarray:
-    """Frequencies on {0..n_max} with values above n_max folded into n_max,
-    mirroring the kernel's clip convention."""
-    arr = np.asarray(samples)
-    if arr.size == 0:
+def empirical_pmf(values, n_max: int, counts=None) -> np.ndarray:
+    """Frequencies on {0..n_max} of a sample (counts=None) or a value
+    histogram, with values above n_max folded into n_max, mirroring the
+    kernel's clip convention."""
+    arr = np.asarray(values)
+    n = arr.size if counts is None else int(np.sum(counts))
+    if n == 0:
         raise ValueError("empty sample set")
     if arr.min() < 0:
         raise ValueError("samples must be >= 0")
-    v = np.minimum(arr, n_max)
-    return np.bincount(v, minlength=n_max + 1) / arr.size
+    return np.bincount(np.minimum(arr, n_max), weights=counts, minlength=n_max + 1) / n
 
 
 def tv_distance(p, q) -> float:

@@ -1,5 +1,10 @@
 """Tail estimation on integer (or real) samples.
 
+Every statistic reads a sample as a value histogram, its distinct values
+ascending with their counts; a raw sample (counts=None) is reduced to one by
+`np.unique`.  Raw draws and merged chunk histograms thus share one code path,
+whose memory follows the number of distinct values, not of replicas.
+
 Survival probabilities are plain exceedance counts with binomial standard
 errors; ratios against a reference survival use the exact reference value at
 the evaluated integer point, so grid granularity does not bias them.  The
@@ -19,6 +24,8 @@ from .errors import DegenerateOrderStats, InsufficientData, ReferenceVanishes
 
 __all__ = [
     "TailReport",
+    "histogram",
+    "exceedances",
     "tail_ratio",
     "ratio_from_counts",
     "threshold_for_level",
@@ -28,8 +35,8 @@ __all__ = [
     "hill_sweep",
     "fit_geometric_decay",
     "summary_dict",
-    "write_tail_csv",
-    "write_hill_csv",
+    "tail_table",
+    "hill_table",
 ]
 
 _REF_FLOOR = 1e-300
@@ -65,20 +72,30 @@ def _check_grid(x_grid) -> np.ndarray:
     return x
 
 
-def empirical_tail(samples, x_grid) -> TailReport:
-    """Exceedance frequencies #{s > x}/n with binomial standard errors."""
-    arr = np.asarray(samples)
-    if arr.size == 0:
-        raise ValueError("empty sample set")
-    x = _check_grid(x_grid)
-    s = np.sort(arr)
-    n = s.size
-    exceed = n - np.searchsorted(s, x, side="right")
-    return tail_from_counts(exceed, n, x)
+def histogram(values, counts=None) -> tuple[np.ndarray, np.ndarray]:
+    """(distinct values ascending, their counts).
+
+    With counts=None, `values` is a raw sample and each entry counts once;
+    otherwise `values` must already be strictly increasing with one count
+    per value, as `np.unique(..., return_counts=True)` gives it.
+    """
+    if counts is None:
+        return np.unique(np.asarray(values), return_counts=True)
+    v, c = np.asarray(values), np.asarray(counts, dtype=np.int64)
+    if v.shape != c.shape or v.ndim != 1 or np.any(v[1:] <= v[:-1]) or np.any(c < 0):
+        raise ValueError("a histogram needs strictly increasing values with one count >= 0 each")
+    return v, c
+
+
+def exceedances(values, x_grid, counts=None) -> np.ndarray:
+    """#{samples > x} at each grid point."""
+    v, c = histogram(values, counts)
+    at_most = np.concatenate(([0], np.cumsum(c)))
+    return at_most[-1] - at_most[np.searchsorted(v, _check_grid(x_grid), side="right")]
 
 
 def tail_from_counts(exceed_counts, n: int, x_grid) -> TailReport:
-    """Same report as empirical_tail, from precounted exceedances."""
+    """Exceedance frequencies #{s > x}/n with binomial standard errors."""
     x = _check_grid(x_grid)
     counts = np.asarray(exceed_counts, dtype=np.int64)
     if counts.shape != x.shape:
@@ -92,7 +109,10 @@ def tail_from_counts(exceed_counts, n: int, x_grid) -> TailReport:
     return TailReport(x_grid=x, survival=p, se=se, n=int(n))
 
 
-def _attach_ratio(report: TailReport, ref_survival) -> TailReport:
+def ratio_from_counts(exceed_counts, n: int, ref_survival, x_grid) -> TailReport:
+    """Empirical survival divided by an exact reference, with delta-method
+    standard errors (se / reference)."""
+    report = tail_from_counts(exceed_counts, n, x_grid)
     ref = np.array([float(ref_survival(x)) for x in report.x_grid])
     if np.any(ref <= _REF_FLOOR):
         bad = report.x_grid[ref <= _REF_FLOOR]
@@ -107,14 +127,10 @@ def _attach_ratio(report: TailReport, ref_survival) -> TailReport:
     )
 
 
-def tail_ratio(samples, ref_survival, x_grid) -> TailReport:
-    """Empirical survival divided by an exact reference, with delta-method
-    standard errors (se / reference)."""
-    return _attach_ratio(empirical_tail(samples, x_grid), ref_survival)
-
-
-def ratio_from_counts(exceed_counts, n: int, ref_survival, x_grid) -> TailReport:
-    return _attach_ratio(tail_from_counts(exceed_counts, n, x_grid), ref_survival)
+def tail_ratio(values, ref_survival, x_grid, counts=None) -> TailReport:
+    """ratio_from_counts on the exceedances of a sample or histogram."""
+    v, c = histogram(values, counts)
+    return ratio_from_counts(exceedances(v, x_grid, c), int(c.sum()), ref_survival, x_grid)
 
 
 def threshold_for_level(surv, level: float) -> int:
@@ -166,19 +182,32 @@ def default_hill_k(n: int) -> int:
     return k
 
 
-def _hill_values(samples) -> np.ndarray:
-    arr = np.asarray(samples)
-    if np.issubdtype(arr.dtype, np.integer):
-        vals = arr.astype(np.float64) + 0.5  # integer de-granulation
-    else:
-        vals = arr.astype(np.float64)
-    if vals.size and vals.min() <= 0.0:
+def _log_spacings(values, counts):
+    """Hill's one top-k routine, and n.
+
+    Returns k -> sum_{i <= k} log(X_(i) / X_(k+1)) over the descending order
+    statistics of a sample or histogram; integer values enter shifted by
+    +0.5.  Copies of the threshold X_(k+1) inside the top k add nothing, so
+    the sum runs over the distinct values above it, each times its count,
+    and is 0 when the top k tie with the threshold.
+    """
+    v, c = histogram(values, counts)
+    vals = v.astype(np.float64) + (0.5 if np.issubdtype(v.dtype, np.integer) else 0.0)
+    if vals.size and vals[0] <= 0.0:
         raise ValueError("samples must be positive (integers enter shifted by +0.5)")
-    return vals
+    logs, c = np.log(vals)[::-1], c[::-1]
+    at_or_above = np.cumsum(c)
+
+    def spacing(k: int) -> float:
+        j = int(np.searchsorted(at_or_above, k, side="right"))  # X_(k+1)'s value
+        return float(np.sum(c[:j] * (logs[:j] - logs[j])))
+
+    return spacing, int(c.sum())
 
 
-def hill_estimate(samples, k: int) -> tuple[float, float]:
-    """Hill tail-index estimate from the top k order statistics.
+def hill_estimate(values, k: int, counts=None) -> tuple[float, float]:
+    """Hill tail-index estimate from the top k order statistics of a sample
+    (counts=None) or of a histogram.
 
     Returns (kappa_hat, ci95) where ci95 = 1.96 * kappa_hat / sqrt(k) is the
     asymptotic half-width for a continuous law.  On integer samples the
@@ -186,54 +215,32 @@ def hill_estimate(samples, k: int) -> tuple[float, float]:
     random, which that figure leaves out; there the true spread is wider (for
     stationary samples of config_a, about 1.4 times).
     """
-    vals = _hill_values(samples)
-    n = vals.size
+    spacing, n = _log_spacings(values, counts)
     if not 2 <= k < n:
         raise InsufficientData(f"Hill estimate needs 2 <= k < n (k = {k}, n = {n})")
-    part = np.partition(vals, n - k - 1)
-    threshold = part[n - k - 1]
-    top = part[n - k:]
-    if top.max() == threshold:
-        raise DegenerateOrderStats("top order statistics are tied; tail index undefined here")
-    denom = float(np.sum(np.log(top) - math.log(threshold)))
+    denom = spacing(k)
     if denom <= 0.0:
-        raise DegenerateOrderStats("nonpositive log spacing in top order statistics")
+        raise DegenerateOrderStats("top order statistics are tied; tail index undefined here")
     kappa_hat = k / denom
     return kappa_hat, 1.96 * kappa_hat / math.sqrt(k)
 
 
-def hill_sweep(samples, k_grid=None) -> HillReport:
+def hill_sweep(values, k_grid=None, counts=None) -> HillReport:
     """Hill estimates across k values (log-spaced by default); k values whose
     order statistics are degenerate are dropped from the report."""
-    vals = _hill_values(samples)
-    n = vals.size
+    spacing, n = _log_spacings(values, counts)
     if n < 4:
         raise InsufficientData(f"too few samples for a Hill sweep (n = {n}, need 4)")
     if k_grid is None:
         hi = max(3, n // 10)
         k_grid = np.unique(np.round(np.logspace(math.log10(2), math.log10(hi), 30)).astype(int))
-    ks, est, ci = [], [], []
-    desc = np.sort(vals)[::-1]
-    logs = np.log(desc)
-    cum = np.cumsum(logs)
-    for k in np.asarray(k_grid, dtype=int):
-        if not 2 <= k < n:
-            continue
-        denom = float(cum[k - 1] - k * logs[k])
-        if denom <= 0.0:
-            continue
-        kh = k / denom
-        ks.append(int(k))
-        est.append(kh)
-        ci.append(1.96 * kh / math.sqrt(k))
-    if not ks:
+    spaced = [(int(k), spacing(int(k))) for k in np.asarray(k_grid, dtype=int) if 2 <= k < n]
+    spaced = [(k, d) for k, d in spaced if d > 0.0]
+    if not spaced:
         raise DegenerateOrderStats("no usable k in the requested sweep")
-    return HillReport(
-        k_grid=np.array(ks, dtype=np.int64),
-        estimate=np.array(est),
-        ci95=np.array(ci),
-        n=n,
-    )
+    ks = np.array([k for k, _ in spaced], dtype=np.int64)
+    estimate = np.array([k / d for k, d in spaced])
+    return HillReport(k_grid=ks, estimate=estimate, ci95=1.96 * estimate / np.sqrt(ks), n=n)
 
 
 def fit_geometric_decay(ns, values) -> tuple[float, float]:
@@ -261,26 +268,6 @@ def fit_geometric_decay(ns, values) -> tuple[float, float]:
     return float(math.exp(slope)), r2
 
 
-def ks_distance(a, b) -> float:
-    """Two-sample Kolmogorov-Smirnov statistic, exact under ties."""
-    a = np.sort(np.asarray(a, dtype=float))
-    b = np.sort(np.asarray(b, dtype=float))
-    if a.size == 0 or b.size == 0:
-        raise ValueError("empty sample set")
-    pts = np.unique(np.concatenate([a, b]))
-    cdf_a = np.searchsorted(a, pts, side="right") / a.size
-    cdf_b = np.searchsorted(b, pts, side="right") / b.size
-    return float(np.max(np.abs(cdf_a - cdf_b)))
-
-
-def ks_threshold(n: int, m: int, alpha: float = 0.01) -> float:
-    """Asymptotic two-sample rejection threshold at significance alpha."""
-    if n <= 0 or m <= 0:
-        raise ValueError("sample sizes must be positive")
-    c = math.sqrt(-math.log(alpha / 2.0) / 2.0)
-    return c * math.sqrt((n + m) / (n * m))
-
-
 # ---- report files ----------------------------------------------------------
 
 def _fmt(v) -> str:
@@ -296,34 +283,24 @@ def summary_dict(constant_hat: float, constant_theory: float, kappa_hat: float |
     }
 
 
-def write_tail_csv(path, report: TailReport, reliable=None) -> None:
-    """Rows (x, survival, se, ratio, ratio_se[, reliable]); requires ratio
-    columns, which is what the experiments publish."""
+def tail_table(report: TailReport, reliable) -> tuple[str, list[tuple[str, ...]]]:
+    """ratio.csv as (header, rows): x, survival, se, ratio, ratio_se and
+    whether the reference survival at x is at least 1/sqrt(n).  Requires
+    ratio columns, which is what the experiments publish."""
     if report.ratio is None:
         raise ValueError("report carries no ratio columns")
-    cols = ["x", "survival", "se", "ratio", "ratio_se"]
-    if reliable is not None:
-        cols.append("reliable")
-    with open(path, "w") as fh:
-        fh.write(",".join(cols) + "\n")
-        for i in range(report.x_grid.size):
-            row = [
-                _fmt(report.x_grid[i]),
-                repr(float(report.survival[i])),
-                repr(float(report.se[i])),
-                repr(float(report.ratio[i])),
-                repr(float(report.ratio_se[i])),
-            ]
-            if reliable is not None:
-                row.append("1" if reliable[i] else "0")
-            fh.write(",".join(row) + "\n")
+    columns = (report.survival, report.se, report.ratio, report.ratio_se)
+    rows = [
+        (_fmt(x), *(repr(float(v)) for v in values), "1" if ok else "0")
+        for x, *values, ok in zip(report.x_grid, *columns, reliable)
+    ]
+    return "x,survival,se,ratio,ratio_se,reliable", rows
 
 
-def write_hill_csv(path, report: HillReport) -> None:
-    """Rows (k, kappa_hat, ci95) across the sweep grid."""
-    with open(path, "w") as fh:
-        fh.write("k,kappa_hat,ci95\n")
-        for i in range(report.k_grid.size):
-            fh.write(
-                f"{int(report.k_grid[i])},{repr(float(report.estimate[i]))},{repr(float(report.ci95[i]))}\n"
-            )
+def hill_table(report: HillReport) -> tuple[str, list[tuple[str, ...]]]:
+    """hill.csv as (header, rows): k, kappa_hat, ci95 across the sweep grid."""
+    rows = [
+        (str(int(k)), repr(float(e)), repr(float(c)))
+        for k, e, c in zip(report.k_grid, report.estimate, report.ci95)
+    ]
+    return "k,kappa_hat,ci95", rows

@@ -1,8 +1,10 @@
-"""Shared model builders and two statistical helpers.
+"""Shared model builders and statistical helpers.
 
 Tests that need a model build it through these functions so the whole suite
 agrees on what "the two-atom config" means.
 """
+
+import math
 
 import numpy as np
 import scipy.stats as st
@@ -104,3 +106,23 @@ def hill_functional(pmf, tail_fraction: float) -> float:
     if mean_log <= 0.0:
         raise ValueError("no mass above the threshold; Hill functional undefined")
     return tail_fraction / mean_log
+
+
+def ks_distance(a, b) -> float:
+    """Two-sample Kolmogorov-Smirnov statistic, exact under ties."""
+    a = np.sort(np.asarray(a, dtype=float))
+    b = np.sort(np.asarray(b, dtype=float))
+    if a.size == 0 or b.size == 0:
+        raise ValueError("empty sample set")
+    pts = np.unique(np.concatenate([a, b]))
+    cdf_a = np.searchsorted(a, pts, side="right") / a.size
+    cdf_b = np.searchsorted(b, pts, side="right") / b.size
+    return float(np.max(np.abs(cdf_a - cdf_b)))
+
+
+def ks_threshold(n: int, m: int, alpha: float = 0.01) -> float:
+    """Asymptotic two-sample rejection threshold at significance alpha."""
+    if n <= 0 or m <= 0:
+        raise ValueError("sample sizes must be positive")
+    c = math.sqrt(-math.log(alpha / 2.0) / 2.0)
+    return c * math.sqrt((n + m) / (n * m))

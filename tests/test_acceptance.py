@@ -12,7 +12,6 @@ import json
 import math
 import pathlib
 
-import numpy as np
 import pytest
 
 from bpire.config import load_config
@@ -21,9 +20,9 @@ from bpire.experiments import emit_report, run_experiment
 from bpire.oracle import build_kernel, stationary_power_iteration
 from bpire.rng import RngState
 from bpire.simulator import backward_terms, choose_truncation, simulate_forward_batch
-from bpire.tailstats import default_hill_k, ks_distance, ks_threshold, threshold_for_level
+from bpire.tailstats import default_hill_k, threshold_for_level
 
-from conftest import hill_functional
+from conftest import hill_functional, ks_distance, ks_threshold
 
 pytestmark = pytest.mark.acceptance
 
@@ -63,9 +62,11 @@ def _show(label, report):
     return "\n".join(lines)
 
 
-def _tail_report(report):
-    """The TailReport behind a run's ratio.csv (carries ratio_se)."""
-    return next(payload[0] for name, _, payload in report.artifacts if name == "ratio.csv")
+def _ratio_se(report) -> dict[int, float]:
+    """ratio_se at each grid point x of a run's ratio.csv."""
+    header, rows = next(payload for name, _, payload in report.artifacts if name == "ratio.csv")
+    col = header.split(",").index("ratio_se")
+    return {int(row[0]): float(row[col]) for row in rows}
 
 
 def _versus_exact(label, estimate, se, exact, limit):
@@ -134,7 +135,7 @@ def test_criterion_1_stationary_tail_constant(theorem_report, exact_law_a):
     ratios = [m for m in theorem_report.metrics if m["name"].startswith("ratio_at_")]
     assert len(ratios) == 2
     env, pmfs = exact_law_a
-    tail = _tail_report(theorem_report)
+    ratio_se = _ratio_se(theorem_report)
 
     def surv(x):
         return float(env_immigration_survival(env, x))
@@ -142,7 +143,7 @@ def test_criterion_1_stationary_tail_constant(theorem_report, exact_law_a):
     lines, near_exact = [], {}
     for level, m in zip(theorem_report.config["metric_levels"], ratios):
         x = threshold_for_level(surv, level)
-        se = float(tail.ratio_se[int(np.searchsorted(tail.x_grid, x))])
+        se = ratio_se[x]
         exact = [float(pmf[x + 1 :].sum()) / surv(x) for pmf in pmfs]
         near_exact[level] = _near_exact(m["estimate"], se, exact)
         lines.append(_versus_exact(f"criterion 1: {m['name']} x={x}", m["estimate"], se, exact, m["theory"]))

@@ -1,6 +1,7 @@
 """Experiment driver: metric judging, chunked determinism, reports, CLI."""
 
 import hashlib
+import inspect
 import json
 import math
 import os
@@ -10,10 +11,17 @@ import re
 import numpy as np
 import pytest
 
-from bpire import cli, experiments
+from bpire import cli, experiments, tailstats
 from bpire.config import load_config
 from bpire.errors import NotSubcritical
-from bpire.experiments import CHUNK_REPLICAS, _metric, emit_report, run_experiment
+from bpire.experiments import (
+    CHUNK_REPLICAS,
+    _merge_histograms,
+    _metric,
+    _value_histogram,
+    emit_report,
+    run_experiment,
+)
 from bpire.rng import STREAM_VERSION
 
 SUBCRITICAL = """\
@@ -281,12 +289,14 @@ n_gens = 5
 """,
 }
 # sha256 of each artifact under STREAM_VERSION 2; report.json without its
-# wall_ms and out_dir lines
+# wall_ms and out_dir lines.  The hill.csv digests were re-recorded when Hill
+# moved to value histograms: its log sums run in another order, which moved
+# no number by more than 5e-14 relative.
 PIN_DIGESTS = {
     "check/condition.json": "dad419b5018c0d18582aff87119eef58f8aa44acef4fb11864448080654da245",
     "check/report.json": "9f25cd2f8cbbfd4b08691bd4df4a8e299c0586fdcad042399c95434c18d760b0",
     "theorem/ratio.csv": "e10810261e72cd80c76acd3da75409907fef8491b481d49016385a2cad97949f",
-    "theorem/hill.csv": "26d1d40f0ba6ca04e9b29590f5711bfc0b5bc836d8df73feaef98128276d5f31",
+    "theorem/hill.csv": "1cde3aa935fdeb8c7db43062945e0416f149a7106cbbcb0ea7dc3d0186b6b5f2",
     "theorem/summary.json": "280141a87760c1ccf3912e766be8baba0afebbd987ff6023cd93b86ba1156993",
     "theorem/samples.txt": "071be78497bec1a296f4c138aba8644dca36d001629f65e3a76b0c2f643788ab",
     "theorem/report.json": "87d1ee68ba0289041767ceed8e9e7a789b169688d666e654c79487f67decf1ad",
@@ -306,12 +316,12 @@ PIN_DIGESTS = {
     "oracle/stationary.csv": "6b996be0580862e871043dddce7299e9191ceee620329525408b8dccf9d0da72",
     "oracle/empirical.csv": "05d3a118bb0a089db92834e0be6f43f18dac14656b3c338946bf21cb2c81e1cc",
     "oracle/report.json": "88b74ce74a8bb4970acc9cdc2c1418ca328681756c9c6d6575d91b86afa5985d",
-    "hill/hill.csv": "26d1d40f0ba6ca04e9b29590f5711bfc0b5bc836d8df73feaef98128276d5f31",
+    "hill/hill.csv": "1cde3aa935fdeb8c7db43062945e0416f149a7106cbbcb0ea7dc3d0186b6b5f2",
     "hill/samples.txt": "071be78497bec1a296f4c138aba8644dca36d001629f65e3a76b0c2f643788ab",
     "hill/report.json": "3dcbe967fad4fa72222cc033664002b614c6ca9f44bf15cc0678953dceb08ea5",
     "continuous/theorem/ratio.csv": "2f54dd300c3bbda135a6bf304bf64d4aa898479a86b5cfcc50fd27d8c4520896",
     "continuous/theorem/summary.json": "6442ef1b66f903c0f11cf7b6cbbbe86b485551093106891b7daf31c48927fc97",
-    "continuous/theorem/hill.csv": "c6265224c17ef2a5147f8f5991d55b96baf14996630d888ac321ebb6bad8121a",
+    "continuous/theorem/hill.csv": "36a46c9b6211788ac217569fb2b4fb2e05a3c743071df213e37971abb3b91336",
     "continuous/theorem/samples.txt": "4ba677e15a187a18d500d13fd71e029448490a4ce3f5d2150aa219b0e5f26e26",
     "continuous/theorem/report.json": "fc37b2e1712eb747fefe3588ec461638e684455df2fc249b47de6873e8dd95ba",
     "continuous/lemma1/ratio.csv": "8ae1c9db83d89b28914dc3c0916c3732201da1ac569dc5fd36b7b42d70750225",
@@ -324,7 +334,7 @@ PIN_DIGESTS = {
     "continuous/sre/report.json": "e666e6d82a24c3c9712632cbd9a56e075db4e80d6078648b4d01a740b4c83a40",
     "mixed/theorem/ratio.csv": "0c1008aa7d73bf987c3e7eecbab21ef22b7f23d02c1c5466295ace5b99c4951a",
     "mixed/theorem/summary.json": "178dec84edebfa54522c2fada7b6165c2d50caf9d833f21afa29b921dae8726f",
-    "mixed/theorem/hill.csv": "7e1391c2f1e7997897b1485dc520d724229b0226c40d7b110a7acfc35386234a",
+    "mixed/theorem/hill.csv": "1a05b09a4f993affbd7f46233e596755e3015ce16a7e6b35eee860099d9b618c",
     "mixed/theorem/samples.txt": "30b4c93d09a17ed292cd0d258ec77ec6f0b513248f3bb88dfe52af25b22b9e37",
     "mixed/theorem/report.json": "c8c10429b2ec96461316f6449ad5ffd73fee81b73b64bca73dae67ec191acf08",
     "mixed/lemma1/ratio.csv": "ce7fecba720b18778ea45b2a97472124462697584c656bf2f473f0c8a7cba519",
@@ -364,6 +374,78 @@ def test_bundled_experiments_keep_their_streams(tmp_path, monkeypatch):
     changed = sorted(k for k in got.keys() | PIN_DIGESTS.keys() if got.get(k) != PIN_DIGESTS.get(k))
     assert STREAM_VERSION == 2, "STREAM_VERSION moved: re-record PIN_DIGESTS under the new version"
     assert not changed, f"outputs changed under STREAM_VERSION 2: {changed}; bump it and re-record PIN_DIGESTS"
+
+
+# ---- value histograms ------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "chunks",
+    [
+        [[1, 2, 2, 5], [2, 5, 7, 7], [5]],  # overlapping
+        [[1, 1, 3], [4, 9]],  # disjoint
+        [[], [3, 3, 1], []],  # some empty
+        [[], []],  # all empty
+    ],
+)
+def test_merged_chunk_histograms_are_the_histogram_of_the_concatenation(chunks):
+    arrays = [np.array(c, dtype=np.int64) for c in chunks]
+    values, counts = _merge_histograms([_value_histogram(a) for a in arrays])
+    want_values, want_counts = np.unique(np.concatenate(arrays), return_counts=True)
+    assert values.dtype == want_values.dtype and counts.dtype == np.int64
+    assert values.tolist() == want_values.tolist()
+    assert counts.tolist() == want_counts.tolist()
+
+
+def _stationary_run(tmp_path, experiment, dump, workers) -> dict:
+    """Artifacts of a 2500-replica config_a run at seed 7, by file name;
+    report.json without the lines that echo run settings."""
+    tag = f"{experiment}_d{int(dump)}_w{workers}"
+    path = tmp_path / f"{tag}.cfg"
+    path.write_text((CONFIGS / "config_a.cfg").read_text() + f"\nreplicas = 2500\ndump_samples = {str(dump).lower()}\n")
+    cfg = load_config(str(path), experiment=experiment, seed=7, workers=workers, out_dir=str(tmp_path / tag))
+    out = {}
+    for file in emit_report(run_experiment(cfg), cfg.out_dir):
+        data = pathlib.Path(file).read_bytes()
+        if file.endswith("report.json"):
+            data = re.sub(rb'(?m)^ *"(wall_ms|out_dir|workers|dump_samples)": .*\n', b"", data)
+        out[os.path.basename(file)] = data
+    return out
+
+
+@pytest.mark.parametrize("experiment", ["theorem", "hill", "oracle"])
+def test_stationary_outputs_do_not_depend_on_dumps_or_workers(tmp_path, monkeypatch, experiment):
+    # A dump builds its histogram from the dumped draws, every other run from
+    # merged chunk histograms; 2500 replicas on 1000-replica chunks end in a
+    # partial chunk.
+    monkeypatch.setattr(experiments, "CHUNK_REPLICAS", PIN_CHUNK)
+    dumped = _stationary_run(tmp_path, experiment, True, 1)
+    plain = _stationary_run(tmp_path, experiment, False, 1)
+    assert ("samples.txt" in dumped) == (experiment != "oracle")
+    dumped.pop("samples.txt", None)
+    assert dumped == plain
+    assert _stationary_run(tmp_path, experiment, False, 2) == plain
+
+
+def test_stationary_statistics_never_see_per_replica_arrays(tmp_path, monkeypatch):
+    monkeypatch.setattr(experiments, "CHUNK_REPLICAS", PIN_CHUNK)
+    sizes = []
+
+    def watch(fn):
+        def watched(*args, **kwargs):
+            sizes.extend(a.size for a in (*args, *kwargs.values()) if isinstance(a, np.ndarray))
+            return fn(*args, **kwargs)
+
+        return watched
+
+    for name in tailstats.__all__:
+        if inspect.isfunction(getattr(tailstats, name)):
+            monkeypatch.setattr(tailstats, name, watch(getattr(tailstats, name)))
+    monkeypatch.setattr(experiments, "empirical_pmf", watch(experiments.empirical_pmf))
+    for experiment in ("theorem", "hill", "oracle"):
+        _stationary_run(tmp_path, experiment, False, 1)
+    # every array is a histogram or a grid: smaller than one chunk
+    assert sizes and max(sizes) < PIN_CHUNK
 
 
 # ---- CLI ---------------------------------------------------------------------
@@ -433,6 +515,18 @@ def test_cli_too_few_data_exit_three(tmp_path, capsys, experiment, replicas, hil
     captured = capsys.readouterr()
     assert code == 3
     assert captured.err.startswith(("error: ", "config error: hill_k")) and captured.err.count("\n") == 1
+
+
+def test_cli_grey_blames_the_field_at_fault(tmp_path, capsys):
+    # the environment's second atom has light immigration; n_law is fine
+    light_atom = SUBCRITICAL.replace("0.5 poisson:0.9 dpareto:2,1,0", "0.5 poisson:0.9 geometric0:0.5")
+    path = _cfg_file(tmp_path, light_atom, "n_law = dpareto:2,1,0\nreplicas = 1000\n", "env.cfg")
+    assert cli.main(["grey", "--config", path, "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert err == "error: env: atom 2 immigration geometric0:0.5 is not heavy-tailed (dpareto)\n"
+    path = _cfg_file(tmp_path, SUBCRITICAL, "n_law = geometric0:0.5\nreplicas = 1000\n", "n_law.cfg")
+    assert cli.main(["grey", "--config", path, "--out", str(tmp_path / "o")]) == 3
+    assert capsys.readouterr().err == "error: n_law: law is not heavy-tailed (dpareto)\n"
 
 
 def test_cli_missing_file_exit_three(tmp_path, capsys):

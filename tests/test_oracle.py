@@ -194,10 +194,14 @@ def test_brute_force_tail_rejects_continuous_env():
 def test_empirical_pmf_folds_the_overflow_into_the_cap():
     pmf = empirical_pmf(np.array([0, 1, 1, 9, 12]), 3)
     assert pmf.tolist() == [0.2, 0.4, 0.0, 0.4]
+    # the same sample as a value histogram
+    assert empirical_pmf(np.array([0, 1, 9, 12]), 3, np.array([1, 2, 1, 1])).tolist() == pmf.tolist()
     with pytest.raises(ValueError):
         empirical_pmf(np.array([-1]), 3)
     with pytest.raises(ValueError):
         empirical_pmf(np.array([], dtype=np.int64), 3)
+    with pytest.raises(ValueError):
+        empirical_pmf(np.array([], dtype=np.int64), 3, np.array([], dtype=np.int64))
 
 
 def test_tv_distance_hand_values_and_padding():

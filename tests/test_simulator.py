@@ -42,9 +42,8 @@ from bpire.simulator import (
     unit_progeny_batch,
     write_samples_text,
 )
-from bpire.tailstats import ks_distance, ks_threshold
 
-from conftest import chi_square_pvalue, two_atom_model
+from conftest import chi_square_pvalue, ks_distance, ks_threshold, two_atom_model
 
 FAMILIES = [
     OffspringFamily.poisson(0.7),

@@ -1,8 +1,11 @@
 """Tail estimation: exceedance counting, threshold search, Hill estimator,
-geometric decay fits, KS helpers, the CSV writers and the summary dict.
+geometric decay fits, the CSV row builders, the summary dict, and the KS
+helpers of tests/conftest.py.
 
 The Hill estimator is validated on continuous Pareto draws where the index
-is known exactly; counting code is validated against naive loops.
+is known exactly and against a naive sort of the sample; counting code is
+validated against naive loops.  Raw samples and value histograms must give
+the same numbers.
 """
 
 import json
@@ -15,34 +18,38 @@ from hypothesis import strategies as hst
 
 from bpire.env_model import ImmigrationFamily, immigration_survival
 from bpire.errors import DegenerateOrderStats, ReferenceVanishes
+from bpire.experiments import RunReport, emit_report
 from bpire.rng import RngState
 from bpire.simulator import sample_immigration_batch
 from bpire.tailstats import (
     default_hill_k,
-    empirical_tail,
+    exceedances,
     fit_geometric_decay,
     grid_from_levels,
     hill_estimate,
     hill_sweep,
-    ks_distance,
-    ks_threshold,
+    hill_table,
+    histogram,
     ratio_from_counts,
     summary_dict,
     tail_from_counts,
     tail_ratio,
+    tail_table,
     threshold_for_level,
-    write_hill_csv,
-    write_tail_csv,
 )
 
-from conftest import hill_functional
+from conftest import hill_functional, ks_distance, ks_threshold
+
+
+def _empirical_tail(samples, grid):
+    return tail_from_counts(exceedances(samples, grid), len(samples), grid)
 
 
 def test_empirical_tail_counts_by_hand():
-    rep = empirical_tail(np.array([1, 2, 3]), np.array([2.0]))
+    rep = _empirical_tail(np.array([1, 2, 3]), np.array([2.0]))
     assert rep.survival[0] == pytest.approx(1.0 / 3.0)
     assert rep.n == 3
-    beyond = empirical_tail(np.array([1, 2, 3]), np.array([5.0]))
+    beyond = _empirical_tail(np.array([1, 2, 3]), np.array([5.0]))
     assert beyond.survival[0] == 0.0
     assert beyond.se[0] == 0.0
 
@@ -53,25 +60,43 @@ def test_empirical_tail_counts_by_hand():
 )
 def test_empirical_tail_matches_a_naive_loop(samples, xs):
     grid = np.array(sorted(xs), dtype=float)
-    rep = empirical_tail(np.array(samples), grid)
-    for x, p in zip(grid, rep.survival):
-        assert p == pytest.approx(sum(1 for s in samples if s > x) / len(samples))
+    naive = [sum(1 for s in samples if s > x) for x in grid]
+    assert exceedances(np.array(samples), grid).tolist() == naive
+    values, counts = np.unique(samples, return_counts=True)
+    assert exceedances(values, grid, counts).tolist() == naive
+    rep = _empirical_tail(np.array(samples), grid)
+    for p, c in zip(rep.survival, naive):
+        assert p == pytest.approx(c / len(samples))
 
 
 def test_empirical_tail_rejects_bad_inputs():
     with pytest.raises(ValueError):
-        empirical_tail(np.array([]), np.array([1.0]))
+        tail_ratio(np.array([], dtype=np.int64), lambda x: 1.0, np.array([1.0]))
     with pytest.raises(ValueError):
-        empirical_tail(np.array([1]), np.array([3.0, 2.0]))
+        exceedances(np.array([1]), np.array([3.0, 2.0]))
     with pytest.raises(ValueError):
         tail_from_counts(np.array([5]), 3, np.array([1.0]))
+
+
+def test_histogram_of_raw_draws_and_its_checks():
+    values, counts = histogram(np.array([4, 1, 4, 2, 4]))
+    assert values.tolist() == [1, 2, 4] and counts.tolist() == [1, 1, 3]
+    assert [a.tolist() for a in histogram(values, counts)] == [[1, 2, 4], [1, 1, 3]]
+    with pytest.raises(ValueError):
+        histogram(np.array([2, 1]), np.array([1, 1]))  # not increasing
+    with pytest.raises(ValueError):
+        histogram(np.array([1, 1]), np.array([1, 1]))  # repeated value
+    with pytest.raises(ValueError):
+        histogram(np.array([1, 2]), np.array([1]))  # misaligned
+    with pytest.raises(ValueError):
+        histogram(np.array([1, 2]), np.array([1, -1]))
 
 
 def test_dpareto_sampler_meets_its_own_survival_deep_in_the_tail():
     # a million draws, x = 31: S = 32^-2
     law = ImmigrationFamily.discrete_pareto(2.0, 1.0)
     draws = sample_immigration_batch(law, RngState.from_seed(8), 1_000_000)
-    rep = empirical_tail(draws, np.array([31.0]))
+    rep = _empirical_tail(draws, np.array([31.0]))
     s = 1.0 / 1024.0
     se = math.sqrt(s * (1 - s) / 1_000_000)
     assert abs(rep.survival[0] - s) <= 4 * se
@@ -93,8 +118,12 @@ def test_ratio_from_counts_matches_tail_ratio():
     a = tail_ratio(draws, lambda x: float(immigration_survival(law, x)), grid)
     counts = np.array([(draws > x).sum() for x in grid])
     b = ratio_from_counts(counts, draws.size, lambda x: float(immigration_survival(law, x)), grid)
-    assert np.allclose(a.ratio, b.ratio)
-    assert np.allclose(a.ratio_se, b.ratio_se)
+    values, hist_counts = np.unique(draws, return_counts=True)
+    c = tail_ratio(values, lambda x: float(immigration_survival(law, x)), grid, hist_counts)
+    for field in ("survival", "se", "ratio", "ratio_se"):
+        assert np.array_equal(getattr(a, field), getattr(b, field)), field
+        assert np.array_equal(getattr(c, field), getattr(b, field)), field
+    assert a.n == c.n == draws.size
 
 
 def test_ratio_rejects_vanishing_reference():
@@ -156,6 +185,52 @@ def test_hill_integer_shift_on_the_heavy_family():
 def test_hill_rejects_tied_top_order_statistics():
     with pytest.raises(DegenerateOrderStats):
         hill_estimate(np.full(100, 7), 10)
+    # the top 10 tie with the threshold in a sample that is not constant
+    with pytest.raises(DegenerateOrderStats):
+        hill_estimate(np.array([1] * 50 + [7] * 50), 10)
+    with pytest.raises(DegenerateOrderStats):
+        hill_estimate(np.array([1, 7]), 10, counts=np.array([50, 50]))
+
+
+def _naive_hill(samples, k):
+    """k / sum of log(X_(i) / X_(k+1)) over the top k of a full sort."""
+    vals = np.asarray(samples, dtype=np.float64)
+    if np.issubdtype(np.asarray(samples).dtype, np.integer):
+        vals = vals + 0.5
+    desc = np.sort(vals)[::-1]
+    return k / math.fsum(math.log(v) - math.log(desc[k]) for v in desc[:k])
+
+
+@pytest.mark.parametrize("continuous", [False, True])
+def test_hill_matches_a_full_sort_on_samples_and_histograms(continuous):
+    if continuous:
+        draws = np.random.default_rng(21).random(20_000) ** -0.5
+    else:
+        law = ImmigrationFamily.discrete_pareto(2.0, 1.0)
+        draws = sample_immigration_batch(law, RngState.from_seed(21), 20_000)
+    values, counts = np.unique(draws, return_counts=True)
+    ks = [2, 17, 50, 300, 1999]
+    sweep = hill_sweep(draws, ks)
+    assert sweep.n == draws.size
+    for k, swept in zip(sweep.k_grid, sweep.estimate):
+        want = _naive_hill(draws, k)
+        got, ci = hill_estimate(draws, k)
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0), k
+        assert ci == 1.96 * got / math.sqrt(k)
+        assert swept == got
+        assert hill_estimate(values, k, counts) == (got, ci)
+    from_hist = hill_sweep(values, ks, counts)
+    for field in ("k_grid", "estimate", "ci95"):
+        assert np.array_equal(getattr(from_hist, field), getattr(sweep, field)), field
+
+
+def test_hill_sweep_drops_tied_ks():
+    # the top 3 values are one value: k = 2 has no spacing, k = 3 does
+    draws = np.array([9, 9, 9, 5, 4, 3, 2, 1, 1, 1])
+    rep = hill_sweep(draws, [2, 3, 5])
+    assert rep.k_grid.tolist() == [3, 5]
+    with pytest.raises(DegenerateOrderStats):
+        hill_sweep(draws, [2])
 
 
 def test_hill_rejects_bad_k():
@@ -179,9 +254,11 @@ def test_hill_functional_of_the_empirical_pmf_is_hill_estimate():
     assert top[999] == top[1000] and top[4640] == top[4641]
     assert top[edge - 1] > 10 >= top[edge]
     pmf = np.bincount(draws) / n
+    values, counts = np.unique(draws, return_counts=True)
     for k in (50, 1000, 4641, edge):
-        want, _ = hill_estimate(draws, k)
-        assert hill_functional(pmf, k / n) == pytest.approx(want, rel=1e-12, abs=0.0), k
+        want = hill_functional(pmf, k / n)
+        assert hill_estimate(draws, k)[0] == pytest.approx(want, rel=1e-12, abs=0.0), k
+        assert hill_estimate(values, k, counts)[0] == pytest.approx(want, rel=1e-12, abs=0.0), k
 
 
 def test_hill_sweep_covers_usable_ks():
@@ -224,37 +301,33 @@ def test_ks_threshold_formula():
     assert ks_threshold(100_000, 100_000, 0.01) == pytest.approx(want, rel=1e-12)
 
 
-def test_tail_csv_layout(tmp_path):
+def test_tail_csv_layout():
     law = ImmigrationFamily.discrete_pareto(2.0, 1.0)
     draws = sample_immigration_batch(law, RngState.from_seed(14), 10_000)
     grid = np.array([1.0, 9.0])
     rep = tail_ratio(draws, lambda x: float(immigration_survival(law, x)), grid)
-    path = tmp_path / "ratio.csv"
-    write_tail_csv(path, rep, reliable=[True, False])
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "x,survival,se,ratio,ratio_se,reliable"
-    assert len(lines) == 3
-    first = lines[1].split(",")
-    assert first[0] == "1" and first[-1] == "1"
-    assert lines[2].split(",")[-1] == "0"
-    # writing a ratio-free report is a caller error
-    bare = empirical_tail(draws, grid)
+    header, rows = tail_table(rep, [True, False])
+    assert header == "x,survival,se,ratio,ratio_se,reliable"
+    assert len(rows) == 2
+    assert rows[0][0] == "1" and rows[0][-1] == "1"
+    assert rows[1][-1] == "0"
+    assert [float(v) for v in rows[0][1:5]] == [rep.survival[0], rep.se[0], rep.ratio[0], rep.ratio_se[0]]
+    # a ratio-free report is a caller error
+    bare = tail_from_counts(exceedances(draws, grid), draws.size, grid)
     with pytest.raises(ValueError):
-        write_tail_csv(tmp_path / "bare.csv", bare)
+        tail_table(bare, [True, True])
 
 
-def test_hill_csv_layout(tmp_path):
+def test_hill_csv_layout():
     gen = np.random.default_rng(6)
     draws = gen.random(5_000) ** (-1.0 / 2.0)
     rep = hill_sweep(draws)
-    path = tmp_path / "hill.csv"
-    write_hill_csv(path, rep)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "k,kappa_hat,ci95"
-    assert len(lines) == rep.k_grid.size + 1
-    k, est, ci = lines[1].split(",")
+    header, rows = hill_table(rep)
+    assert header == "k,kappa_hat,ci95"
+    assert len(rows) == rep.k_grid.size
+    k, est, ci = rows[0]
     assert int(k) == int(rep.k_grid[0])
-    assert float(est) == pytest.approx(rep.estimate[0])
+    assert float(est) == rep.estimate[0] and float(ci) == rep.ci95[0]
 
 
 def test_summary_json_keys():
@@ -266,11 +339,15 @@ def test_summary_json_keys():
 
 
 def test_csv_writers_are_deterministic(tmp_path):
+    # emit_report is the one CSV writer: header, then each row comma-joined
     law = ImmigrationFamily.discrete_pareto(2.0, 1.0)
     draws = sample_immigration_batch(law, RngState.from_seed(15), 20_000)
     grid = np.array([1.0, 3.0, 9.0])
     rep = tail_ratio(draws, lambda x: float(immigration_survival(law, x)), grid)
-    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    write_tail_csv(a, rep, reliable=[True, True, True])
-    write_tail_csv(b, rep, reliable=[True, True, True])
-    assert a.read_bytes() == b.read_bytes()
+    header, rows = tail_table(rep, [True, True, True])
+    run = RunReport("theorem", 1, True, (), 0.0, {}, (("ratio.csv", "csv", (header, rows)),))
+    emit_report(run, tmp_path / "a")
+    emit_report(run, tmp_path / "b")
+    want = "".join(line + "\n" for line in [header, *(",".join(r) for r in rows)])
+    assert (tmp_path / "a" / "ratio.csv").read_text() == want
+    assert (tmp_path / "a" / "ratio.csv").read_bytes() == (tmp_path / "b" / "ratio.csv").read_bytes()
