@@ -5,7 +5,8 @@ codes: 0 all metrics pass, 1 a metric failed, 2 the standing condition is
 violated, 3 the config could not be parsed or validated, its output
 directory could not be created (checked before the run starts), an
 estimator got too few replicas, or the results could not be written there,
-4 a sampled value exceeded the 2^62 guard of the int64 samplers.
+4 a sampled value exceeded the 2^62 guard of the int64 samplers, 5 the run
+ran out of memory or a worker process died.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from concurrent.futures.process import BrokenProcessPool
 
 from .config import EXPERIMENTS, load_config
 from .errors import BpireError, NotSubcritical, ParseError, ValidationError
@@ -82,6 +84,12 @@ def main(argv=None) -> int:
     except OverflowError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
+    except MemoryError:
+        print("error: out of memory; lower replicas or workers", file=sys.stderr)
+        return 5
+    except BrokenProcessPool as exc:
+        print(f"error: a worker process died: {exc}", file=sys.stderr)
+        return 5
 
     try:
         files = emit_report(report, cfg.out_dir)

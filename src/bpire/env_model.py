@@ -412,26 +412,28 @@ def check_conditions(model: ModelSpec, tol: float = 1e-10) -> ConditionReport:
 
 # ---- pmf / survival evaluation ------------------------------------------
 
-def thinned_offspring_pmf(law: OffspringFamily, x: int, ks: np.ndarray) -> np.ndarray:
+def thinned_offspring_pmf(law: OffspringFamily, x, ks: np.ndarray) -> np.ndarray:
     """pmf of the sum of `x` iid offspring draws, evaluated at integers `ks`.
 
-    Uses the family's summation closure; x = 0 is the point mass at 0.
+    Uses the family's summation closure; x = 0 is the point mass at 0.  `x`
+    may be an array that broadcasts against `ks`, so one call gives many rows.
     """
     import scipy.stats as st  # deferred: slow to import, sampling never needs it
 
-    _require(x >= 0, "x must be >= 0")
+    x = np.asarray(x)
     ks = np.asarray(ks)
-    if x == 0:
-        return (ks == 0).astype(float)
+    _require(bool(np.all(x >= 0)), "x must be >= 0")
+    # x = 0 is handled apart: nbinom with n = 0 is undefined
+    n = np.maximum(x, 1)
     if law.kind == "poisson":
-        return st.poisson.pmf(ks, x * law.rate)
-    if law.kind == "bernoulli":
-        return st.binom.pmf(ks, x, law.p)
-    if law.kind == "geometric0":
-        if law.p == 1.0:
-            return (ks == 0).astype(float)
-        return st.nbinom.pmf(ks, x, law.p)
-    return st.binom.pmf(ks, x * law.n, law.p)
+        pmf = st.poisson.pmf(ks, n * law.rate)
+    elif law.kind == "bernoulli":
+        pmf = st.binom.pmf(ks, n, law.p)
+    elif law.kind == "geometric0":
+        pmf = (ks == 0).astype(float) if law.p == 1.0 else st.nbinom.pmf(ks, n, law.p)
+    else:
+        pmf = st.binom.pmf(ks, n * law.n, law.p)
+    return np.where(x == 0, ks == 0, pmf)
 
 
 def offspring_pmf(law: OffspringFamily, ks: np.ndarray) -> np.ndarray:

@@ -5,7 +5,10 @@ Every experiment samples through one protocol.  A chunk sampler
 `sampler(model, arg, rng, size)` runs on fixed chunks of 131072 replicas;
 chunk c of a job draws from the stream (seed, purpose, ..., c), so the merged
 output is a pure function of (config, seed) no matter how chunks land on
-workers.  A chunk reduces its draws to a sufficient statistic: per-threshold
+workers.  Inside a chunk the sampler runs in blocks of at most 8192
+replicas, in order on the chunk's one stream, which keeps its temporaries
+small enough for the heap to reuse.  A chunk reduces its draws, the blocks
+concatenated, to a sufficient statistic: per-threshold
 exceedance counts or moment sums, which merge by summing, or, where order
 statistics are needed (theorem, hill, oracle), a value histogram, which
 merges by adding counts on the union of values.  Memory therefore does not
@@ -54,6 +57,10 @@ from .sre_compare import sample_perpetuity_batch
 __all__ = ["RunReport", "run_experiment", "emit_report"]
 
 CHUNK_REPLICAS = 1 << 17
+# replicas per sampler call inside a chunk: a block's float64 temporaries
+# (64 KB) stay below glibc's 128 KB mmap threshold, so the heap reuses them
+# instead of mapping and faulting in fresh pages for every array
+_BLOCK = 8192
 
 # purpose ids anchor the RNG stream tree; renumbering changes what every
 # published seed means, so append only
@@ -112,7 +119,13 @@ def _merge_histograms(parts) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _run_chunk(task: _Task):
-    values = task.sampler(task.model, task.arg, _stream(task.seed, task.path), task.count)
+    """The chunk's draws, sampled in blocks of at most _BLOCK replicas in
+    order on the chunk's one stream, then reduced to its statistic."""
+    rng = _stream(task.seed, task.path)
+    blocks = [
+        task.sampler(task.model, task.arg, rng, min(_BLOCK, task.count - lo)) for lo in range(0, task.count, _BLOCK)
+    ]
+    values = np.concatenate(blocks)
     return values if task.stat is None else task.stat(values)
 
 

@@ -10,7 +10,12 @@ merged output is invariant to how chunks are spread over workers.
 `STREAM_VERSION` names which draws a (seed, path) stands for; reports echo
 it.  A change that alters what any sampler draws from a given stream bumps
 it.  Version 1 is the original sampler set; version 2 builds the stationary
-sum in nested (Horner) form.
+sum in nested (Horner) form.  Version 3 samples each chunk in blocks of at
+most 8192 replicas, in order on the chunk's one stream; a thinning stage
+makes one parametric draw per offspring family over its entries in index
+order, not one per environment group; immigration makes one inversion per
+distinct law; and the composed-thinning and unit-progeny samplers draw
+environments only for their entries still above zero.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-STREAM_VERSION = 2
+STREAM_VERSION = 3
 
 
 @dataclass

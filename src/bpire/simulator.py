@@ -1,13 +1,15 @@
 """Monte Carlo engine for the branching-with-immigration chain.
 
 Every sampler is vectorized over replicas; a single draw is a batch of one.
-A generation's environments arrive as one EnvBatch; thinning and
-immigration run over its groups in group order, which is part of the stream
-contract.  Thinning exploits the offspring families' summation closure, so one
-generation costs one parametric draw per replica no matter how large the
-population is.  Entries at zero consume no randomness in a thinning stage;
-the draws skipped that way are a deterministic function of earlier output,
-so fixed seeds still give fixed results.
+A generation's environments arrive as one EnvBatch.  Thinning exploits the
+offspring families' summation closure, so one generation costs one
+parametric draw per replica no matter how large the population is; it makes
+one such draw per offspring family over that family's entries, with
+parameters gathered per entry from its group, and immigration makes one
+inversion per distinct law.  That order is part of the stream contract.
+Entries at zero consume no randomness in a thinning stage; the draws
+skipped that way are a deterministic function of earlier output, so fixed
+seeds still give fixed results.
 
 Values live in int64 and are guarded against exceeding 2^62: crossing that
 limit signals a supercritical misconfiguration, not a sampling regime this
@@ -52,56 +54,61 @@ OVERFLOW_LIMIT = 1 << 62
 
 # ---- thinning -------------------------------------------------------------
 
-def _poisson(lam: np.ndarray, rng: RngState) -> np.ndarray:
-    if lam.size and lam.max(initial=0.0) > OVERFLOW_LIMIT:
+def _guard(param: np.ndarray) -> np.ndarray:
+    if param.size and param.max(initial=0.0) > OVERFLOW_LIMIT:
         raise OverflowError("thinning parameter exceeds 2^62; model looks supercritical")
-    return rng.gen.poisson(lam).astype(np.int64)
+    return param
 
 
-def thin_batch(law: OffspringFamily, xs: np.ndarray, rng: RngState) -> np.ndarray:
-    """One draw of the xs-fold offspring sum per entry under one fixed law,
-    sampled as a single closed-family draw."""
-    xs = np.asarray(xs, dtype=np.int64)
-    if np.any(xs < 0):
-        raise ValueError("population sizes must be >= 0")
+def _draw_params(law: OffspringFamily | None) -> tuple[int, int, float]:
+    """(draw, n, p) of a group's x-fold offspring sum: draw 0 is Poisson at
+    p * x, 1 is binomial(n * x, p) and 2 negative binomial(x, p).  The
+    continuous group has no law and is Poisson at each draw's own mean."""
+    if law is None:
+        return 0, 0, np.nan
     if law.kind == "poisson":
-        return _poisson(law.rate * xs.astype(float), rng)
-    if law.kind == "bernoulli":
-        return rng.gen.binomial(xs, law.p).astype(np.int64)
+        return 0, 0, law.rate
     if law.kind == "geometric0":
-        out = np.zeros(xs.shape, dtype=np.int64)
-        if law.p == 1.0:
-            return out
-        pos = xs > 0
-        if pos.any():
-            out[pos] = rng.gen.negative_binomial(xs[pos], law.p)
-        return out
-    # binomial
-    ntot = xs.astype(float) * law.n
-    if ntot.size and ntot.max(initial=0.0) > OVERFLOW_LIMIT:
-        raise OverflowError("thinning parameter exceeds 2^62; model looks supercritical")
-    return rng.gen.binomial(xs * law.n, law.p).astype(np.int64)
+        return 2, 0, law.p
+    return 1, law.n if law.kind == "binomial" else 1, law.p
 
 
 def thin_for_batch(batch: EnvBatch, values: np.ndarray, rng: RngState) -> np.ndarray:
     """One thinning stage under per-replica environments.
 
-    Entries with value 0 stay 0 and consume no randomness.  Draws are thinned
-    group by group in the batch's group order, which is part of the stream
-    contract; a group without an offspring law is Poisson at each draw's
-    own mean.
+    One parametric draw per kind of `_draw_params` in use, over the nonzero
+    entries of every group of that kind; parameters are scalars when one
+    group has the kind and are gathered per entry from its group otherwise.
+    The kinds draw in numbering order, which is part of the stream contract.
+    Poisson offspring alone draw over all entries with no mask.  Entries
+    with value 0 stay 0 and consume no randomness.
     """
     values = np.asarray(values, dtype=np.int64)
+    if values.size and values.min() < 0:
+        raise ValueError("population sizes must be >= 0")
+    draw, n, p = (np.array(col) for col in zip(*(_draw_params(law) for law, _ in batch.laws)))
+    if not draw.any():
+        return rng.gen.poisson(_guard(batch.means * values))
     out = np.zeros_like(values)
     active = values > 0
-    for j, (offspring, _) in enumerate(batch.laws):
-        sel = active & (batch.group == j)
-        if not sel.any():
-            continue
-        if offspring is None:
-            out[sel] = _poisson(batch.means[sel] * values[sel].astype(float), rng)
+    kinds = np.unique(draw)
+    entry_draw = draw[batch.group] if kinds.size > 1 else None
+    for d in kinds:
+        sel = active if entry_draw is None else active & (entry_draw == d)
+        x = values[sel]
+        groups = np.flatnonzero(draw == d)
+        if groups.size == 1:
+            nd, pd = n[groups[0]], p[groups[0]]
         else:
-            out[sel] = thin_batch(offspring, values[sel], rng)
+            nd, pd = n[batch.group[sel]], p[batch.group[sel]]
+        if d == 0:
+            out[sel] = rng.gen.poisson(_guard(pd * x))
+        elif d == 1:
+            if n[groups].max() > 1:  # bernoulli draws cannot outgrow x
+                _guard(nd * x.astype(float))
+            out[sel] = rng.gen.binomial(nd * x, pd)
+        else:
+            out[sel] = rng.gen.negative_binomial(x, pd)
     return out
 
 
@@ -173,14 +180,17 @@ def sample_immigration_batch(law: ImmigrationFamily, rng: RngState, size: int) -
 
 
 def imm_for_batch(batch: EnvBatch, rng: RngState) -> np.ndarray:
-    """Immigration per draw under per-replica environments, group by group
-    in the batch's group order."""
+    """Immigration per draw under per-replica environments: one inversion
+    per distinct immigration law, over the draws of every group that has
+    it, in order of first appearance among the groups."""
+    laws = [immigration for _, immigration in batch.laws]
+    distinct = list(dict.fromkeys(laws))
+    if len(distinct) == 1:
+        return sample_immigration_batch(distinct[0], rng, batch.group.size)
     out = np.zeros(batch.group.shape, dtype=np.int64)
-    for j, (_, immigration) in enumerate(batch.laws):
-        sel = batch.group == j
-        cnt = int(sel.sum())
-        if cnt:
-            out[sel] = sample_immigration_batch(immigration, rng, cnt)
+    for law in distinct:
+        sel = np.isin(batch.group, [j for j, other in enumerate(laws) if other == law])
+        out[sel] = sample_immigration_batch(law, rng, int(np.count_nonzero(sel)))
     return out
 
 
@@ -276,19 +286,28 @@ def random_sum_batch(model: ModelSpec, b_law: ImmigrationFamily, rng: RngState, 
     return thin_for_batch(stage, b, rng)
 
 
+def _thin_live(model: ModelSpec, v: np.ndarray, depth: int, rng: RngState) -> np.ndarray:
+    """`v` pushed through `depth` fresh environments, drawn and thinned for
+    the entries still above zero only."""
+    live = np.flatnonzero(v)
+    x = v[live]
+    for _ in range(depth):
+        if not x.size:
+            break
+        x = thin_for_batch(draw_env_batch(model.env, rng, x.size), x, rng)
+        keep = x > 0
+        live, x = live[keep], x[keep]
+    out = np.zeros_like(v)
+    out[live] = x
+    return out
+
+
 def composed_thinning_batch(model: ModelSpec, depth: int, rng: RngState, size: int) -> np.ndarray:
     """Immigration pushed through `depth` fresh environments (marginal of a
     single backward term, environments NOT shared with anything else)."""
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    gen_b = draw_env_batch(model.env, rng, size)
-    v = imm_for_batch(gen_b, rng)
-    for _ in range(depth):
-        if not v.any():
-            break
-        stage = draw_env_batch(model.env, rng, size)
-        v = thin_for_batch(stage, v, rng)
-    return v
+    return _thin_live(model, imm_for_batch(draw_env_batch(model.env, rng, size), rng), depth, rng)
 
 
 def unit_progeny_batch(model: ModelSpec, depth: int, rng: RngState, size: int) -> np.ndarray:
@@ -297,13 +316,7 @@ def unit_progeny_batch(model: ModelSpec, depth: int, rng: RngState, size: int) -
     depth for subcritical models."""
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    v = np.ones(size, dtype=np.int64)
-    for _ in range(depth):
-        if not v.any():
-            break
-        stage = draw_env_batch(model.env, rng, size)
-        v = thin_for_batch(stage, v, rng)
-    return v
+    return _thin_live(model, np.ones(size, dtype=np.int64), depth, rng)
 
 
 def grey_sum_batch(model: ModelSpec, n_law: ImmigrationFamily, rng: RngState, size: int) -> np.ndarray:

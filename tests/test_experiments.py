@@ -4,6 +4,7 @@ import hashlib
 import inspect
 import json
 import math
+import multiprocessing
 import os
 import pathlib
 import re
@@ -23,6 +24,9 @@ from bpire.experiments import (
     run_experiment,
 )
 from bpire.rng import STREAM_VERSION
+from bpire.simulator import sample_stationary_backward_batch
+
+from conftest import two_atom_model
 
 SUBCRITICAL = """\
 [model]
@@ -288,65 +292,63 @@ i_max = 2
 n_gens = 5
 """,
 }
-# sha256 of each artifact under STREAM_VERSION 2; report.json without its
-# wall_ms and out_dir lines.  The hill.csv digests were re-recorded when Hill
-# moved to value histograms: its log sums run in another order, which moved
-# no number by more than 5e-14 relative.
+# sha256 of each artifact under STREAM_VERSION 3; report.json without its
+# wall_ms and out_dir lines.
 PIN_DIGESTS = {
     "check/condition.json": "dad419b5018c0d18582aff87119eef58f8aa44acef4fb11864448080654da245",
-    "check/report.json": "9f25cd2f8cbbfd4b08691bd4df4a8e299c0586fdcad042399c95434c18d760b0",
-    "theorem/ratio.csv": "e10810261e72cd80c76acd3da75409907fef8491b481d49016385a2cad97949f",
-    "theorem/hill.csv": "1cde3aa935fdeb8c7db43062945e0416f149a7106cbbcb0ea7dc3d0186b6b5f2",
-    "theorem/summary.json": "280141a87760c1ccf3912e766be8baba0afebbd987ff6023cd93b86ba1156993",
-    "theorem/samples.txt": "071be78497bec1a296f4c138aba8644dca36d001629f65e3a76b0c2f643788ab",
-    "theorem/report.json": "87d1ee68ba0289041767ceed8e9e7a789b169688d666e654c79487f67decf1ad",
-    "lemma1/ratio.csv": "f770faf80bad5b8fae780ed4c8a70fd12f3d16560354b2f1e58714f608fc7369",
+    "check/report.json": "f9d26b0d66e38544fa32b501da3a8be77e9691f80d16be75bb964d2b1b6d38a2",
+    "theorem/ratio.csv": "1ba1b1aff7ea83d722b07b7ac9acdfa42edf041b060fc5af268270c7cadfcece",
+    "theorem/hill.csv": "7d2946efc127a2cbe6a12a94070e6413b557dd83a6c601b458c11bbf6bddcb64",
+    "theorem/summary.json": "8b9deb757bb39b8c8bb6302b44a092be3fe95188a3815eea76b6e6cb5d1f6799",
+    "theorem/samples.txt": "8626bb5f0451e040d58bb9e7880cc12670fe81362a467ec6a298b5c432e0b519",
+    "theorem/report.json": "29429ab4ec485e594ed043f4c4e490205dd462cfa77947a5292fa5eabe7137be",
+    "lemma1/ratio.csv": "1ed4d43295b119a3bad287ad629248ce1de7d07175004b0c62eae1fff4aad01e",
     "lemma1/summary.json": "2f7c64be63843876f1792b18b233a4d962a75c3c0a27335fafeea04dbcbe7518",
-    "lemma1/report.json": "9a388bff2a9448f06977fe55872a6e265db8a4a14bb68225175aa4f841fb66a0",
-    "corollary/depth_ratio.csv": "e9bd6cafc1d8c5fd82b852ec5b7be713b3f87d2cd9d7738a21727410011bf593",
-    "corollary/report.json": "3d2502c9bd3ebc310b7d9fc9345e83def9dc66944419f80eebb03da76d25ee94",
-    "grey/ratio.csv": "a653d6fd98ff14cf82588d75ea44bfefdfb0e1720256d441cd13db9d9f2d78fb",
+    "lemma1/report.json": "98050a95c8d643884cf90ef72556762079fc4c1dd6536a95e0da4d73fffb9652",
+    "corollary/depth_ratio.csv": "c412d92284edfe8a81b5f7aae82459e9fc819501a365215a26d3969536f089d4",
+    "corollary/report.json": "d5b3a0fc5b790df532c6005f2b1b4e3df4b39a80a3d98036782ee62571dd2358",
+    "grey/ratio.csv": "458360236e3dd0a49cbe5aef7ba95c280d231def7c6b3df9353f2c1ba77b6f2b",
     "grey/summary.json": "0e0240e67098ad6ae6ad0d51eb367e5c45ee6ca8a72c8799d53723280e619b33",
-    "grey/report.json": "754c42012a7450be53c25646abe90cc062f204af00ee19957b2eeb4ef0b42ca5",
-    "decay/decay.csv": "2a616b239465ff1879737c86b1b6750a14c5a19edb47a3875a931627dae6c09d",
-    "decay/report.json": "7f8f7448fea3be06bfdf2cab8fcec05ae1f248400c532d52a12ab2aa79a29722",
-    "sre/ratio.csv": "149642952a1bc06585caa265f7213ea0de8c159ba45c9129122d83a6656a6a0f",
+    "grey/report.json": "57d3087908eaa2ed583e2fed7ff494e9ba3538ac522f2fa28610429aedb28e65",
+    "decay/decay.csv": "dda7e0cad4bc77af697c7ddbaf5c198cfa601c5a8391691e8f0320a47beff4b1",
+    "decay/report.json": "6821375e2eb776eea3526a3cee6eec23e11addaefd83463718bdb16deea86ec2",
+    "sre/ratio.csv": "c23332d2370c588b71520e22706f142646c9ccdc6f93ec5be9523c83c6cdb0c0",
     "sre/summary.json": "a0bad560eefba2996ffbd28fb612319b888224238f0bacb6420a1bd4fea616b3",
-    "sre/report.json": "fe2ca785183e871fd321e715689f109e981a9f58f299d9ebdfe27396a50ae1d1",
+    "sre/report.json": "32a4c667bda109d013d1643dd987009c415b0f2b067f0fa3abe0fff1dfa6c3d8",
     "oracle/stationary.csv": "6b996be0580862e871043dddce7299e9191ceee620329525408b8dccf9d0da72",
     "oracle/empirical.csv": "05d3a118bb0a089db92834e0be6f43f18dac14656b3c338946bf21cb2c81e1cc",
-    "oracle/report.json": "88b74ce74a8bb4970acc9cdc2c1418ca328681756c9c6d6575d91b86afa5985d",
-    "hill/hill.csv": "1cde3aa935fdeb8c7db43062945e0416f149a7106cbbcb0ea7dc3d0186b6b5f2",
-    "hill/samples.txt": "071be78497bec1a296f4c138aba8644dca36d001629f65e3a76b0c2f643788ab",
-    "hill/report.json": "3dcbe967fad4fa72222cc033664002b614c6ca9f44bf15cc0678953dceb08ea5",
+    "oracle/report.json": "3277acbcfcc6a6f519151d888ca48a8c296ae2ea2e9a73e316d8251883e79fa5",
+    "hill/hill.csv": "7d2946efc127a2cbe6a12a94070e6413b557dd83a6c601b458c11bbf6bddcb64",
+    "hill/samples.txt": "8626bb5f0451e040d58bb9e7880cc12670fe81362a467ec6a298b5c432e0b519",
+    "hill/report.json": "26608feec2ff5af79336daa444b2ebdf5caf24d9e15d2d3b5a160b8f737cc38f",
     "continuous/theorem/ratio.csv": "2f54dd300c3bbda135a6bf304bf64d4aa898479a86b5cfcc50fd27d8c4520896",
     "continuous/theorem/summary.json": "6442ef1b66f903c0f11cf7b6cbbbe86b485551093106891b7daf31c48927fc97",
     "continuous/theorem/hill.csv": "36a46c9b6211788ac217569fb2b4fb2e05a3c743071df213e37971abb3b91336",
     "continuous/theorem/samples.txt": "4ba677e15a187a18d500d13fd71e029448490a4ce3f5d2150aa219b0e5f26e26",
-    "continuous/theorem/report.json": "fc37b2e1712eb747fefe3588ec461638e684455df2fc249b47de6873e8dd95ba",
+    "continuous/theorem/report.json": "ef3dc134b46d4ed701aaa16079a6ddcc67b0e163455c5baaec049d3095b6e823",
     "continuous/lemma1/ratio.csv": "8ae1c9db83d89b28914dc3c0916c3732201da1ac569dc5fd36b7b42d70750225",
     "continuous/lemma1/summary.json": "d5e1eda9d9fde33fe2dc037c32b486a8dd72b5788b46b8618fc80913c6a1d1c7",
-    "continuous/lemma1/report.json": "65c4a4d0217a4658a60060381710def92423f9692e6fe3aeb3ed58929d5ab094",
-    "continuous/decay/decay.csv": "53f508b8e312a3200b736d1d61ffa8299520ffccb2a22122dc7ab45719c8e9fc",
-    "continuous/decay/report.json": "e063ba39fe349d4fb7004f16de963f60f764cb24beb7bb52cfeb8944088470bc",
+    "continuous/lemma1/report.json": "bc49e5c9102f57ddd057cd73b927b31805056d827ad415a479bd1d8fab301928",
+    "continuous/decay/decay.csv": "31dbd90de19f02fb7d2b33d2751645e5b2247271b5d0cc9a73053df9a25a3b4a",
+    "continuous/decay/report.json": "bf36b6e334d708a9b0ac94d83c0b38d6ad4ce371dc2d4a320135a5a657683ba6",
     "continuous/sre/ratio.csv": "83bb543d22a09c9b367c90446ea48230737e6e37122b178a77a1667b923a2445",
     "continuous/sre/summary.json": "20c620c4e1796a56a7edb9c62334592a106fc2609064dcc3ccd39efe879fdd13",
-    "continuous/sre/report.json": "e666e6d82a24c3c9712632cbd9a56e075db4e80d6078648b4d01a740b4c83a40",
-    "mixed/theorem/ratio.csv": "0c1008aa7d73bf987c3e7eecbab21ef22b7f23d02c1c5466295ace5b99c4951a",
-    "mixed/theorem/summary.json": "178dec84edebfa54522c2fada7b6165c2d50caf9d833f21afa29b921dae8726f",
-    "mixed/theorem/hill.csv": "1a05b09a4f993affbd7f46233e596755e3015ce16a7e6b35eee860099d9b618c",
-    "mixed/theorem/samples.txt": "30b4c93d09a17ed292cd0d258ec77ec6f0b513248f3bb88dfe52af25b22b9e37",
-    "mixed/theorem/report.json": "c8c10429b2ec96461316f6449ad5ffd73fee81b73b64bca73dae67ec191acf08",
-    "mixed/lemma1/ratio.csv": "ce7fecba720b18778ea45b2a97472124462697584c656bf2f473f0c8a7cba519",
+    "continuous/sre/report.json": "9fc55570805096951cc0a8b541122609aa838e8ed9cc960b5abb00d90ba361be",
+    "mixed/theorem/ratio.csv": "c1957aac539486026e312e59dc2481ff23c37294212084f9f60d80f477b3d12d",
+    "mixed/theorem/summary.json": "dc961a5be42fe32f0d99d67bd55570c97bd700b540d14a674076c34eaaadf93d",
+    "mixed/theorem/hill.csv": "ba5461e533728b196497e0bb0385defabf32051f9472b1135472f11d518931f7",
+    "mixed/theorem/samples.txt": "cef4c23a5f52c76df3531c6ba32d355d3786a62c24989090320fb9acfb946742",
+    "mixed/theorem/report.json": "b5a884feac58f805249b71b6dfdbec2ca5936fc1dd3421a4fb26c59c58d6c3d1",
+    "mixed/lemma1/ratio.csv": "4594a5141c9a85f3e7f856f40156cc93e1fb816b5293c28ff8132ba20f9df8c3",
     "mixed/lemma1/summary.json": "00ee5b0c800cde9005943425de01d07ec06d6a49ce627ddc7bab2c70d02ef9b5",
-    "mixed/lemma1/report.json": "95b6fdf7525c3e62fa6721964396e97b2ac642c94c25f46b26ed57bcd7a3e46b",
-    "mixed/corollary/depth_ratio.csv": "f3f56d602489d6fd513291daf85e314d854d8fa70f60ae2e571c22b43e729ce6",
-    "mixed/corollary/report.json": "8d6f1916b7ec1e0e7c487c504b19c95891346bd703f0dc717bde4c917f6610cd",
-    "mixed/decay/decay.csv": "f3056f2e5e6c5607466966aa571bc320f8ddfb54587d381b54626904ee090c40",
-    "mixed/decay/report.json": "0946fb8eac2bd749386ef3d015c6ff819ec8e4faadbc283f4a202da0783b8151",
-    "mixed/sre/ratio.csv": "aa845aea95a890a20820f6d24c8ba07d73e041ea67361d7688e6089eaa0da4ea",
+    "mixed/lemma1/report.json": "125e587bf867d1c2cbac9e86967ce7a9c82c52bf719ab4013eda7e4ad05082a5",
+    "mixed/corollary/depth_ratio.csv": "8bab73c3b640657807d91040df3e68530a13fdce35e94fb64d59ab0a7237da4b",
+    "mixed/corollary/report.json": "f5dc0bec11fdcdd197212192daa4ecec231a9ac97e731200930f5f35c7369929",
+    "mixed/decay/decay.csv": "ad7f5567f06e7fb17cd9de6de659c6a46513fa321cace2464605463a04e8f1f2",
+    "mixed/decay/report.json": "d17889617b7ed72baa1c4b7092bb49c6f2efba3cdd3cd7a9f9da1d45a68ae496",
+    "mixed/sre/ratio.csv": "445c71ea74b64bdf737848bdd9fa5f9d9898f375e1c9235074fca9c5cc20b08d",
     "mixed/sre/summary.json": "b97779a9dceec88ff169e183995397fa4ff828b4a7c592ad4eb02ddefee1c266",
-    "mixed/sre/report.json": "7e9d204c8fd8afcfc642934789f53a382b48fb9923af084d9e1dea71d9a43e7a",
+    "mixed/sre/report.json": "4a630c2c9e73e71bd239cfc37330fd2caaa84f417092e5b55d8ef5717877c93c",
 }
 
 
@@ -372,8 +374,18 @@ def test_bundled_experiments_keep_their_streams(tmp_path, monkeypatch):
     monkeypatch.setattr(experiments, "CHUNK_REPLICAS", PIN_CHUNK)
     got = _pin_digests(tmp_path)
     changed = sorted(k for k in got.keys() | PIN_DIGESTS.keys() if got.get(k) != PIN_DIGESTS.get(k))
-    assert STREAM_VERSION == 2, "STREAM_VERSION moved: re-record PIN_DIGESTS under the new version"
-    assert not changed, f"outputs changed under STREAM_VERSION 2: {changed}; bump it and re-record PIN_DIGESTS"
+    assert STREAM_VERSION == 3, "STREAM_VERSION moved: re-record PIN_DIGESTS under the new version"
+    assert not changed, f"outputs changed under STREAM_VERSION 3: {changed}; bump it and re-record PIN_DIGESTS"
+
+
+def test_chunks_sample_in_blocks_on_one_stream():
+    # two full blocks and a partial one, drawn in order from the chunk's stream
+    block = experiments._BLOCK
+    model = two_atom_model()
+    task = experiments._Task(sample_stationary_backward_batch, model, 4, 7, (1, 3), 2 * block + 5, None)
+    rng = experiments._stream(7, (1, 3))
+    want = np.concatenate([sample_stationary_backward_batch(model, 4, rng, n) for n in (block, block, 5)])
+    assert np.array_equal(experiments._run_chunk(task), want)
 
 
 # ---- value histograms ------------------------------------------------------------
@@ -574,11 +586,34 @@ def test_cli_unwritable_result_exit_three(tmp_path, capsys):
     assert captured.out == ""
 
 
+def _out_of_memory(model, arg, rng, size):
+    raise MemoryError
+
+
+def _die_in_worker(model, arg, rng, size):
+    if multiprocessing.parent_process() is not None:
+        os._exit(1)
+    return sample_stationary_backward_batch(model, arg, rng, size)
+
+
+@pytest.mark.parametrize("sampler, workers", [(_out_of_memory, 1), (_die_in_worker, 2)])
+def test_cli_resource_failure_exit_five(tmp_path, capsys, monkeypatch, sampler, workers):
+    # two chunks, so two workers run them in a process pool
+    monkeypatch.setattr(experiments, "CHUNK_REPLICAS", PIN_CHUNK)
+    monkeypatch.setattr(experiments, "sample_stationary_backward_batch", sampler)
+    path = _cfg_file(tmp_path, SUBCRITICAL, "replicas = 2000\n")
+    code = cli.main(["theorem", "--config", path, "--workers", str(workers), "--out", str(tmp_path / "o")])
+    captured = capsys.readouterr()
+    assert code == 5
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
 def test_report_records_stream_version(tmp_path):
     cfg = load_config(_cfg_file(tmp_path, SUBCRITICAL), experiment="check")
     emit_report(run_experiment(cfg), tmp_path / "o")
     with open(tmp_path / "o" / "report.json") as fh:
-        assert json.load(fh)["stream_version"] == 2
+        assert json.load(fh)["stream_version"] == 3
 
 
 def test_cli_seed_override_lands_in_report(tmp_path, capsys):

@@ -17,10 +17,12 @@ from hypothesis import strategies as hst
 
 from bpire.env_model import (
     EnvAtom,
+    EnvBatch,
     EnvSpec,
     ImmigrationFamily,
     ModelSpec,
     OffspringFamily,
+    draw_env_batch,
     env_immigration_survival,
     immigration_pmf,
     immigration_survival,
@@ -33,12 +35,13 @@ from bpire.simulator import (
     backward_terms,
     choose_truncation,
     composed_thinning_batch,
+    imm_for_batch,
     random_sum_batch,
     sample_immigration_batch,
     sample_stationary_backward_batch,
     simulate_forward_batch,
     step_batch,
-    thin_batch,
+    thin_for_batch,
     unit_progeny_batch,
     write_samples_text,
 )
@@ -54,6 +57,13 @@ FAMILIES = [
 
 
 # ---- thinning ---------------------------------------------------------------
+
+def thin_batch(law, xs, rng):
+    """One thinning stage with every entry under the one law `law`."""
+    xs = np.asarray(xs)
+    batch = EnvBatch(laws=((law, ImmigrationFamily.constant(0)),), group=np.zeros(xs.shape, dtype=np.int64))
+    return thin_for_batch(batch, xs, rng)
+
 
 def thin_one(law, x, rng):
     return int(thin_batch(law, np.array([x], dtype=np.int64), rng)[0])
@@ -119,6 +129,46 @@ def test_thin_overflow_guard():
     rng = RngState.from_seed(0)
     with pytest.raises(OverflowError):
         thin_one(OffspringFamily.poisson(4.0), 1 << 61, rng)
+
+
+# The four-family environment of the stream pins (PIN_INLINE["mixed"] in
+# test_experiments.py): every offspring family, three immigration samplers,
+# and two atoms that share one immigration law.
+MIXED_ENV = EnvSpec.from_atoms(
+    [
+        EnvAtom(0.4, OffspringFamily.poisson(0.3), ImmigrationFamily.discrete_pareto(2.0, 1.0, 0.5)),
+        EnvAtom(0.3, OffspringFamily.geometric0(0.6), ImmigrationFamily.bernoulli(0.5)),
+        EnvAtom(0.2, OffspringFamily.binomial(2, 0.2), ImmigrationFamily.geometric0(0.5)),
+        EnvAtom(0.1, OffspringFamily.bernoulli(0.5), ImmigrationFamily.discrete_pareto(2.0, 1.0, 0.5)),
+    ]
+)
+
+
+def test_mixed_thinning_follows_each_groups_law():
+    # one draw per family over parameters gathered per entry: the draws of
+    # each (group, population) cell must follow that group's thinned law
+    n = 400_000
+    rng = RngState.from_seed(61)
+    batch = draw_env_batch(MIXED_ENV, rng, n)
+    values = np.resize(np.array([0, 2, 7], dtype=np.int64), n)
+    draws = thin_for_batch(batch, values, rng)
+    assert not draws[values == 0].any()
+    for j, atom in enumerate(MIXED_ENV.atoms):
+        for x in (2, 7):
+            cell = draws[(batch.group == j) & (values == x)]
+            p = chi_square_pvalue(cell, lambda ks: thinned_offspring_pmf(atom.offspring, x, ks))
+            assert p > 1e-3, f"group {j} ({atom.offspring.kind}) x={x}: chi-square p={p:.4g}"
+
+
+def test_mixed_immigration_follows_each_groups_law():
+    # groups 0 and 3 share one law and one inversion
+    n = 400_000
+    rng = RngState.from_seed(62)
+    batch = draw_env_batch(MIXED_ENV, rng, n)
+    draws = imm_for_batch(batch, rng)
+    for j, atom in enumerate(MIXED_ENV.atoms):
+        p = chi_square_pvalue(draws[batch.group == j], lambda ks: immigration_pmf(atom.immigration, ks))
+        assert p > 1e-3, f"group {j} ({atom.immigration.kind}): chi-square p={p:.4g}"
 
 
 # ---- immigration ------------------------------------------------------------
