@@ -114,14 +114,35 @@ def thin_for_batch(batch: EnvBatch, values: np.ndarray, rng: RngState) -> np.nda
 
 # ---- immigration -----------------------------------------------------------
 
-def _survival_adjust(law: ImmigrationFamily, cand: np.ndarray, u: np.ndarray) -> np.ndarray:
-    # closed-form inversion can land one off at float boundaries; fix by
-    # checking S on both sides of the candidate.  Exact hits S(x) == u
-    # belong to x, so the closed form is already right on its boundary.
-    s = immigration_survival(law, cand)
-    cand = np.where(s > u, cand + 1, cand)
-    down = (cand > 0) & (immigration_survival(law, cand - 1) <= u)
-    return np.where(down, cand - 1, cand)
+def _survival_adjust(law: ImmigrationFamily, cand: np.ndarray, u: np.ndarray, t: np.ndarray, tol: float) -> np.ndarray:
+    """Closed-form candidates `cand` corrected, in place, to the smallest
+    x >= 0 with S(x) <= u, S as `immigration_survival` evaluates it.
+
+    `t` is the real closed form the candidate rounds.  The candidate can be
+    one off only where t lies within float error of an integer, so only the
+    entries with |t - rint(t)| <= tol (1 + |t|) are checked, by evaluating S
+    on both sides of the candidate; exact hits S(x) == u belong to x.  Every
+    t >= 2^52 is an integer and so is checked.  A NaN t is checked too.
+
+    The bound, for u >= 2^-53 (the least `uniform_open` returns) and unit
+    roundoff e = 2^-53.  dpareto: c/u is off by a relative e, which the
+    power 1/kappa turns into e/kappa; pow adds 2e and the subtraction of 1
+    adds e (1 + |t|), so t is off by at most (1/kappa + 3) e (1 + |t|).  An
+    x at least tol (1 + |t|) clear of t, with tol = 2^-32 (1 + 1/kappa),
+    puts c (1 + x)^-kappa a relative kappa tol / 2 = 2^-33 (kappa + 1) or
+    more away from u, far above the 3e that pow and the product leave in
+    the evaluated S, whatever kappa is.  geometric0: log u, log1p(-p) and
+    the quotient leave t = log(u)/log1p(-p) off by a relative 3e, but S
+    raises the rounded 1 - p, whose log is off by a relative e/(p(1 - p));
+    with tol = 2^-32 / (p(1 - p)), an x + 1 at least tol (1 + |t|) clear of
+    t puts log S at least 2^-32 away from log u, against the 2e of pow.
+    """
+    near = np.flatnonzero(~(np.abs(t - np.rint(t)) > tol * (1.0 + np.abs(t))))
+    x, v = cand[near], u[near]
+    x = np.where(immigration_survival(law, x) > v, x + 1, x)
+    down = (x > 0) & (immigration_survival(law, x - 1) <= v)
+    cand[near] = np.where(down, x - 1, x)
+    return cand
 
 
 def _invert_by_bisection(law: ImmigrationFamily, u: np.ndarray) -> np.ndarray:
@@ -166,16 +187,17 @@ def sample_immigration_batch(law: ImmigrationFamily, rng: RngState, size: int) -
     if law.kind == "geometric0":
         if law.p == 1.0:
             return np.zeros(size, dtype=np.int64)
-        cand = np.floor(np.log(u) / math.log1p(-law.p)).astype(np.int64)
+        t = np.log(u) / math.log1p(-law.p)
+        cand = np.floor(t).astype(np.int64)
         np.clip(cand, 0, None, out=cand)
-        return _survival_adjust(law, cand, u)
+        return _survival_adjust(law, cand, u, t, 2.0**-32 / (law.p * (1.0 - law.p)))
     # dpareto
     if law.beta == 0.0:
         t = (law.c / u) ** (1.0 / law.kappa) - 1.0
         if t.size and t.max(initial=0.0) > OVERFLOW_LIMIT:
             raise OverflowError("immigration draw exceeds 2^62")
         cand = np.ceil(np.maximum(t, 0.0)).astype(np.int64)
-        return _survival_adjust(law, cand, u)
+        return _survival_adjust(law, cand, u, t, 2.0**-32 * (1.0 + 1.0 / law.kappa))
     return _invert_by_bisection(law, u)
 
 

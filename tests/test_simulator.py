@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
+from bpire import simulator
 from bpire.env_model import (
     EnvAtom,
     EnvBatch,
@@ -32,6 +33,7 @@ from bpire.env_model import (
 from bpire.errors import NotSubcritical
 from bpire.rng import RngState
 from bpire.simulator import (
+    _invert_by_bisection,
     backward_terms,
     choose_truncation,
     composed_thinning_batch,
@@ -174,12 +176,16 @@ def test_mixed_immigration_follows_each_groups_law():
 # ---- immigration ------------------------------------------------------------
 
 class _FixedU:
-    """Stand-in rng whose uniforms are pinned; exposes what inversion sees."""
+    """Stand-in rng whose uniforms are pinned, to one value or to an array of
+    `size` of them; exposes what inversion sees."""
 
-    def __init__(self, u: float):
+    def __init__(self, u):
         self.u = u
 
     def uniform_open(self, size=None):
+        if np.ndim(self.u):
+            assert size == np.size(self.u)
+            return np.array(self.u)
         return self.u if size is None else np.full(size, self.u)
 
 
@@ -199,6 +205,40 @@ def test_immigration_inversion_generic_points():
     # S(1) = 0.25 > 0.2 >= S(2): smallest x with S(x) <= u is 2
     assert sample_immigration_batch(law, _FixedU(0.2), 1)[0] == 2
     assert sample_immigration_batch(law, _FixedU(1.0), 1)[0] == 0
+
+
+@pytest.mark.parametrize(
+    "law",
+    [ImmigrationFamily.discrete_pareto(k, c) for k in (0.3, 1.0, 2.0, 3.7, 10.0) for c in (1.0, 0.5)]
+    + [ImmigrationFamily.geometric0(p) for p in (1e-3, 0.05, 0.5, 0.9)],
+    ids=lambda law: f"{law.kind}:{law.kappa},{law.c}" if law.kind == "dpareto" else f"{law.kind}:{law.p}",
+)
+def test_immigration_closed_form_matches_bisection_at_boundaries(law):
+    # u = S(k) and one ulp either side, where the closed form is nearest an
+    # integer: the draws that skip the survival check must still be exact
+    pows = 2 ** np.arange(41)
+    ks = np.unique(np.concatenate([
+        np.arange(4097), pows - 1, pows, pows + 1,
+        np.rint(np.geomspace(4096, 2.0**40, 2000)).astype(np.int64),
+    ]))
+    s = immigration_survival(law, ks)
+    u = np.concatenate([s, np.nextafter(s, 0.0), np.nextafter(s, 2.0)])
+    u = u[(u >= 2.0**-53) & (u <= 1.0)]
+    got = sample_immigration_batch(law, _FixedU(u), u.size)
+    assert np.array_equal(got, _invert_by_bisection(law, u))
+
+
+def test_immigration_checks_survival_only_near_integers(monkeypatch):
+    # the full check would evaluate S at 2 * 8192 points
+    seen = []
+
+    def counting(law, x):
+        seen.append(np.size(x))
+        return immigration_survival(law, x)
+
+    monkeypatch.setattr(simulator, "immigration_survival", counting)
+    sample_immigration_batch(ImmigrationFamily.discrete_pareto(2.0, 1.0), RngState.from_seed(3), 8192)
+    assert sum(seen) <= 8
 
 
 def test_immigration_bisection_agrees_with_survival_definition():
