@@ -11,9 +11,10 @@ alike.  The file records, per end-to-end metric, each side's runs with their
 median and quartiles, the ratio of the medians (change over parent) and the
 number of pairs in which the change was better; the failed and attempted
 operation counts; the src line count of both checkouts; and the host.  With
-`--trace`, one `--trace 1` run per checkout and workload adds the per-layer
-metrics and, per chunk sampler layer, the total time of its spans: with
-chunks sampled in blocks, a sampler span times one block, so per-chunk
+`--trace`, five `--trace 1` runs per checkout and workload, paired and
+alternated like the untraced ones, add each per-layer metric and, per chunk
+sampler layer, the total time of its spans, with their median and quartiles:
+with chunks sampled in blocks, a sampler span times one block, so per-chunk
 figures are a total divided by the number of chunks.  The file goes to the
 root of the change checkout.
 """
@@ -29,6 +30,7 @@ import sys
 from pathlib import Path
 
 PAIRS = 10
+TRACED_PAIRS = 5
 SAMPLER_LAYERS = ("simulator.stationary_chunk", "simulator.count_chunk", "sre_compare.perpetuity_chunk")
 
 
@@ -53,6 +55,19 @@ def spread(runs: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "runs": runs}
 
 
+def paired_runs(sides: dict, workload: str, seed: int, seconds: float, trace: int, pairs: int) -> dict:
+    """`pairs` runs per side at seeds seed, seed + 1, ..., parent first on
+    even pairs and change first on odd ones: side -> [(summary, result)]."""
+    runs = {side: [] for side in sides}
+    for i in range(pairs):
+        for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
+            summary, result = run_bench(sides[side], workload, seed + i, seconds, trace)
+            runs[side].append((summary, result))
+            wall = result["metrics"]["trace.wall_s" if trace else "wall_s"]["value"]
+            print(f"{workload} trace {trace} pair {i} {side}: wall_s {wall:.3f}", flush=True)
+    return runs
+
+
 def checkout_info(path: Path) -> dict:
     rev = subprocess.run(["git", "describe", "--always", "--dirty"], cwd=path, capture_output=True, text=True)
     lines = sum(len(p.read_text().splitlines()) for p in sorted((path / "src" / "bpire").glob("*.py")))
@@ -65,7 +80,7 @@ def main(argv=None) -> int:
     parser.add_argument("--change", type=Path, required=True)
     parser.add_argument("--n", type=int, required=True, help="number in the BENCH_<n>.json file name")
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--trace", action="store_true", help="add one traced run per checkout and workload")
+    parser.add_argument("--trace", action="store_true", help=f"add {TRACED_PAIRS} traced runs per checkout and workload")
     args = parser.parse_args(argv)
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     bench = json.loads((sides["change"] / "BENCHMARK.json").read_text())
@@ -75,14 +90,9 @@ def main(argv=None) -> int:
     host = {}
     workloads = {}
     for workload in (w["name"] for w in bench["workloads"]):
-        runs = {side: [] for side in sides}
-        for i in range(PAIRS):
-            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-            for side in order:
-                summary, result = run_bench(sides[side], workload, args.seed + i, seconds, 0)
-                host = summary["host"]
-                runs[side].append(result)
-                print(f"{workload} pair {i} {side}: wall_s {result['metrics']['wall_s']['value']:.3f}", flush=True)
+        pairs = paired_runs(sides, workload, args.seed, seconds, 0, PAIRS)
+        host = pairs["change"][-1][0]["host"]
+        runs = {side: [result for _, result in pairs[side]] for side in sides}
         metrics = {}
         for name, spec in directions.items():
             values = {side: [r["metrics"][name]["value"] for r in runs[side]] for side in sides}
@@ -101,10 +111,12 @@ def main(argv=None) -> int:
         }
         if args.trace:
             entry["per_layer"] = {}
-            for side in sides:
-                summary, result = run_bench(sides[side], workload, args.seed, seconds, 1)
-                layers = {name: m["value"] for name, m in result["metrics"].items()}
-                entry["per_layer"][side] = {**layers, **span_totals_ms(summary["spans_file"])}
+            for side, traced in paired_runs(sides, workload, args.seed, seconds, 1, TRACED_PAIRS).items():
+                layers = [
+                    {**{name: m["value"] for name, m in result["metrics"].items()}, **span_totals_ms(summary["spans_file"])}
+                    for summary, result in traced
+                ]
+                entry["per_layer"][side] = {name: spread([run[name] for run in layers]) for name in layers[0]}
         workloads[workload] = entry
 
     doc = {

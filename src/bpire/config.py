@@ -20,9 +20,10 @@ from __future__ import annotations
 
 import configparser
 import difflib
+import math
 import os
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
 from .env_model import (
     EnvAtom,
@@ -48,85 +49,106 @@ EXPERIMENTS = (
     "hill",
 )
 
-_EXPERIMENT_KEYS = {
-    "name",
-    "replicas",
-    "seed",
-    "epsilon_trunc",
-    "grid",
-    "metric_levels",
-    "workers",
-    "out_dir",
-    "tolerance",
-    "dump_samples",
-    "b_law",
-    "n_law",
-    "i_max",
-    "level",
-    "alpha",
-    "n_gens",
-    "state_cap",
-    "tv_tol",
-    "hill_k",
-}
-_MODEL_KEYS = {"kappa", "delta"}
-_ENV_KEYS = {"atoms", "uniform_poisson_rate", "immigration"}
-_SECTION_KEYS = {"experiment": _EXPERIMENT_KEYS, "model": _MODEL_KEYS, "env": _ENV_KEYS}
 
-_DEFAULT_REPLICAS = {
-    "check": 1,
-    "theorem": 10**7,
-    "lemma1": 10**7,
-    "corollary": 10**7,
-    "grey": 10**7,
-    "sre": 10**7,
-    "decay": 10**6,
-    "oracle": 10**6,
-    "hill": 10**6,
-}
-_DEFAULT_TOLERANCE = {
-    "check": 0.0,
-    "theorem": 0.15,
-    "lemma1": 0.10,
-    "corollary": 0.15,
-    "grey": 0.10,
-    "sre": 0.15,
-    "decay": 0.02,
-    "oracle": 0.0,
-    "hill": 0.10,
-}
-_DEFAULT_METRIC_LEVELS = {
-    "theorem": (1e-3, 1e-4),
-    "lemma1": (1e-4,),
-    "grey": (1e-4,),
-    "sre": (1e-4,),
-}
+def _per_experiment(fallback, **by_name) -> dict:
+    """A default that depends on the experiment: `fallback` unless named."""
+    return {name: by_name.get(name, fallback) for name in EXPERIMENTS}
+
+
+def _int(key: str, raw) -> int:
+    try:
+        return int(raw)
+    except ValueError as exc:
+        raise ValidationError(key, f"not an integer: {raw!r}") from exc
+
+
+def _float(key: str, raw) -> float:
+    """A finite float; NaN and infinities (also 1e400) are not numbers here."""
+    try:
+        value = float(raw)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise ValidationError(key, f"not a number: {raw!r}")
+    return value
+
+
+def _bool(key: str, raw) -> bool:
+    value = configparser.ConfigParser.BOOLEAN_STATES.get(raw.strip().lower())
+    if value is None:
+        raise ValidationError(key, f"not a boolean: {raw!r}")
+    return value
+
+
+def _levels(key: str, raw) -> tuple[float, ...]:
+    """Comma-separated survival levels, each in (0, 1), strictly decreasing."""
+    try:
+        levels = tuple(float(p) for p in raw.split(",") if p.strip() != "")
+    except ValueError as exc:
+        raise ValidationError(key, "bad level list") from exc
+    if not levels:
+        raise ValidationError(key, "empty level list")
+    if any(not 0.0 < v < 1.0 for v in levels):
+        raise ValidationError(key, "levels must lie in (0, 1)")
+    if any(b >= a for a, b in zip(levels, levels[1:])):
+        raise ValidationError(key, "levels must be strictly decreasing")
+    return levels
+
+
+def _key(parse, default, check=None, message: str = ""):
+    """One [experiment] key: `parse(key, raw)` reads its value, `default`
+    (a value, or a dict by experiment) stands in when the key is absent, and
+    a value failing `check` is refused with `message`."""
+    if not isinstance(default, dict):
+        default = _per_experiment(default)
+    return field(metadata={"parse": parse, "default": default, "check": check, "message": message})
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Fully resolved run description; one experiment per invocation."""
+    """Fully resolved run description; one experiment per invocation.
+
+    Every field after `model` declares one [experiment] key, in the order
+    the keys are checked; `load_config` and `config_to_dict` loop over them.
+    """
 
     experiment: str
     model: ModelSpec
-    replicas: int
-    seed: int
-    epsilon_trunc: float
-    grid: tuple[float, ...]
-    metric_levels: tuple[float, ...]
-    workers: int
-    out_dir: str
-    tolerance: float
-    dump_samples: bool = False
-    b_law: ImmigrationFamily | None = None
-    n_law: ImmigrationFamily | None = None
-    i_max: int = 4
-    level: float = 1e-3
-    alpha: float = 1.0
-    n_gens: int = 10
-    state_cap: int = 64
-    tv_tol: float = 0.005
-    hill_k: int = 0
+    replicas: int = _key(
+        _int, _per_experiment(10**7, check=1, decay=10**6, oracle=10**6, hill=10**6), lambda n: n >= 1, "must be >= 1"
+    )
+    seed: int = _key(_int, 12345, lambda s: 0 <= s < 2**64, "must fit in 64 bits")
+    epsilon_trunc: float = _key(_float, 1e-6, lambda e: 0.0 < e < 1.0, "must lie in (0, 1)")
+    grid: tuple[float, ...] = _key(_levels, (1e-2, 1e-3, 1e-4, 1e-5))
+    metric_levels: tuple[float, ...] = _key(
+        _levels, _per_experiment((1e-3,), theorem=(1e-3, 1e-4), lemma1=(1e-4,), grey=(1e-4,), sre=(1e-4,))
+    )
+    tolerance: float = _key(
+        _float,
+        _per_experiment(0.15, check=0.0, lemma1=0.10, grey=0.10, decay=0.02, oracle=0.0, hill=0.10),
+        lambda t: t >= 0.0,
+        "must be >= 0",
+    )
+    workers: int = _key(_int, 1, lambda w: w >= 1, "must be >= 1")
+    out_dir: str = _key(lambda key, raw: str(raw), "out")
+    b_law: ImmigrationFamily | None = _key(lambda key, raw: _parse_immigration(raw), None)
+    n_law: ImmigrationFamily | None = _key(lambda key, raw: _parse_immigration(raw), None)
+    i_max: int = _key(_int, 4, lambda i: i >= 2, "must be >= 2 (the decay fit needs 3 points)")
+    level: float = _key(_float, 1e-3, lambda v: 0.0 < v < 1.0, "must lie in (0, 1)")
+    alpha: float = _key(_float, 1.0, lambda a: a > 0.0, "must be > 0")
+    n_gens: int = _key(_int, 10, lambda n: n >= 3, "must be >= 3")
+    state_cap: int = _key(_int, 64, lambda s: 1 <= s <= 4096, "must lie in [1, 4096]")
+    tv_tol: float = _key(_float, 0.005, lambda t: t > 0.0, "must be > 0")
+    hill_k: int = _key(_int, 0, lambda k: k == 0 or k >= 2, "must be 0 (automatic) or >= 2")
+    dump_samples: bool = _key(_bool, False)
+
+
+_KEYS = tuple(f for f in fields(ExperimentConfig) if f.metadata)
+_SECTION_KEYS = {
+    "experiment": {f.name for f in _KEYS} | {"name"},
+    "model": {"kappa", "delta"},
+    "env": {"atoms", "uniform_poisson_rate", "immigration"},
+}
 
 
 def _find_line(text: str, token: str) -> int | None:
@@ -222,54 +244,6 @@ def _parse_env(section, text: str) -> EnvSpec:
     raise ValidationError("env", "need 'atoms' or 'uniform_poisson_rate'")
 
 
-def _get_float(section, key: str, default: float) -> float:
-    if key not in section:
-        return default
-    try:
-        return float(section[key])
-    except ValueError as exc:
-        raise ValidationError(key, f"not a number: {section[key]!r}") from exc
-
-
-def _get_int(section, key: str, default: int) -> int:
-    if key not in section:
-        return default
-    try:
-        return int(section[key])
-    except ValueError as exc:
-        raise ValidationError(key, f"not an integer: {section[key]!r}") from exc
-
-
-def _get_bool(section, key: str, default: bool) -> bool:
-    if key not in section:
-        return default
-    raw = section[key].strip().lower()
-    if raw in ("1", "true", "yes", "on"):
-        return True
-    if raw in ("0", "false", "no", "off"):
-        return False
-    raise ValidationError(key, f"not a boolean: {section[key]!r}")
-
-
-def _get_levels(section, key: str, default: tuple[float, ...]) -> tuple[float, ...]:
-    if key not in section:
-        return default
-    try:
-        vals = tuple(float(p) for p in section[key].split(",") if p.strip() != "")
-    except ValueError as exc:
-        raise ValidationError(key, "bad level list") from exc
-    if not vals:
-        raise ValidationError(key, "empty level list")
-    return vals
-
-
-def _check_levels(name: str, levels: tuple[float, ...]):
-    if any(not (0.0 < l < 1.0) for l in levels):
-        raise ValidationError(name, "levels must lie in (0, 1)")
-    if any(b >= a for a, b in zip(levels, levels[1:])):
-        raise ValidationError(name, "levels must be strictly decreasing")
-
-
 def load_config(
     path,
     experiment: str | None = None,
@@ -279,7 +253,8 @@ def load_config(
 ) -> ExperimentConfig:
     """Parse and validate a config file, applying CLI overrides.
 
-    Worker precedence: the `workers` argument, then the file, then the
+    An override replaces the file's value before it is parsed.  Worker
+    precedence: the `workers` argument, then the file, then the
     BPIRE_WORKERS environment variable, then 1.
     """
     with open(path) as fh:
@@ -308,15 +283,15 @@ def load_config(
 
     if not cp.has_section("model") or "kappa" not in cp["model"]:
         raise ValidationError("kappa", "missing [model] kappa")
-    kappa = _get_float(cp["model"], "kappa", 0.0)
-    delta = _get_float(cp["model"], "delta", 0.5)
+    kappa = _float("kappa", cp["model"]["kappa"])
+    delta = _float("delta", cp["model"].get("delta", 0.5))
     try:
         model = ModelSpec(env=env, kappa=kappa, delta=delta)
     except ValueError as exc:
         raise ValidationError("model", str(exc)) from exc
 
-    exp_section = cp["experiment"] if cp.has_section("experiment") else {}
-    file_name = exp_section.get("name") if hasattr(exp_section, "get") else None
+    raw = dict(cp["experiment"]) if cp.has_section("experiment") else {}
+    file_name = raw.pop("name", None)
     if experiment is not None and file_name is not None and experiment != file_name:
         raise ValidationError("experiment", f"file names {file_name!r} but {experiment!r} was requested")
     name = experiment or file_name
@@ -325,99 +300,34 @@ def load_config(
     if name not in EXPERIMENTS:
         raise ValidationError("experiment", f"unknown experiment {name!r}")
 
-    replicas = _get_int(exp_section, "replicas", _DEFAULT_REPLICAS[name])
-    if replicas < 1:
-        raise ValidationError("replicas", "must be >= 1")
-    file_seed = _get_int(exp_section, "seed", 12345)
-    eff_seed = file_seed if seed is None else int(seed)
-    if not 0 <= eff_seed < 2**64:
-        raise ValidationError("seed", "must fit in 64 bits")
-    epsilon = _get_float(exp_section, "epsilon_trunc", 1e-6)
-    if not 0.0 < epsilon < 1.0:
-        raise ValidationError("epsilon_trunc", "must lie in (0, 1)")
-    grid = _get_levels(exp_section, "grid", (1e-2, 1e-3, 1e-4, 1e-5))
-    _check_levels("grid", grid)
-    metric_levels = _get_levels(
-        exp_section, "metric_levels", _DEFAULT_METRIC_LEVELS.get(name, (1e-3,))
-    )
-    _check_levels("metric_levels", metric_levels)
-    tolerance = _get_float(exp_section, "tolerance", _DEFAULT_TOLERANCE[name])
-    if tolerance < 0.0:
-        raise ValidationError("tolerance", "must be >= 0")
-
-    if workers is not None:
-        eff_workers = int(workers)
-    elif "workers" in exp_section:
-        eff_workers = _get_int(exp_section, "workers", 1)
-    elif os.environ.get("BPIRE_WORKERS"):
+    overrides = {"seed": seed, "workers": workers, "out_dir": out_dir}
+    raw.update((key, value) for key, value in overrides.items() if value is not None)
+    if "workers" not in raw and os.environ.get("BPIRE_WORKERS"):
         try:
-            eff_workers = int(os.environ["BPIRE_WORKERS"])
+            raw["workers"] = int(os.environ["BPIRE_WORKERS"])
         except ValueError as exc:
             raise ValidationError("BPIRE_WORKERS", "not an integer") from exc
-    else:
-        eff_workers = 1
-    if eff_workers < 1:
-        raise ValidationError("workers", "must be >= 1")
 
-    eff_out = out_dir if out_dir is not None else exp_section.get("out_dir", "out") if hasattr(exp_section, "get") else "out"
+    values = {}
+    for f in _KEYS:
+        meta = f.metadata
+        value = meta["parse"](f.name, raw[f.name]) if f.name in raw else meta["default"][name]
+        if meta["check"] is not None and not meta["check"](value):
+            raise ValidationError(f.name, meta["message"])
+        values[f.name] = value
 
-    b_law = _parse_immigration(exp_section["b_law"]) if "b_law" in exp_section else None
-    n_law = _parse_immigration(exp_section["n_law"]) if "n_law" in exp_section else None
-    if name == "lemma1" and b_law is None:
+    if name == "lemma1" and values["b_law"] is None:
         raise ValidationError("b_law", "lemma1 needs a designated immigration law")
-    if name == "grey" and n_law is None:
+    if name == "grey" and values["n_law"] is None:
         raise ValidationError("n_law", "grey needs an independent heavy-tailed count law")
-
-    i_max = _get_int(exp_section, "i_max", 4)
-    if i_max < 2:
-        raise ValidationError("i_max", "must be >= 2 (the decay fit needs 3 points)")
-    level = _get_float(exp_section, "level", 1e-3)
-    if not 0.0 < level < 1.0:
-        raise ValidationError("level", "must lie in (0, 1)")
-    alpha = _get_float(exp_section, "alpha", 1.0)
-    if alpha <= 0.0:
-        raise ValidationError("alpha", "must be > 0")
-    n_gens = _get_int(exp_section, "n_gens", 10)
-    if n_gens < 3:
-        raise ValidationError("n_gens", "must be >= 3")
-    state_cap = _get_int(exp_section, "state_cap", 64)
-    if not 1 <= state_cap <= 4096:
-        raise ValidationError("state_cap", "must lie in [1, 4096]")
-    tv_tol = _get_float(exp_section, "tv_tol", 0.005)
-    if tv_tol <= 0.0:
-        raise ValidationError("tv_tol", "must be > 0")
-    hill_k = _get_int(exp_section, "hill_k", 0)
-    if hill_k < 0 or hill_k == 1:
-        raise ValidationError("hill_k", "must be 0 (automatic) or >= 2")
-    if hill_k >= replicas and name in ("theorem", "hill"):
-        raise ValidationError("hill_k", f"must be below replicas ({replicas})")
-
-    return ExperimentConfig(
-        experiment=name,
-        model=model,
-        replicas=replicas,
-        seed=eff_seed,
-        epsilon_trunc=epsilon,
-        grid=grid,
-        metric_levels=metric_levels,
-        workers=eff_workers,
-        out_dir=str(eff_out),
-        tolerance=tolerance,
-        dump_samples=_get_bool(exp_section, "dump_samples", False),
-        b_law=b_law,
-        n_law=n_law,
-        i_max=i_max,
-        level=level,
-        alpha=alpha,
-        n_gens=n_gens,
-        state_cap=state_cap,
-        tv_tol=tv_tol,
-        hill_k=hill_k,
-    )
+    if name in ("theorem", "hill") and values["hill_k"] >= values["replicas"]:
+        raise ValidationError("hill_k", f"must be below replicas ({values['replicas']})")
+    return ExperimentConfig(experiment=name, model=model, **values)
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
-    """JSON-ready echo of a resolved config (laws as their label syntax)."""
+    """JSON-ready echo of a resolved config: laws as their label syntax,
+    level lists as lists, and keys left at None omitted."""
     env = cfg.model.env
     if env.is_atomic:
         env_d = {
@@ -435,29 +345,14 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
             "uniform_poisson_rate": [env.rate_lo, env.rate_hi],
             "immigration": law_label(env.rate_immigration),
         }
-    out = {
-        "experiment": cfg.experiment,
-        "model": {"kappa": cfg.model.kappa, "delta": cfg.model.delta},
-        "env": env_d,
-        "replicas": cfg.replicas,
-        "seed": cfg.seed,
-        "epsilon_trunc": cfg.epsilon_trunc,
-        "grid": list(cfg.grid),
-        "metric_levels": list(cfg.metric_levels),
-        "workers": cfg.workers,
-        "out_dir": cfg.out_dir,
-        "tolerance": cfg.tolerance,
-        "dump_samples": cfg.dump_samples,
-        "i_max": cfg.i_max,
-        "level": cfg.level,
-        "alpha": cfg.alpha,
-        "n_gens": cfg.n_gens,
-        "state_cap": cfg.state_cap,
-        "tv_tol": cfg.tv_tol,
-        "hill_k": cfg.hill_k,
-    }
-    if cfg.b_law is not None:
-        out["b_law"] = law_label(cfg.b_law)
-    if cfg.n_law is not None:
-        out["n_law"] = law_label(cfg.n_law)
+    model = {"kappa": cfg.model.kappa, "delta": cfg.model.delta}
+    out = {"experiment": cfg.experiment, "model": model, "env": env_d}
+    for f in _KEYS:
+        value = getattr(cfg, f.name)
+        if isinstance(value, ImmigrationFamily):
+            value = law_label(value)
+        elif isinstance(value, tuple):
+            value = list(value)
+        if value is not None:
+            out[f.name] = value
     return out

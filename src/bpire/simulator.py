@@ -108,6 +108,10 @@ def thin_for_batch(batch: EnvBatch, values: np.ndarray, rng: RngState) -> np.nda
                 _guard(nd * x.astype(float))
             out[sel] = rng.gen.binomial(nd * x, pd)
         else:
+            # numpy raises ValueError where (1 - p)/p (x + 10 sqrt(x)), its
+            # bound on the Poisson mean of the gamma mixture, nears 2^63;
+            # the bound exceeds the mean x (1 - p)/p, so guard the bound
+            _guard((1.0 - pd) / pd * (x + 10.0 * np.sqrt(x)))
             out[sel] = rng.gen.negative_binomial(x, pd)
     return out
 
@@ -173,6 +177,13 @@ def _invert_by_bisection(law: ImmigrationFamily, u: np.ndarray) -> np.ndarray:
     return out
 
 
+def _guard_draw(t: np.ndarray) -> np.ndarray:
+    """A closed form's real draws, refused before the int64 cast if past 2^62."""
+    if t.max(initial=0.0) > OVERFLOW_LIMIT:
+        raise OverflowError("immigration draw exceeds 2^62")
+    return t
+
+
 def sample_immigration_batch(law: ImmigrationFamily, rng: RngState, size: int) -> np.ndarray:
     """Inversion sampling: B = min{x >= 0 : S(x) <= U}, U uniform on (0, 1].
 
@@ -187,15 +198,13 @@ def sample_immigration_batch(law: ImmigrationFamily, rng: RngState, size: int) -
     if law.kind == "geometric0":
         if law.p == 1.0:
             return np.zeros(size, dtype=np.int64)
-        t = np.log(u) / math.log1p(-law.p)
+        t = _guard_draw(np.log(u) / math.log1p(-law.p))
         cand = np.floor(t).astype(np.int64)
         np.clip(cand, 0, None, out=cand)
         return _survival_adjust(law, cand, u, t, 2.0**-32 / (law.p * (1.0 - law.p)))
     # dpareto
     if law.beta == 0.0:
-        t = (law.c / u) ** (1.0 / law.kappa) - 1.0
-        if t.size and t.max(initial=0.0) > OVERFLOW_LIMIT:
-            raise OverflowError("immigration draw exceeds 2^62")
+        t = _guard_draw((law.c / u) ** (1.0 / law.kappa) - 1.0)
         cand = np.ceil(np.maximum(t, 0.0)).astype(np.int64)
         return _survival_adjust(law, cand, u, t, 2.0**-32 * (1.0 + 1.0 / law.kappa))
     return _invert_by_bisection(law, u)

@@ -1,10 +1,12 @@
 """Config parsing: defaults, law grammar, validation messages, overrides."""
 
 import os
+import pathlib
+import re
 
 import pytest
 
-from bpire.config import EXPERIMENTS, config_to_dict, load_config
+from bpire.config import _SECTION_KEYS, EXPERIMENTS, config_to_dict, load_config
 from bpire.env_model import ImmigrationFamily, OffspringFamily, law_label
 from bpire.errors import ParseError, ValidationError
 
@@ -267,3 +269,84 @@ def test_every_experiment_name_is_loadable(tmp_path):
     for name in EXPERIMENTS:
         cfg = load_config(path, experiment=name)
         assert cfg.experiment == name
+
+
+# One row per way an [experiment] key is rejected: (key, value, experiment,
+# field named, message).  Laws are blamed on "immigration", the grammar they
+# share with [env].  out_dir takes any path; `bpire` exits 3 on one it cannot
+# create.
+REJECTIONS = [
+    ("name", "nosuch", None, "experiment", "unknown experiment 'nosuch'"),
+    ("name", "hill", "theorem", "experiment", "file names 'hill' but 'theorem' was requested"),
+    ("replicas", "0", "check", "replicas", "must be >= 1"),
+    ("replicas", "1e6", "check", "replicas", "not an integer: '1e6'"),
+    ("seed", "-1", "check", "seed", "must fit in 64 bits"),
+    ("seed", str(2**64), "check", "seed", "must fit in 64 bits"),
+    ("seed", "0x10", "check", "seed", "not an integer: '0x10'"),
+    ("epsilon_trunc", "1", "theorem", "epsilon_trunc", "must lie in (0, 1)"),
+    ("epsilon_trunc", "small", "theorem", "epsilon_trunc", "not a number: 'small'"),
+    ("epsilon_trunc", "nan", "theorem", "epsilon_trunc", "not a number: 'nan'"),
+    ("epsilon_trunc", "-inf", "theorem", "epsilon_trunc", "not a number: '-inf'"),
+    ("grid", "1e-3, 1e-2", "theorem", "grid", "levels must be strictly decreasing"),
+    ("grid", "1e-2, 1e-2", "theorem", "grid", "levels must be strictly decreasing"),
+    ("grid", "1e-2, 1", "theorem", "grid", "levels must lie in (0, 1)"),
+    ("grid", "1e-2, nan", "theorem", "grid", "levels must lie in (0, 1)"),
+    ("grid", "1e-2, x", "theorem", "grid", "bad level list"),
+    ("grid", ",", "theorem", "grid", "empty level list"),
+    ("metric_levels", "0", "lemma1", "metric_levels", "levels must lie in (0, 1)"),
+    ("metric_levels", "1e-4, 1e-3", "lemma1", "metric_levels", "levels must be strictly decreasing"),
+    ("workers", "0", "check", "workers", "must be >= 1"),
+    ("workers", "two", "check", "workers", "not an integer: 'two'"),
+    ("tolerance", "-0.1", "theorem", "tolerance", "must be >= 0"),
+    ("tolerance", "nan", "theorem", "tolerance", "not a number: 'nan'"),
+    ("dump_samples", "maybe", "theorem", "dump_samples", "not a boolean: 'maybe'"),
+    ("b_law", "dpareto", "lemma1", "immigration", "cannot parse law 'dpareto'"),
+    ("b_law", "dpareto:-2,1", "lemma1", "immigration", "'dpareto:-2,1': dpareto kappa must be > 0"),
+    ("n_law", "poisson:1", "grey", "immigration", "cannot parse law 'poisson:1'"),
+    ("n_law", "geometric0:2", "grey", "immigration", "'geometric0:2': geometric0 p must lie in (0, 1]"),
+    ("i_max", "1", "corollary", "i_max", "must be >= 2 (the decay fit needs 3 points)"),
+    ("i_max", "2.5", "corollary", "i_max", "not an integer: '2.5'"),
+    ("level", "1", "corollary", "level", "must lie in (0, 1)"),
+    ("level", "nan", "corollary", "level", "not a number: 'nan'"),
+    ("alpha", "0", "decay", "alpha", "must be > 0"),
+    ("alpha", "nan", "decay", "alpha", "not a number: 'nan'"),
+    ("alpha", "inf", "decay", "alpha", "not a number: 'inf'"),
+    ("alpha", "1e400", "decay", "alpha", "not a number: '1e400'"),
+    ("n_gens", "2", "decay", "n_gens", "must be >= 3"),
+    ("state_cap", "0", "oracle", "state_cap", "must lie in [1, 4096]"),
+    ("state_cap", "4097", "oracle", "state_cap", "must lie in [1, 4096]"),
+    ("tv_tol", "0", "oracle", "tv_tol", "must be > 0"),
+    ("tv_tol", "nan", "oracle", "tv_tol", "not a number: 'nan'"),
+    ("hill_k", "1", "hill", "hill_k", "must be 0 (automatic) or >= 2"),
+    ("hill_k", "-3", "hill", "hill_k", "must be 0 (automatic) or >= 2"),
+    ("hill_k", "1000000", "hill", "hill_k", "must be below replicas (1000000)"),
+]
+
+
+def test_every_experiment_key_has_a_rejection_row():
+    assert {row[0] for row in REJECTIONS} == _SECTION_KEYS["experiment"] - {"out_dir"}
+
+
+@pytest.mark.parametrize("key, value, experiment, field, message", REJECTIONS)
+def test_every_key_rejects_a_bad_value(tmp_path, key, value, experiment, field, message):
+    laws = "".join(f"{law} = dpareto:2,1,0\n" for law in ("b_law", "n_law") if law != key)
+    path = _write(tmp_path, MINIMAL + f"\n[experiment]\n{laws}{key} = {value}\n")
+    with pytest.raises(ValidationError) as err:
+        load_config(path, experiment=experiment)
+    assert err.value.field == field
+    assert str(err.value) == f"{field}: {message}"
+
+
+def test_an_override_replaces_the_file_value_before_parsing(tmp_path):
+    path = _write(tmp_path, MINIMAL + "\n[experiment]\nseed = abc\nworkers = x\nout_dir =\n")
+    cfg = load_config(path, experiment="check", seed=7, workers=2, out_dir="o")
+    assert (cfg.seed, cfg.workers, cfg.out_dir) == (7, 2, "o")
+    with pytest.raises(ValidationError) as err:
+        load_config(path, experiment="check", workers=2, out_dir="o")
+    assert str(err.value) == "seed: not an integer: 'abc'"
+
+
+def test_readme_table_names_every_experiment_key():
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    rows = re.findall(r"^\| `(\w+)` ", readme.read_text(), flags=re.M)
+    assert sorted(rows) == sorted(_SECTION_KEYS["experiment"])

@@ -509,6 +509,13 @@ def test_cli_config_error_exit_three(tmp_path, capsys):
     assert "config error" in captured.err
 
 
+def test_cli_non_finite_float_exit_three(tmp_path, capsys):
+    path = _cfg_file(tmp_path, SUBCRITICAL, "alpha = nan\n")
+    code = cli.main(["decay", "--config", path, "--out", str(tmp_path / "o")])
+    assert code == 3
+    assert capsys.readouterr().err == "config error: alpha: not a number: 'nan'\n"
+
+
 @pytest.mark.parametrize(
     "experiment, replicas, hill_k",
     [

@@ -133,6 +133,14 @@ def test_thin_overflow_guard():
         thin_one(OffspringFamily.poisson(4.0), 1 << 61, rng)
 
 
+@pytest.mark.parametrize("p, x", [(1e-6, 1 << 50), (1e-18, 1)])
+def test_thin_geometric0_overflow_guard(p, x):
+    # a mean of x (1 - p)/p past 2^62; at x = 1 the mean, 1e18, is below it
+    # but numpy's own bound on the negative binomial is not
+    with pytest.raises(OverflowError):
+        thin_one(OffspringFamily.geometric0(p), x, RngState.from_seed(0))
+
+
 # The four-family environment of the stream pins (PIN_INLINE["mixed"] in
 # test_experiments.py): every offspring family, three immigration samplers,
 # and two atoms that share one immigration law.
@@ -239,6 +247,12 @@ def test_immigration_checks_survival_only_near_integers(monkeypatch):
     monkeypatch.setattr(simulator, "immigration_survival", counting)
     sample_immigration_batch(ImmigrationFamily.discrete_pareto(2.0, 1.0), RngState.from_seed(3), 8192)
     assert sum(seen) <= 8
+
+
+def test_immigration_geometric0_overflow_guard():
+    # a mean of 1e20: the closed form passes 2^62 and must not be cast
+    with pytest.raises(OverflowError):
+        sample_immigration_batch(ImmigrationFamily.geometric0(1e-20), RngState.from_seed(1), 10)
 
 
 def test_immigration_bisection_agrees_with_survival_definition():
