@@ -130,9 +130,9 @@ class ExperimentConfig:
         "must be >= 0",
     )
     workers: int = _key(_int, 1, lambda w: w >= 1, "must be >= 1")
-    out_dir: str = _key(lambda key, raw: str(raw), "out")
-    b_law: ImmigrationFamily | None = _key(lambda key, raw: _parse_immigration(raw), None)
-    n_law: ImmigrationFamily | None = _key(lambda key, raw: _parse_immigration(raw), None)
+    out_dir: str = _key(lambda key, raw: str(raw), "out", lambda d: d != "", "must not be empty")
+    b_law: ImmigrationFamily | None = _key(lambda key, raw: _parse_immigration(key, raw), None)
+    n_law: ImmigrationFamily | None = _key(lambda key, raw: _parse_immigration(key, raw), None)
     i_max: int = _key(_int, 4, lambda i: i >= 2, "must be >= 2 (the decay fit needs 3 points)")
     level: float = _key(_float, 1e-3, lambda v: 0.0 < v < 1.0, "must lie in (0, 1)")
     alpha: float = _key(_float, 1.0, lambda a: a > 0.0, "must be > 0")
@@ -167,7 +167,8 @@ def _unknown_key_error(text: str, section: str, key: str) -> ParseError:
     return ParseError(msg, line=_find_line(text, key))
 
 
-def _parse_offspring(tok: str) -> OffspringFamily:
+def _parse_offspring(key: str, tok: str) -> OffspringFamily:
+    """An offspring law token; a bad one is blamed on `key`."""
     kind, _, rest = tok.partition(":")
     args = [a for a in rest.split(",") if a != ""]
     try:
@@ -180,11 +181,12 @@ def _parse_offspring(tok: str) -> OffspringFamily:
         if kind == "binomial" and len(args) == 2:
             return OffspringFamily.binomial(int(args[0]), float(args[1]))
     except ValueError as exc:
-        raise ValidationError("offspring", f"{tok!r}: {exc}") from exc
-    raise ValidationError("offspring", f"cannot parse law {tok!r}")
+        raise ValidationError(key, f"{tok!r}: {exc}") from exc
+    raise ValidationError(key, f"cannot parse law {tok!r}")
 
 
-def _parse_immigration(tok: str) -> ImmigrationFamily:
+def _parse_immigration(key: str, tok: str) -> ImmigrationFamily:
+    """An immigration law token; a bad one is blamed on `key`."""
     kind, _, rest = tok.partition(":")
     args = [a for a in rest.split(",") if a != ""]
     try:
@@ -198,8 +200,17 @@ def _parse_immigration(tok: str) -> ImmigrationFamily:
         if kind == "geometric0" and len(args) == 1:
             return ImmigrationFamily.geometric0(float(args[0]))
     except ValueError as exc:
-        raise ValidationError("immigration", f"{tok!r}: {exc}") from exc
-    raise ValidationError("immigration", f"cannot parse law {tok!r}")
+        raise ValidationError(key, f"{tok!r}: {exc}") from exc
+    raise ValidationError(key, f"cannot parse law {tok!r}")
+
+
+def _parse_atom(weight: str, offspring: str, immigration: str) -> EnvAtom:
+    """The three fields of one atom line."""
+    w = _float("weight", weight)
+    try:
+        return EnvAtom(w, _parse_offspring("offspring", offspring), _parse_immigration("immigration", immigration))
+    except ValueError as exc:  # EnvAtom refuses the weight
+        raise ValidationError("weight", str(exc)) from exc
 
 
 def _parse_env(section, text: str) -> EnvSpec:
@@ -210,17 +221,17 @@ def _parse_env(section, text: str) -> EnvSpec:
             raise ValidationError(extra, "not allowed alongside 'atoms'")
         atoms = []
         for raw in section["atoms"].splitlines():
-            raw = raw.strip()
-            if not raw:
-                continue
             parts = raw.split()
+            if not parts:
+                continue
+            # an atom written on the key's own line is found by the key
+            where = f"line {_find_line(text, raw.strip()) or _find_line(text, 'atoms')}"
             if len(parts) != 3:
-                raise ValidationError("atoms", f"expected 'weight offspring immigration', got {raw!r}")
+                raise ValidationError("atoms", f"{where}: expected 'weight offspring immigration', got {raw.strip()!r}")
             try:
-                w = float(parts[0])
-            except ValueError as exc:
-                raise ValidationError("atoms", f"bad weight in {raw!r}") from exc
-            atoms.append(EnvAtom(w, _parse_offspring(parts[1]), _parse_immigration(parts[2])))
+                atoms.append(_parse_atom(*parts))
+            except ValidationError as exc:
+                raise ValidationError("atoms", f"{where}: {exc}") from exc
         if not atoms:
             raise ValidationError("atoms", "no atom lines given")
         try:
@@ -238,7 +249,7 @@ def _parse_env(section, text: str) -> EnvSpec:
         except ValueError as exc:
             raise ValidationError("uniform_poisson_rate", "bad bounds") from exc
         try:
-            return EnvSpec.uniform_poisson_rate(lo, hi, _parse_immigration(section["immigration"]))
+            return EnvSpec.uniform_poisson_rate(lo, hi, _parse_immigration("immigration", section["immigration"]))
         except ValueError as exc:
             raise ValidationError("uniform_poisson_rate", str(exc)) from exc
     raise ValidationError("env", "need 'atoms' or 'uniform_poisson_rate'")

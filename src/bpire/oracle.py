@@ -23,6 +23,7 @@ from .env_model import (
     ImmigrationFamily,
     OffspringFamily,
     immigration_pmf,
+    offspring_pmf,
     thinned_offspring_pmf,
 )
 from .errors import NoConvergence, PmfUnavailable, ResidualTooLarge
@@ -39,10 +40,9 @@ MAX_STATES = 4096
 _SUPPORT_TAIL = 1e-16
 # block size B of build_kernel's matrix product; bounds its scratch memory
 _KERNEL_BLOCK = 64
-# rows per pmf call in build_kernel: one call per row costs scipy's per-call
-# overhead 2n times, while one call per 64-row block leaves scipy temporaries
-# (64 x 2049 floats each, at cap 2048) that raised peak RSS by 3 MB
-_PMF_ROWS = 16
+# build_kernel skips a B x B block of thinned pmf whose entries are all at or
+# below this floor; each row then loses at most (n_max + 1) * floor of mass
+_BAND_FLOOR = 1e-20
 
 
 @dataclass(frozen=True)
@@ -72,8 +72,16 @@ def build_kernel(env: EnvSpec, n_max: int) -> TruncatedKernel:
     """Dense one-step kernel of the chain on {0..n_max}.
 
     Row x mixes, over environment atoms, the pmf of (x-fold offspring sum +
-    immigration).  Entries below n_max are exact; column n_max absorbs the
-    complement and the excess over the exact value is recorded as clip.
+    immigration).  Column n_max absorbs the complement of the others and the
+    excess over its exact value is recorded as clip.
+
+    Banded thinning: a B x B block of thinned offspring pmf whose entries are
+    all <= _BAND_FLOOR (tau = 1e-20) is left out of the product.  Each left-out
+    entry carries at most tau of mass (the immigration pmf sums to 1), so
+    entries below n_max fall short of their exact value by at most
+    (n_max + 1) * tau in total over a row, and that mass moves to column n_max
+    and into row_clip.  A block holding a point mass is never left out, and
+    a left-out block of exact zeros changes nothing, so exact zeros stay exact.
     """
     if not env.is_atomic:
         raise PmfUnavailable("exact kernel needs an atomic environment")
@@ -94,10 +102,12 @@ def build_kernel(env: EnvSpec, n_max: int) -> TruncatedKernel:
             shifts[a, a:] = imm[: size - a]
         for lo in range(0, size, _KERNEL_BLOCK):
             hi = min(lo + _KERNEL_BLOCK, size)
-            rows = [np.arange(a, min(a + _PMF_ROWS, hi))[:, None] for a in range(lo, hi, _PMF_ROWS)]
-            thinned = atom.weight * np.concatenate([thinned_offspring_pmf(atom.offspring, x, ks) for x in rows])
+            pmf = thinned_offspring_pmf(atom.offspring, np.arange(lo, hi)[:, None], ks)
+            thinned = atom.weight * pmf
             for j0 in range(0, size, _KERNEL_BLOCK):
                 j1 = min(j0 + _KERNEL_BLOCK, size)
+                if pmf[:, j0:j1].max() <= _BAND_FLOOR:
+                    continue
                 body[lo:hi, j0:] += thinned[:, j0:j1] @ shifts[: j1 - j0, : size - j0]
     exact_at_cap = body[:, n_max].copy()
     body[:, n_max] = np.maximum(0.0, 1.0 - body[:, :n_max].sum(axis=1))
@@ -132,17 +142,18 @@ def _single_draw_support(law: OffspringFamily) -> np.ndarray:
     elif law.kind == "binomial":
         hi = law.n
     elif law.kind == "poisson":
-        import scipy.stats as st  # deferred: slow to import, sampling never needs it
-
-        hi = int(st.poisson.isf(_SUPPORT_TAIL, law.rate)) + 2 if law.rate > 0 else 0
+        # 12 standard deviations and 60 more: the tail is far below 1e-16
+        # there.  Tail sums run from the right, so they resolve 1e-16, which
+        # 1 - cumsum cannot.
+        pmf = offspring_pmf(law, np.arange(int(law.rate + 12.0 * math.sqrt(law.rate)) + 60))
+        tail = np.cumsum(pmf[::-1])[::-1]  # tail[k] = P(A >= k)
+        hi = int(np.argmax(tail < _SUPPORT_TAIL)) + 1
     else:  # geometric0
         if law.p == 1.0:
             hi = 0
         else:
             hi = int(math.ceil(math.log(_SUPPORT_TAIL) / math.log1p(-law.p))) + 2
-    from .env_model import offspring_pmf
-
-    return np.asarray(offspring_pmf(law, np.arange(hi + 1)), dtype=float)
+    return offspring_pmf(law, np.arange(hi + 1))
 
 
 def brute_force_random_sum_tail(env: EnvSpec, b_law: ImmigrationFamily, x: int, cap: int) -> float:

@@ -239,10 +239,23 @@ uniform_poisson_rate = 0.0, 0.9
 
 
 def test_bad_law_token_is_a_validation_error(tmp_path):
+    # an atom line's fault names the key and the file line it sits on
     text = MINIMAL.replace("poisson:0.3", "poison:0.3")
     with pytest.raises(ValidationError) as err:
         load_config(_write(tmp_path, text), experiment="check")
-    assert "poison" in str(err.value)
+    assert str(err.value) == "atoms: line 6: offspring: cannot parse law 'poison:0.3'"
+    second = "0.5 poisson:0.9 dpareto:2,1,0"
+    bad_lines = [
+        (second, "0.5 poisson:0.9 dpareto:-2,1", 7, "immigration: 'dpareto:-2,1': dpareto kappa must be > 0"),
+        (second, "x poisson:0.9 dpareto:2,1,0", 7, "weight: not a number: 'x'"),
+        (second, "-0.5 poisson:0.9 dpareto:2,1,0", 7, "weight: atom weight must be > 0"),
+        (second, "0.5 poisson:0.9", 7, "expected 'weight offspring immigration', got '0.5 poisson:0.9'"),
+        ("atoms =\n", "atoms = 1.0 poisson:0.3 bad\n", 5, "immigration: cannot parse law 'bad'"),
+    ]
+    for old, new, line, message in bad_lines:
+        with pytest.raises(ValidationError) as err:
+            load_config(_write(tmp_path, MINIMAL.replace(old, new)), experiment="check")
+        assert str(err.value) == f"atoms: line {line}: {message}"
 
 
 def test_dump_samples_bool_parsing(tmp_path):
@@ -272,9 +285,8 @@ def test_every_experiment_name_is_loadable(tmp_path):
 
 
 # One row per way an [experiment] key is rejected: (key, value, experiment,
-# field named, message).  Laws are blamed on "immigration", the grammar they
-# share with [env].  out_dir takes any path; `bpire` exits 3 on one it cannot
-# create.
+# field named, message).  out_dir takes any non-empty path; `bpire` exits 3
+# on one it cannot create.
 REJECTIONS = [
     ("name", "nosuch", None, "experiment", "unknown experiment 'nosuch'"),
     ("name", "hill", "theorem", "experiment", "file names 'hill' but 'theorem' was requested"),
@@ -297,13 +309,14 @@ REJECTIONS = [
     ("metric_levels", "1e-4, 1e-3", "lemma1", "metric_levels", "levels must be strictly decreasing"),
     ("workers", "0", "check", "workers", "must be >= 1"),
     ("workers", "two", "check", "workers", "not an integer: 'two'"),
+    ("out_dir", "", "check", "out_dir", "must not be empty"),
     ("tolerance", "-0.1", "theorem", "tolerance", "must be >= 0"),
     ("tolerance", "nan", "theorem", "tolerance", "not a number: 'nan'"),
     ("dump_samples", "maybe", "theorem", "dump_samples", "not a boolean: 'maybe'"),
-    ("b_law", "dpareto", "lemma1", "immigration", "cannot parse law 'dpareto'"),
-    ("b_law", "dpareto:-2,1", "lemma1", "immigration", "'dpareto:-2,1': dpareto kappa must be > 0"),
-    ("n_law", "poisson:1", "grey", "immigration", "cannot parse law 'poisson:1'"),
-    ("n_law", "geometric0:2", "grey", "immigration", "'geometric0:2': geometric0 p must lie in (0, 1]"),
+    ("b_law", "dpareto", "lemma1", "b_law", "cannot parse law 'dpareto'"),
+    ("b_law", "dpareto:-2,1", "lemma1", "b_law", "'dpareto:-2,1': dpareto kappa must be > 0"),
+    ("n_law", "poisson:1", "grey", "n_law", "cannot parse law 'poisson:1'"),
+    ("n_law", "geometric0:2", "grey", "n_law", "'geometric0:2': geometric0 p must lie in (0, 1]"),
     ("i_max", "1", "corollary", "i_max", "must be >= 2 (the decay fit needs 3 points)"),
     ("i_max", "2.5", "corollary", "i_max", "not an integer: '2.5'"),
     ("level", "1", "corollary", "level", "must lie in (0, 1)"),
@@ -324,7 +337,7 @@ REJECTIONS = [
 
 
 def test_every_experiment_key_has_a_rejection_row():
-    assert {row[0] for row in REJECTIONS} == _SECTION_KEYS["experiment"] - {"out_dir"}
+    assert {row[0] for row in REJECTIONS} == _SECTION_KEYS["experiment"]
 
 
 @pytest.mark.parametrize("key, value, experiment, field, message", REJECTIONS)

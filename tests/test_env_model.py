@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 import scipy.stats as st
 from scipy import integrate
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from bpire.env_model import (
@@ -32,6 +32,7 @@ from bpire.env_model import (
     moment_A,
     offspring_moment,
     pareto_tail_params,
+    thinned_offspring_pmf,
 )
 from bpire.rng import RngState
 
@@ -72,6 +73,51 @@ def test_offspring_moment_bernoulli_binomial_exact():
     assert offspring_moment(OffspringFamily.bernoulli(0.35), 7.3) == pytest.approx(0.35, rel=1e-12)
     direct = float(np.sum(np.arange(4.0) ** 2 * st.binom.pmf(np.arange(4), 3, 0.5)))
     assert offspring_moment(OffspringFamily.binomial(3, 0.5), 2.0) == pytest.approx(direct, rel=1e-12)
+
+
+OFFSPRING_LAWS = hst.one_of(
+    hst.floats(0.0, 2.5).map(OffspringFamily.poisson),
+    hst.floats(0.0, 1.0).map(OffspringFamily.bernoulli),
+    hst.floats(0.01, 1.0).map(OffspringFamily.geometric0),
+    hst.builds(OffspringFamily.binomial, hst.integers(1, 8), hst.floats(0.0, 1.0)),
+)
+
+
+def _scipy_thinned_pmf(law: OffspringFamily, x: int, ks: np.ndarray) -> np.ndarray:
+    if x == 0:
+        return (ks == 0).astype(float)
+    if law.kind == "poisson":
+        return st.poisson.pmf(ks, x * law.rate)
+    if law.kind == "geometric0":
+        return st.nbinom.pmf(ks, x, law.p)
+    return st.binom.pmf(ks, x * (law.n if law.kind == "binomial" else 1), law.p)
+
+
+def _support_end(law: OffspringFamily, x: int) -> int:
+    """A k beyond which the x-fold sum has mass far below 1e-16."""
+    if law.kind in ("bernoulli", "binomial"):
+        return x * (law.n if law.kind == "binomial" else 1)
+    if law.kind == "poisson":
+        mean = var = x * law.rate
+    else:
+        mean, var = x * (1.0 - law.p) / law.p, x * (1.0 - law.p) / law.p**2
+    return int(mean + 40.0 * math.sqrt(var) + 60.0)
+
+
+@given(law=OFFSPRING_LAWS, x=hst.integers(0, 4096))
+@settings(max_examples=60, deadline=None)
+def test_thinned_pmf_matches_scipy(law, x):
+    # the kernel's pmfs in numpy against scipy.stats, which the package no
+    # longer imports; below 1e-250 only the size of the value is checked
+    ks = np.arange(4097)
+    got = thinned_offspring_pmf(law, x, ks)
+    want = _scipy_thinned_pmf(law, x, ks)
+    big = want >= 1e-250
+    assert np.all(np.abs(got[big] - want[big]) <= 1e-10 * want[big]), np.max(np.abs(got[big] / want[big] - 1))
+    assert np.all(got[~big] < 2e-250)
+    row = thinned_offspring_pmf(law, x, np.arange(_support_end(law, x) + 1))
+    assert abs(float(row.sum()) - 1.0) <= 1e-12
+    assert row.min() >= 0.0
 
 
 def test_kappa_moment_two_atom_mixture():

@@ -69,11 +69,13 @@ def test_kernel_rows_are_distributions_across_configs(off_p, imm_q, n_max):
     assert kern.matrix.min() >= -1e-15
 
 
-@pytest.mark.parametrize("n_max", [8, 63, 200])
+@pytest.mark.parametrize("n_max", [8, 63, 200, 700])
 @pytest.mark.parametrize("make_env", [two_atom_env, coin_env], ids=["config_a", "coin"])
 def test_kernel_matches_per_row_convolution(make_env, n_max):
     # the build's blocked Toeplitz product against one np.convolve per row
-    # and atom; 200 is not a multiple of the block size
+    # and atom; 200 is not a multiple of the block size, and at 700 the
+    # banded build leaves out whole blocks of config_a's thinned pmf (rows
+    # 640-700 of Poisson(0.3 x) put below 1e-26 on states 0-63)
     env = make_env()
     ks = np.arange(n_max + 1)
     body = np.zeros((n_max + 1, n_max + 1))

@@ -1,6 +1,6 @@
 """Package surface: every exported name resolves, the benchmark's tracer
-still finds what it wraps, and the CLI starts without the slow scipy.stats
-import."""
+still finds what it wraps, the CLI starts without the slow scipy.stats
+import, and the exact routes run without scipy at all."""
 
 import importlib
 import importlib.util
@@ -24,12 +24,34 @@ def test_every_exported_name_resolves():
         assert len(set(exported)) == len(exported), f"{mod.__name__}.__all__ repeats a name"
 
 
-def test_cli_import_leaves_scipy_stats_out():
+def _run_fresh(code: str) -> str:
     src = os.path.dirname(os.path.dirname(bpire.__file__))
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    code = "import sys, bpire.cli; print('scipy.stats' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip()
+
+
+def test_cli_import_leaves_scipy_stats_out():
+    assert _run_fresh("import sys, bpire.cli; print('scipy.stats' in sys.modules)") == "False"
+
+
+def test_exact_routes_import_no_scipy():
+    # each process that builds a kernel once paid about 0.8 s to import
+    # scipy.stats for four closed-form pmfs
+    code = """
+import sys
+from bpire.env_model import EnvAtom, EnvSpec, ImmigrationFamily, OffspringFamily, offspring_moment
+from bpire.oracle import brute_force_random_sum_tail, build_kernel, stationary_power_iteration
+env = EnvSpec.from_atoms([
+    EnvAtom(0.5, OffspringFamily.poisson(0.5), ImmigrationFamily.geometric0(0.5)),
+    EnvAtom(0.5, OffspringFamily.binomial(2, 0.3), ImmigrationFamily.bernoulli(0.5)),
+])
+stationary_power_iteration(build_kernel(env, 64))
+offspring_moment(OffspringFamily.binomial(3, 0.5), 2.0)
+brute_force_random_sum_tail(env, ImmigrationFamily.geometric0(0.5), 3, cap=100)
+print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+"""
+    assert _run_fresh(code) == "[]"
 
 
 def _load_spans():
