@@ -262,12 +262,19 @@ class EnvBatch:
 
 
 def draw_env_batch(env: EnvSpec, rng: RngState, size: int) -> EnvBatch:
-    """Draw `size` environments at once; one uniform consumed per draw."""
+    """Draw `size` environments at once; one uniform consumed per draw.
+
+    A draw's atom is the number of cumulative weights, all but the last, at
+    or below its uniform: the atom a right-sided search of the cumulative
+    weights picks, and the last atom where their float sum ends below 1.
+    Counting costs one comparison pass per atom, far less than a search at
+    the one or two atoms of every bundled config.
+    """
     u = rng.gen.random(size)
     if env.is_atomic:
-        cw = np.cumsum([a.weight for a in env.atoms])
-        group = np.searchsorted(cw, u, side="right").astype(np.int64)
-        np.clip(group, 0, len(env.atoms) - 1, out=group)
+        group = np.zeros(size, dtype=np.int64)
+        for c in np.cumsum([a.weight for a in env.atoms])[:-1]:
+            group += u >= c
         return EnvBatch(laws=tuple((a.offspring, a.immigration) for a in env.atoms), group=group)
     rates = env.rate_lo + (env.rate_hi - env.rate_lo) * u
     return EnvBatch(
@@ -510,8 +517,10 @@ def immigration_survival(law: ImmigrationFamily, x) -> np.ndarray | float:
         s = np.where(xc < 1.0, law.q, 0.0)
     elif law.kind == "constant":
         s = np.where(xc < law.b, 1.0, 0.0)
-    else:  # geometric0
-        s = (1.0 - law.p) ** (xc + 1.0)
+    elif law.p == 1.0:  # geometric0 at p = 1 is the point mass at 0
+        s = np.zeros_like(xc)
+    else:  # geometric0; log1p keeps a small p exact where 1 - p would round it
+        s = np.exp((xc + 1.0) * math.log1p(-law.p))
     out = np.where(x < 0.0, 1.0, s)
     return float(out) if out.ndim == 0 else out
 

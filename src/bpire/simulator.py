@@ -41,7 +41,6 @@ __all__ = [
     "thin_for_batch",
     "choose_truncation",
     "sample_stationary_backward_batch",
-    "backward_terms",
     "random_sum_batch",
     "composed_thinning_batch",
     "unit_progeny_batch",
@@ -119,14 +118,17 @@ def thin_for_batch(batch: EnvBatch, values: np.ndarray, rng: RngState) -> np.nda
 # ---- immigration -----------------------------------------------------------
 
 def _survival_adjust(law: ImmigrationFamily, cand: np.ndarray, u: np.ndarray, t: np.ndarray, tol: float) -> np.ndarray:
-    """Closed-form candidates `cand` corrected, in place, to the smallest
-    x >= 0 with S(x) <= u, S as `immigration_survival` evaluates it.
+    """Closed-form candidates `cand` corrected, in place, to the x >= 0 with
+    S(x) <= u and, past x = 0, u < S(x - 1), S as `immigration_survival`
+    evaluates it.
 
     `t` is the real closed form the candidate rounds.  The candidate can be
-    one off only where t lies within float error of an integer, so only the
+    off only where t lies within float error of an integer, so only the
     entries with |t - rint(t)| <= tol (1 + |t|) are checked, by evaluating S
     on both sides of the candidate; exact hits S(x) == u belong to x.  Every
-    t >= 2^52 is an integer and so is checked.  A NaN t is checked too.
+    t >= 2^52 is an integer and so is checked.  A NaN t is checked too.  A
+    checked candidate outside its bracket is drawn again by bisection, which
+    also finds the bracket where S rounds to one value over many x.
 
     The bound, for u >= 2^-53 (the least `uniform_open` returns) and unit
     roundoff e = 2^-53.  dpareto: c/u is off by a relative e, which the
@@ -135,17 +137,18 @@ def _survival_adjust(law: ImmigrationFamily, cand: np.ndarray, u: np.ndarray, t:
     x at least tol (1 + |t|) clear of t, with tol = 2^-32 (1 + 1/kappa),
     puts c (1 + x)^-kappa a relative kappa tol / 2 = 2^-33 (kappa + 1) or
     more away from u, far above the 3e that pow and the product leave in
-    the evaluated S, whatever kappa is.  geometric0: log u, log1p(-p) and
-    the quotient leave t = log(u)/log1p(-p) off by a relative 3e, but S
-    raises the rounded 1 - p, whose log is off by a relative e/(p(1 - p));
-    with tol = 2^-32 / (p(1 - p)), an x + 1 at least tol (1 + |t|) clear of
-    t puts log S at least 2^-32 away from log u, against the 2e of pow.
+    the evaluated S, whatever kappa is.  geometric0: S is
+    exp((x + 1) L) with L = log1p(-p), the L that t = log(u) / L divides
+    by, so t is off by a relative 2e; the product and exp leave log S off
+    by e |(x + 1) L| + e.  An x + 1 at least tol (1 + |t|) clear of t, with
+    tol = 2^-32 (1 + 1/|L|), puts log S at least 2^-32 (|L| + 1) (1 + |t|)
+    away from log u, far above those errors.
     """
     near = np.flatnonzero(~(np.abs(t - np.rint(t)) > tol * (1.0 + np.abs(t))))
     x, v = cand[near], u[near]
-    x = np.where(immigration_survival(law, x) > v, x + 1, x)
-    down = (x > 0) & (immigration_survival(law, x - 1) <= v)
-    cand[near] = np.where(down, x - 1, x)
+    off = (immigration_survival(law, x) > v) | ((x > 0) & (immigration_survival(law, x - 1) <= v))
+    if off.any():
+        cand[near[off]] = _invert_by_bisection(law, v[off])
     return cand
 
 
@@ -160,10 +163,11 @@ def _invert_by_bisection(law: ImmigrationFamily, u: np.ndarray) -> np.ndarray:
     hi = np.ones(n, dtype=np.int64)
     grow = need & (immigration_survival(law, hi) > u)
     while grow.any():
+        # S(2^62) > u: the draw is past 2^62, and doubling would wrap int64
+        if hi[grow].max() >= OVERFLOW_LIMIT:
+            raise OverflowError("immigration draw exceeds 2^62")
         lo[grow] = hi[grow]
         hi[grow] *= 2
-        if hi.max(initial=0) > OVERFLOW_LIMIT:
-            raise OverflowError("immigration draw exceeds 2^62")
         grow = grow & (immigration_survival(law, hi) > u)
     # invariant: S(lo) > u >= S(hi) wherever `need`
     span = need & (hi - lo > 1)
@@ -201,7 +205,7 @@ def sample_immigration_batch(law: ImmigrationFamily, rng: RngState, size: int) -
         t = _guard_draw(np.log(u) / math.log1p(-law.p))
         cand = np.floor(t).astype(np.int64)
         np.clip(cand, 0, None, out=cand)
-        return _survival_adjust(law, cand, u, t, 2.0**-32 / (law.p * (1.0 - law.p)))
+        return _survival_adjust(law, cand, u, t, 2.0**-32 * (1.0 - 1.0 / math.log1p(-law.p)))
     # dpareto
     if law.beta == 0.0:
         t = _guard_draw((law.c / u) ** (1.0 / law.kappa) - 1.0)
@@ -273,38 +277,13 @@ def sample_stationary_backward_batch(model: ModelSpec, trunc: int, rng: RngState
     Built in nested form B_0 + T_0(B_1 + T_1(... + T_{K-1}(B_K))), T_j the
     thinning under generation j's environment: K + 1 forward steps from 0.
     Individuals thin independently given the environment, so this equals
-    the term-by-term sum of `backward_terms` in law, with one thinning per
-    generation instead of one per term and shallower generation.
+    the term-by-term sum T_0(... T_{i-1}(B_i)) over i <= K in law, with one
+    thinning per generation instead of one per term and shallower
+    generation; the tests keep the term-by-term sum as an independent route.
     """
     if trunc < 0:
         raise ValueError("truncation must be >= 0")
     return simulate_forward_batch(0, trunc + 1, model.env, rng, size)
-
-
-def backward_terms(model: ModelSpec, trunc: int, rng: RngState, size: int) -> np.ndarray:
-    """(K+1, size) matrix of individual backward terms; rows share their
-    environment draws, so cumulative sums over rows are the partial sums.
-    Term i is T_0(... T_{i-1}(B_i)) on its own: the independent route to
-    the law of `sample_stationary_backward_batch`."""
-    if trunc < 0:
-        raise ValueError("truncation must be >= 0")
-    # environments for generations 0..K drawn first and shared by every term;
-    # term i is the immigration of generation i pushed through generations
-    # i-1 down to 0, innermost first
-    gens = [draw_env_batch(model.env, rng, size) for _ in range(trunc + 1)]
-    terms = np.zeros((trunc + 1, size), dtype=np.int64)
-    total = np.zeros(size, dtype=np.int64)
-    for i in range(trunc + 1):
-        v = imm_for_batch(gens[i], rng)
-        for j in range(i - 1, -1, -1):
-            if not v.any():
-                break
-            v = thin_for_batch(gens[j], v, rng)
-        terms[i] = v
-        total += v
-        if total.max(initial=0) > OVERFLOW_LIMIT:
-            raise OverflowError("backward sum exceeds 2^62; model looks supercritical")
-    return terms
 
 
 # ---- one-shot samplers for the limit-constant experiments ---------------------

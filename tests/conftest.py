@@ -15,7 +15,9 @@ from bpire.env_model import (
     ImmigrationFamily,
     ModelSpec,
     OffspringFamily,
+    draw_env_batch,
 )
+from bpire.simulator import OVERFLOW_LIMIT, imm_for_batch, thin_for_batch
 
 
 def two_atom_env() -> EnvSpec:
@@ -43,6 +45,33 @@ def coin_env() -> EnvSpec:
 
 def coin_model() -> ModelSpec:
     return ModelSpec(env=coin_env(), kappa=2.0, delta=0.5)
+
+
+def backward_terms(model: ModelSpec, trunc: int, rng, size: int) -> np.ndarray:
+    """(K+1, size) matrix of individual backward terms; rows share their
+    environment draws, so cumulative sums over rows are the partial sums.
+    Term i is T_0(... T_{i-1}(B_i)) on its own, one thinning per term and
+    generation: the independent route to the law of the nested
+    `sample_stationary_backward_batch`."""
+    if trunc < 0:
+        raise ValueError("truncation must be >= 0")
+    # environments for generations 0..K drawn first and shared by every term;
+    # term i is the immigration of generation i pushed through generations
+    # i-1 down to 0, innermost first
+    gens = [draw_env_batch(model.env, rng, size) for _ in range(trunc + 1)]
+    terms = np.zeros((trunc + 1, size), dtype=np.int64)
+    total = np.zeros(size, dtype=np.int64)
+    for i in range(trunc + 1):
+        v = imm_for_batch(gens[i], rng)
+        for j in range(i - 1, -1, -1):
+            if not v.any():
+                break
+            v = thin_for_batch(gens[j], v, rng)
+        terms[i] = v
+        total += v
+        if total.max(initial=0) > OVERFLOW_LIMIT:
+            raise OverflowError("backward sum exceeds 2^62; model looks supercritical")
+    return terms
 
 
 def chi_square_pvalue(samples, pmf, min_expected: float = 5.0) -> float:

@@ -19,10 +19,10 @@ from bpire.env_model import env_immigration_survival
 from bpire.experiments import emit_report, run_experiment
 from bpire.oracle import build_kernel, stationary_power_iteration
 from bpire.rng import RngState
-from bpire.simulator import backward_terms, choose_truncation, simulate_forward_batch
+from bpire.simulator import choose_truncation, simulate_forward_batch
 from bpire.tailstats import default_hill_k, threshold_for_level
 
-from conftest import hill_functional, ks_distance, ks_threshold
+from conftest import backward_terms, hill_functional, ks_distance, ks_threshold
 
 pytestmark = pytest.mark.acceptance
 
@@ -88,10 +88,14 @@ def _near_exact(estimate, se, exact) -> bool:
 
 # ---- shared runs (each criterion-scale experiment executes once) -------------
 
+# The shared runs use two worker processes; criterion 9 checks that the merged
+# output does not depend on the worker count.
+WORKERS = "workers = 2\n"
+
 
 @pytest.fixture(scope="module")
 def theorem_report(tmp_path_factory):
-    return run_experiment(_load(tmp_path_factory, "config_a.cfg", "theorem"))
+    return run_experiment(_load(tmp_path_factory, "config_a.cfg", "theorem", WORKERS))
 
 
 @pytest.fixture(scope="module")
@@ -104,18 +108,18 @@ def exact_law_a(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def sre_report(tmp_path_factory):
-    return run_experiment(_load(tmp_path_factory, "config_a.cfg", "sre"))
+    return run_experiment(_load(tmp_path_factory, "config_a.cfg", "sre", WORKERS))
 
 
 @pytest.fixture(scope="module")
 def lemma_report(tmp_path_factory):
-    cfg = _load(tmp_path_factory, "config_a.cfg", "lemma1", "replicas = 100000000\n")
+    cfg = _load(tmp_path_factory, "config_a.cfg", "lemma1", "replicas = 100000000\n" + WORKERS)
     return run_experiment(cfg)
 
 
 @pytest.fixture(scope="module")
 def grey_report(tmp_path_factory):
-    cfg = _load(tmp_path_factory, "grey.cfg", "grey", "replicas = 100000000\n")
+    cfg = _load(tmp_path_factory, "grey.cfg", "grey", "replicas = 100000000\n" + WORKERS)
     return run_experiment(cfg)
 
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 import scipy.stats as st
 from scipy import integrate
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
 from bpire.env_model import (
@@ -90,7 +90,11 @@ def _scipy_thinned_pmf(law: OffspringFamily, x: int, ks: np.ndarray) -> np.ndarr
         return st.poisson.pmf(ks, x * law.rate)
     if law.kind == "geometric0":
         return st.nbinom.pmf(ks, x, law.p)
-    return st.binom.pmf(ks, x * (law.n if law.kind == "binomial" else 1), law.p)
+    n = x * (law.n if law.kind == "binomial" else 1)
+    try:
+        return st.binom.pmf(ks, n, law.p)
+    except OverflowError:  # scipy's pmf fails at some subnormal p (1.1e-308); its logpmf does not
+        return np.exp(st.binom.logpmf(ks, n, law.p))
 
 
 def _support_end(law: OffspringFamily, x: int) -> int:
@@ -346,6 +350,43 @@ def test_draw_env_batch_frequencies_and_determinism():
     assert abs(freq - 0.5) <= 4 * se
     again = draw_env_batch(env, RngState.from_seed(42), 200_000)
     assert np.array_equal(batch.group, again.group)
+
+
+class _FixedGen:
+    """Stand-in rng whose `gen.random` returns pinned uniforms."""
+
+    def __init__(self, u):
+        self.gen = self
+        self.u = u
+
+    def random(self, size):
+        assert size == self.u.size
+        return self.u
+
+
+# random weights over 1-8 atoms, or n equal weights, whose float cumulative
+# sum can end below 1 (ten times 0.1 ends at 1 - 2^-53)
+ATOM_WEIGHTS = hst.one_of(
+    hst.lists(hst.floats(1e-3, 1.0), min_size=1, max_size=8).map(lambda w: list(np.divide(w, math.fsum(w)))),
+    hst.integers(1, 10).map(lambda n: [1.0 / n] * n),
+)
+
+
+@given(weights=ATOM_WEIGHTS, seed=hst.integers(0, 2**32 - 1))
+@example(weights=[0.1] * 10, seed=0)
+@settings(max_examples=40, deadline=None)
+def test_draw_env_batch_groups_match_a_right_sided_search(weights, seed):
+    # the group of every uniform, at and beside each cumulative weight too,
+    # is the one a right-sided search of the cumulative weights gives
+    law = (OffspringFamily.poisson(0.5), ImmigrationFamily.constant(1))
+    env = EnvSpec.from_atoms([EnvAtom(w, *law) for w in weights])
+    cw = np.cumsum(weights)
+    u = np.concatenate([
+        [0.0, np.nextafter(1.0, 0.0)], cw, np.nextafter(cw, 0.0), np.nextafter(cw, 2.0),
+        np.random.default_rng(seed).random(256),
+    ])
+    want = np.clip(np.searchsorted(cw, u, side="right"), 0, len(weights) - 1)
+    assert np.array_equal(draw_env_batch(env, _FixedGen(u), u.size).group, want)
 
 
 def test_batch_offspring_means_lookup():

@@ -292,65 +292,65 @@ i_max = 2
 n_gens = 5
 """,
 }
-# sha256 of each artifact under STREAM_VERSION 3; report.json without its
+# sha256 of each artifact under STREAM_VERSION 4; report.json without its
 # wall_ms and out_dir lines.  oracle/stationary.csv and oracle/report.json
 # also hold the exact kernel route (build_kernel, stationary_power_iteration),
 # which draws nothing: a change there moves only these two.
 PIN_DIGESTS = {
     "check/condition.json": "dad419b5018c0d18582aff87119eef58f8aa44acef4fb11864448080654da245",
-    "check/report.json": "f9d26b0d66e38544fa32b501da3a8be77e9691f80d16be75bb964d2b1b6d38a2",
-    "theorem/ratio.csv": "1ba1b1aff7ea83d722b07b7ac9acdfa42edf041b060fc5af268270c7cadfcece",
-    "theorem/hill.csv": "7d2946efc127a2cbe6a12a94070e6413b557dd83a6c601b458c11bbf6bddcb64",
-    "theorem/summary.json": "8b9deb757bb39b8c8bb6302b44a092be3fe95188a3815eea76b6e6cb5d1f6799",
-    "theorem/samples.txt": "8626bb5f0451e040d58bb9e7880cc12670fe81362a467ec6a298b5c432e0b519",
-    "theorem/report.json": "29429ab4ec485e594ed043f4c4e490205dd462cfa77947a5292fa5eabe7137be",
-    "lemma1/ratio.csv": "1ed4d43295b119a3bad287ad629248ce1de7d07175004b0c62eae1fff4aad01e",
+    "check/report.json": "e6ff42534054d9bd852afd82b6acb05b9aea9d30726bc0be32db5992081efa05",
+    "theorem/ratio.csv": "e10810261e72cd80c76acd3da75409907fef8491b481d49016385a2cad97949f",
+    "theorem/hill.csv": "afbeb9471970cdf29c6c4f05fd7c704c3f16e1c7060a317a1cc0cc3ee7debcc0",
+    "theorem/summary.json": "8e37e5d336a6399c416c6e5bdae7fee90cb4cab4bff9c2bf9f63c775b1d41c0c",
+    "theorem/samples.txt": "7950c8d7f82745e25e4e54eae64f2c98e63453403ba15f6f444edeb1fd27b9d8",
+    "theorem/report.json": "ea233bc8047318227d662adbe93133079cbe905b7f21762f14f840d3f24d389b",
+    "lemma1/ratio.csv": "b9e6032c2b672719c0e40d1f3f4b4b94c6046c434aa55bae6fd46e4289a2c89a",
     "lemma1/summary.json": "2f7c64be63843876f1792b18b233a4d962a75c3c0a27335fafeea04dbcbe7518",
-    "lemma1/report.json": "98050a95c8d643884cf90ef72556762079fc4c1dd6536a95e0da4d73fffb9652",
-    "corollary/depth_ratio.csv": "c412d92284edfe8a81b5f7aae82459e9fc819501a365215a26d3969536f089d4",
-    "corollary/report.json": "d5b3a0fc5b790df532c6005f2b1b4e3df4b39a80a3d98036782ee62571dd2358",
-    "grey/ratio.csv": "458360236e3dd0a49cbe5aef7ba95c280d231def7c6b3df9353f2c1ba77b6f2b",
-    "grey/summary.json": "0e0240e67098ad6ae6ad0d51eb367e5c45ee6ca8a72c8799d53723280e619b33",
-    "grey/report.json": "57d3087908eaa2ed583e2fed7ff494e9ba3538ac522f2fa28610429aedb28e65",
-    "decay/decay.csv": "dda7e0cad4bc77af697c7ddbaf5c198cfa601c5a8391691e8f0320a47beff4b1",
-    "decay/report.json": "6821375e2eb776eea3526a3cee6eec23e11addaefd83463718bdb16deea86ec2",
-    "sre/ratio.csv": "c23332d2370c588b71520e22706f142646c9ccdc6f93ec5be9523c83c6cdb0c0",
-    "sre/summary.json": "a0bad560eefba2996ffbd28fb612319b888224238f0bacb6420a1bd4fea616b3",
-    "sre/report.json": "32a4c667bda109d013d1643dd987009c415b0f2b067f0fa3abe0fff1dfa6c3d8",
+    "lemma1/report.json": "0b64e9cc859754d2c4b81ea24294281d7b23dc22438e14e600ced6b11dc09042",
+    "corollary/depth_ratio.csv": "3b928fcf7583de70c868eaee503982a17c60c90e9a437816c4f524903c119fd5",
+    "corollary/report.json": "10ac7366fc33158e2656f620cceb30f2ed9ab581dd5e4ddbe444650e5411f991",
+    "grey/ratio.csv": "9d21741274bce5a9a8fa7f213c5e4fbd3314202f33bd8ed5b9ffeaddca179e1f",
+    "grey/summary.json": "f718dd9d19cb712cd53ef86c86baa620cb493f72bca700df4be4c03ff2e733a8",
+    "grey/report.json": "5292ad37aed9e761a20b43f70a4230cc23ac02876b708198be18fd01c4f8ba73",
+    "decay/decay.csv": "5d785d93ddb7579b4d76192242a306a4328c48876c0e7b9f9c76b3f931419f87",
+    "decay/report.json": "7cd478a0720282dfceec107ab5f31fa325d62b884064ea95f94be83b7fe51271",
+    "sre/ratio.csv": "c8810fb48c3eb69e9b008e3a6479a404be6e0a3759e9b5121973bd40d22c9d09",
+    "sre/summary.json": "a27f723e939b8613cea672f6d544fcf398ae45992c3bc0c8498d576f84a0fdd7",
+    "sre/report.json": "ec38e67abe6c2276afeabcde3294407ea57265e2aad7d98472cb8fe7ec5d64b5",
     "oracle/stationary.csv": "9e68edb082e4e35b1526458305854b60c6e65a04b6adddfc6f88864d8ad0ae74",
-    "oracle/empirical.csv": "05d3a118bb0a089db92834e0be6f43f18dac14656b3c338946bf21cb2c81e1cc",
-    "oracle/report.json": "1861b27175a4fbc256472bb92f77bc9a84c8ffbd2b77c68bb46700d96dae9088",
-    "hill/hill.csv": "7d2946efc127a2cbe6a12a94070e6413b557dd83a6c601b458c11bbf6bddcb64",
-    "hill/samples.txt": "8626bb5f0451e040d58bb9e7880cc12670fe81362a467ec6a298b5c432e0b519",
-    "hill/report.json": "26608feec2ff5af79336daa444b2ebdf5caf24d9e15d2d3b5a160b8f737cc38f",
-    "continuous/theorem/ratio.csv": "2f54dd300c3bbda135a6bf304bf64d4aa898479a86b5cfcc50fd27d8c4520896",
-    "continuous/theorem/summary.json": "6442ef1b66f903c0f11cf7b6cbbbe86b485551093106891b7daf31c48927fc97",
-    "continuous/theorem/hill.csv": "36a46c9b6211788ac217569fb2b4fb2e05a3c743071df213e37971abb3b91336",
-    "continuous/theorem/samples.txt": "4ba677e15a187a18d500d13fd71e029448490a4ce3f5d2150aa219b0e5f26e26",
-    "continuous/theorem/report.json": "ef3dc134b46d4ed701aaa16079a6ddcc67b0e163455c5baaec049d3095b6e823",
-    "continuous/lemma1/ratio.csv": "8ae1c9db83d89b28914dc3c0916c3732201da1ac569dc5fd36b7b42d70750225",
+    "oracle/empirical.csv": "71dc94401419c452d7d7d1a78f8a1d253477f76e348475adf1e3c574718c9a9f",
+    "oracle/report.json": "d64a91cc59063839fa1e662f90fc6892ded0cc3ddede03ba47e49c34a8c45db7",
+    "hill/hill.csv": "afbeb9471970cdf29c6c4f05fd7c704c3f16e1c7060a317a1cc0cc3ee7debcc0",
+    "hill/samples.txt": "7950c8d7f82745e25e4e54eae64f2c98e63453403ba15f6f444edeb1fd27b9d8",
+    "hill/report.json": "d347a40dce8eb9109d707584f5033df59697241530cce0fbe3d7a57d1eae7e1e",
+    "continuous/theorem/ratio.csv": "6a3195e729a7300496486b9976c9bb27b649efd90b3de7cb366b7e0aa9191db5",
+    "continuous/theorem/summary.json": "99ad08a02fbee78af8867dd5406fe3c63471a05929bd686879b0ce313621e340",
+    "continuous/theorem/hill.csv": "fe2ea93de706b9630d9ab86e2e449921a05c55368d209bb99572fc115601fa29",
+    "continuous/theorem/samples.txt": "617cd275652168425258b52a3dd0656e22f7b9fe3ae12f756553b9f3e76633e4",
+    "continuous/theorem/report.json": "75391908980de8de4481d98a776a91e6a05adb49dca0878599ad251bfb4cf875",
+    "continuous/lemma1/ratio.csv": "5107532def3f2f68f2d38ea0436838d749a7b186fca7a681ce333611598e880e",
     "continuous/lemma1/summary.json": "d5e1eda9d9fde33fe2dc037c32b486a8dd72b5788b46b8618fc80913c6a1d1c7",
-    "continuous/lemma1/report.json": "bc49e5c9102f57ddd057cd73b927b31805056d827ad415a479bd1d8fab301928",
-    "continuous/decay/decay.csv": "31dbd90de19f02fb7d2b33d2751645e5b2247271b5d0cc9a73053df9a25a3b4a",
-    "continuous/decay/report.json": "bf36b6e334d708a9b0ac94d83c0b38d6ad4ce371dc2d4a320135a5a657683ba6",
-    "continuous/sre/ratio.csv": "83bb543d22a09c9b367c90446ea48230737e6e37122b178a77a1667b923a2445",
-    "continuous/sre/summary.json": "20c620c4e1796a56a7edb9c62334592a106fc2609064dcc3ccd39efe879fdd13",
-    "continuous/sre/report.json": "9fc55570805096951cc0a8b541122609aa838e8ed9cc960b5abb00d90ba361be",
-    "mixed/theorem/ratio.csv": "c1957aac539486026e312e59dc2481ff23c37294212084f9f60d80f477b3d12d",
-    "mixed/theorem/summary.json": "dc961a5be42fe32f0d99d67bd55570c97bd700b540d14a674076c34eaaadf93d",
-    "mixed/theorem/hill.csv": "ba5461e533728b196497e0bb0385defabf32051f9472b1135472f11d518931f7",
-    "mixed/theorem/samples.txt": "cef4c23a5f52c76df3531c6ba32d355d3786a62c24989090320fb9acfb946742",
-    "mixed/theorem/report.json": "b5a884feac58f805249b71b6dfdbec2ca5936fc1dd3421a4fb26c59c58d6c3d1",
-    "mixed/lemma1/ratio.csv": "4594a5141c9a85f3e7f856f40156cc93e1fb816b5293c28ff8132ba20f9df8c3",
-    "mixed/lemma1/summary.json": "00ee5b0c800cde9005943425de01d07ec06d6a49ce627ddc7bab2c70d02ef9b5",
-    "mixed/lemma1/report.json": "125e587bf867d1c2cbac9e86967ce7a9c82c52bf719ab4013eda7e4ad05082a5",
-    "mixed/corollary/depth_ratio.csv": "8bab73c3b640657807d91040df3e68530a13fdce35e94fb64d59ab0a7237da4b",
-    "mixed/corollary/report.json": "f5dc0bec11fdcdd197212192daa4ecec231a9ac97e731200930f5f35c7369929",
-    "mixed/decay/decay.csv": "ad7f5567f06e7fb17cd9de6de659c6a46513fa321cace2464605463a04e8f1f2",
-    "mixed/decay/report.json": "d17889617b7ed72baa1c4b7092bb49c6f2efba3cdd3cd7a9f9da1d45a68ae496",
-    "mixed/sre/ratio.csv": "445c71ea74b64bdf737848bdd9fa5f9d9898f375e1c9235074fca9c5cc20b08d",
-    "mixed/sre/summary.json": "b97779a9dceec88ff169e183995397fa4ff828b4a7c592ad4eb02ddefee1c266",
-    "mixed/sre/report.json": "4a630c2c9e73e71bd239cfc37330fd2caaa84f417092e5b55d8ef5717877c93c",
+    "continuous/lemma1/report.json": "82f14d1d51006ac48f998353db01a35ad8afc3b476093ab9c58926eebb1333b6",
+    "continuous/decay/decay.csv": "7db49b9bb7f057719073e988c2084756684e50b45e2aa98cba1c9df98a7d93f3",
+    "continuous/decay/report.json": "742eb229cf5feca728478cc498c65945d1fe654b80f44c586134a59de64c8f06",
+    "continuous/sre/ratio.csv": "5c6b0c8898b4e479404b6f755405ad694a561d48f9498b6abf1c3f3b6bbdd800",
+    "continuous/sre/summary.json": "fe05a28ad2a8b66f0096c2580a4f6261a581081afef682da2df2664eccc89877",
+    "continuous/sre/report.json": "8718ba35fb9e9e2b9e1efe66f46473177438edda0ae1e743a73e6300f447e64a",
+    "mixed/theorem/ratio.csv": "4bb533f772f4ba34a586d87309633c6684aa909153956b0caa68d9b479f88de1",
+    "mixed/theorem/summary.json": "0ffa1470523bf35fd379f350d1ee0a6243c5c2318e9aaf202148b1a4df52e889",
+    "mixed/theorem/hill.csv": "b3466ea664d5e1a20640e8d9674f57776385c5af30ed272d88a8e65257cc24aa",
+    "mixed/theorem/samples.txt": "b3353dc042a8c8270aaf4c44a5e9410efa06438930b0def44876837321913293",
+    "mixed/theorem/report.json": "41995c87773c92aff1b888a41e3262ed5ca983a3e154653db5402feb5eb5ec14",
+    "mixed/lemma1/ratio.csv": "5f982500f2dbdd659eca4d35e10c6c3ce780578e9d998605793e774e30421128",
+    "mixed/lemma1/summary.json": "7c7a3f88645b91df97603640614358f9291f8ea536ddd16c40d960028467667d",
+    "mixed/lemma1/report.json": "50df756a0d3b1bd2ee45fa95157d6eb16f0c8911b343995058a0e64aec2dc8b1",
+    "mixed/corollary/depth_ratio.csv": "b262772ccbfd6ab355df470e23f4b6a616580b163ec567200a845bba20151872",
+    "mixed/corollary/report.json": "0b351cbb48f984b774f126dc9b9913a0bce24e5ee18155027d9e110437f589ab",
+    "mixed/decay/decay.csv": "13c04b98ef5c8e309d6b77c4aa00a8671812551008b6b43499d6f75d55846c1b",
+    "mixed/decay/report.json": "7e7bbccae019fb6d58eca977cc78249ac62a26ff12920f432c31e7951bfc1fe4",
+    "mixed/sre/ratio.csv": "a3e650131e7064e86762fb3b30748a9b9dd550c8e5f00bbbad3cae44ebff2926",
+    "mixed/sre/summary.json": "82204e55f927feb0590f7f0428c009f0b11a4abdca6000cfa9fc2636ad1a8215",
+    "mixed/sre/report.json": "5d3bf2c0f4bf2d0ed5d43fc68cd3b421b1b1317f1d70f57e429aacaf515a36d4",
 }
 
 
@@ -377,9 +377,9 @@ def test_bundled_experiments_keep_their_streams(tmp_path, monkeypatch):
     monkeypatch.setattr(experiments, "CHUNK_REPLICAS", PIN_CHUNK)
     got = _pin_digests(tmp_path)
     changed = sorted(k for k in got.keys() | PIN_DIGESTS.keys() if got.get(k) != PIN_DIGESTS.get(k))
-    assert STREAM_VERSION == 3, "STREAM_VERSION moved: re-record PIN_DIGESTS under the new version"
+    assert STREAM_VERSION == 4, "STREAM_VERSION moved: re-record PIN_DIGESTS under the new version"
     assert not changed, (
-        f"outputs changed under STREAM_VERSION 3: {changed}. A sampler change must bump STREAM_VERSION and "
+        f"outputs changed under STREAM_VERSION 4: {changed}. A sampler change must bump STREAM_VERSION and "
         "re-record PIN_DIGESTS; an exact-route change (build_kernel, stationary_power_iteration) keeps the "
         "version and re-records only oracle/stationary.csv and oracle/report.json"
     )
@@ -627,7 +627,7 @@ def test_report_records_stream_version(tmp_path):
     cfg = load_config(_cfg_file(tmp_path, SUBCRITICAL), experiment="check")
     emit_report(run_experiment(cfg), tmp_path / "o")
     with open(tmp_path / "o" / "report.json") as fh:
-        assert json.load(fh)["stream_version"] == 3
+        assert json.load(fh)["stream_version"] == 4
 
 
 def test_cli_seed_override_lands_in_report(tmp_path, capsys):

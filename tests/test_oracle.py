@@ -33,9 +33,9 @@ from bpire.oracle import (
     tv_distance,
 )
 from bpire.rng import RngState
-from bpire.simulator import backward_terms, random_sum_batch, sample_stationary_backward_batch
+from bpire.simulator import random_sum_batch, sample_stationary_backward_batch
 
-from conftest import coin_env, coin_model, two_atom_env
+from conftest import backward_terms, coin_env, coin_model, two_atom_env
 
 
 def _single_atom(off, imm) -> EnvSpec:

@@ -34,7 +34,6 @@ from bpire.errors import NotSubcritical
 from bpire.rng import RngState
 from bpire.simulator import (
     _invert_by_bisection,
-    backward_terms,
     choose_truncation,
     composed_thinning_batch,
     imm_for_batch,
@@ -48,7 +47,7 @@ from bpire.simulator import (
     write_samples_text,
 )
 
-from conftest import chi_square_pvalue, ks_distance, ks_threshold, two_atom_model
+from conftest import backward_terms, chi_square_pvalue, ks_distance, ks_threshold, two_atom_model
 
 FAMILIES = [
     OffspringFamily.poisson(0.7),
@@ -253,6 +252,43 @@ def test_immigration_geometric0_overflow_guard():
     # a mean of 1e20: the closed form passes 2^62 and must not be cast
     with pytest.raises(OverflowError):
         sample_immigration_batch(ImmigrationFamily.geometric0(1e-20), RngState.from_seed(1), 10)
+
+
+IMMIGRATION_LAWS = hst.one_of(
+    hst.builds(
+        ImmigrationFamily.discrete_pareto,
+        kappa=hst.floats(0.05, 10.0),
+        c=hst.floats(0.0, 1.0, exclude_min=True),
+        beta=hst.just(0.0) | hst.floats(0.0, 5.0, exclude_min=True),
+    ),
+    hst.builds(ImmigrationFamily.geometric0, p=hst.floats(-20.0, 0.0).map(lambda e: 10.0**e)),
+)
+
+
+@given(
+    law=IMMIGRATION_LAWS,
+    us=hst.lists(hst.floats(2.0**-53, 1.0), max_size=16),
+    ks=hst.lists(hst.integers(0, 2**62), max_size=8),
+)
+@settings(max_examples=150, deadline=None)
+def test_immigration_draws_meet_the_survival_bracket(law, us, ks):
+    # x is the inverse of u iff S(x) <= u and, past x = 0, u < S(x - 1); a
+    # draw past 2^62 raises OverflowError instead, batched or alone
+    s = immigration_survival(law, np.array(ks))
+    u = np.concatenate([[2.0**-53, 1.0], us, s, np.nextafter(s, 0.0), np.nextafter(s, 2.0)])
+    u = u[(u >= 2.0**-53) & (u <= 1.0)]
+    try:
+        batches = [(u, sample_immigration_batch(law, _FixedU(u), u.size))]
+    except OverflowError:
+        batches = []
+        for v in u:
+            try:
+                batches.append((v, sample_immigration_batch(law, _FixedU(v), 1)))
+            except OverflowError:
+                pass
+    for v, x in batches:
+        assert np.all(immigration_survival(law, x) <= v), (law, v, x)
+        assert np.all((x == 0) | (v < immigration_survival(law, x - 1))), (law, v, x)
 
 
 def test_immigration_bisection_agrees_with_survival_definition():
