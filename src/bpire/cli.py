@@ -14,7 +14,8 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from concurrent.futures.process import BrokenProcessPool
+# BrokenProcessPool's base: importing it skips multiprocessing
+from concurrent.futures import BrokenExecutor
 
 from .config import EXPERIMENTS, load_config
 from .errors import BpireError, NotSubcritical, ParseError, ValidationError
@@ -87,7 +88,7 @@ def main(argv=None) -> int:
     except MemoryError:
         print("error: out of memory; lower replicas or workers", file=sys.stderr)
         return 5
-    except BrokenProcessPool as exc:
+    except BrokenExecutor as exc:
         print(f"error: a worker process died: {exc}", file=sys.stderr)
         return 5
 

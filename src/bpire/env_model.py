@@ -39,6 +39,7 @@ __all__ = [
     "draw_env_batch",
     "offspring_pmf",
     "thinned_offspring_pmf",
+    "thinned_offspring_mode",
     "immigration_pmf",
     "immigration_survival",
     "env_immigration_survival",
@@ -50,6 +51,8 @@ __all__ = [
 OFFSPRING_KINDS = ("poisson", "bernoulli", "geometric0", "binomial")
 IMMIGRATION_KINDS = ("dpareto", "bernoulli", "constant", "geometric0")
 
+# largest beta / kappa of a dpareto law; see ImmigrationFamily
+DPARETO_BETA_PER_KAPPA = 2.4327
 _SERIES_CAP = 10**7
 _GAUSS_NODES = 32
 
@@ -112,6 +115,12 @@ class ImmigrationFamily:
     dpareto is the heavy-tailed member: survival
         S(x) = min(1, c * ln(e + x)^beta * (1 + x)^(-kappa)),
     so P(B = 0) = 1 - S(0) = 1 - c.  The others are light-tailed controls.
+
+    S(x + 1) <= S(x) holds on every integer x >= 0 iff beta <= kappa times
+    ln(3/2) / ln(ln(e + 2) / ln(e + 1)) = 2.43270..., the least over x of
+    ln((x + 2)/(x + 1)) / ln(ln(e + x + 1) / ln(e + x)), reached at x = 1.
+    Laws past 2.4327 kappa, just under it so that rounding cannot make the
+    evaluated S rise at x = 1, are refused: their pmf would go negative.
     """
 
     kind: str
@@ -128,6 +137,10 @@ class ImmigrationFamily:
             _require(self.kappa > 0.0 and math.isfinite(self.kappa), "dpareto kappa must be > 0")
             _require(0.0 < self.c <= 1.0, "dpareto c must lie in (0, 1]")
             _require(self.beta >= 0.0 and math.isfinite(self.beta), "dpareto beta must be >= 0")
+            _require(
+                self.beta <= DPARETO_BETA_PER_KAPPA * self.kappa,
+                f"dpareto beta must be <= {DPARETO_BETA_PER_KAPPA} kappa, or the survival rises",
+            )
         elif self.kind == "bernoulli":
             _require(0.0 <= self.q <= 1.0, "bernoulli q must lie in [0, 1]")
         elif self.kind == "constant":
@@ -496,6 +509,27 @@ def thinned_offspring_pmf(law: OffspringFamily, x, ks: np.ndarray) -> np.ndarray
         trials = n * (law.n if law.kind == "binomial" else 1)
         pmf = (k <= trials) * _binomial_pmf(np.minimum(k, trials), trials, law.p)
     return np.where(ks < 0, 0.0, np.where(x == 0, ks == 0, pmf))
+
+
+def thinned_offspring_mode(law: OffspringFamily, x) -> np.ndarray:
+    """A mode of the x-fold offspring sum, as a float array shaped like `x`.
+
+    Every x-fold law is unimodal, so its pmf rises up to this point and falls
+    after it: Poisson(x r) peaks at floor(x r), Binomial(N, p) at
+    min(floor((N + 1) p), N), NegBinomial(x, p) at floor((x - 1)(1 - p)/p),
+    and x = 0 at 0.  Floats, because a tiny geometric0 p puts the mode
+    past int64.
+    """
+    x = np.asarray(x, dtype=np.int64)
+    n = np.maximum(x, 1)
+    if law.kind == "poisson":
+        mode = np.floor(n * law.rate)
+    elif law.kind == "geometric0":
+        mode = np.floor((n - 1) * (1.0 - law.p) / law.p)
+    else:
+        trials = n * (law.n if law.kind == "binomial" else 1)
+        mode = np.minimum(np.floor((trials + 1) * law.p), trials)
+    return np.where(x == 0, 0.0, mode)
 
 
 def offspring_pmf(law: OffspringFamily, ks: np.ndarray) -> np.ndarray:

@@ -22,7 +22,6 @@ import json
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable
@@ -148,6 +147,9 @@ def _gather(cfg: ExperimentConfig, sampler, jobs, stat=None, merge=partial(np.su
     if cfg.workers <= 1 or len(tasks) <= 1:
         parts = [_run_chunk(t) for t in tasks]
     else:
+        # imported here: 1-worker runs and `import bpire` skip multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=min(cfg.workers, len(tasks))) as pool:
             parts = list(pool.map(_run_chunk, tasks))
     return [merge(parts[a:b]) for a, b in bounds]

@@ -24,6 +24,7 @@ from .env_model import (
     OffspringFamily,
     immigration_pmf,
     offspring_pmf,
+    thinned_offspring_mode,
     thinned_offspring_pmf,
 )
 from .errors import NoConvergence, PmfUnavailable, ResidualTooLarge
@@ -54,10 +55,6 @@ class TruncatedKernel:
     matrix: np.ndarray
     row_clip: np.ndarray
 
-    @property
-    def mass_clip(self) -> float:
-        return float(self.row_clip.sum())
-
 
 @dataclass(frozen=True)
 class ExactDistribution:
@@ -82,6 +79,11 @@ def build_kernel(env: EnvSpec, n_max: int) -> TruncatedKernel:
     (n_max + 1) * tau in total over a row, and that mass moves to column n_max
     and into row_clip.  A block holding a point mass is never left out, and
     a left-out block of exact zeros changes nothing, so exact zeros stay exact.
+
+    The pmf is evaluated only on the span of a row block's kept blocks.  They
+    are found without it: every x-fold law is unimodal, so a block's largest
+    entry in row x is the one at the row's mode clamped into the block, and
+    one entry per row and block decides which blocks the floor keeps.
     """
     if not env.is_atomic:
         raise PmfUnavailable("exact kernel needs an atomic environment")
@@ -96,19 +98,25 @@ def build_kernel(env: EnvSpec, n_max: int) -> TruncatedKernel:
     # j0 on are shifts[:, :size - j0] (imm moved right by 0 .. B - 1 places),
     # so blocking rows and inner index keeps scratch at a few (B, size) arrays.
     shifts = np.zeros((_KERNEL_BLOCK, size))
+    starts = np.arange(0, size, _KERNEL_BLOCK)
+    ends = np.minimum(starts + _KERNEL_BLOCK, size)
     for atom in env.atoms:
         imm = immigration_pmf(atom.immigration, ks)
         for a in range(min(_KERNEL_BLOCK, size)):
             shifts[a, a:] = imm[: size - a]
-        for lo in range(0, size, _KERNEL_BLOCK):
-            hi = min(lo + _KERNEL_BLOCK, size)
-            pmf = thinned_offspring_pmf(atom.offspring, np.arange(lo, hi)[:, None], ks)
-            thinned = atom.weight * pmf
-            for j0 in range(0, size, _KERNEL_BLOCK):
-                j1 = min(j0 + _KERNEL_BLOCK, size)
-                if pmf[:, j0:j1].max() <= _BAND_FLOOR:
-                    continue
-                body[lo:hi, j0:] += thinned[:, j0:j1] @ shifts[: j1 - j0, : size - j0]
+        for lo, hi in zip(starts, ends):
+            rows = np.arange(lo, hi)[:, None]
+            # a unimodal row peaks, within a block, at its mode clamped into it
+            peaks = np.clip(thinned_offspring_mode(atom.offspring, rows), starts, ends - 1)
+            kept = np.flatnonzero(
+                thinned_offspring_pmf(atom.offspring, rows, peaks.astype(np.int64)).max(axis=0) > _BAND_FLOOR
+            )
+            if kept.size == 0:
+                continue
+            c0, c1 = starts[kept[0]], ends[kept[-1]]
+            thinned = atom.weight * thinned_offspring_pmf(atom.offspring, rows, ks[c0:c1])
+            for j0, j1 in zip(starts[kept], ends[kept]):
+                body[lo:hi, j0:] += thinned[:, j0 - c0 : j1 - c0] @ shifts[: j1 - j0, : size - j0]
     exact_at_cap = body[:, n_max].copy()
     body[:, n_max] = np.maximum(0.0, 1.0 - body[:, :n_max].sum(axis=1))
     row_clip = np.maximum(0.0, body[:, n_max] - exact_at_cap)

@@ -208,7 +208,9 @@ def sample_immigration_batch(law: ImmigrationFamily, rng: RngState, size: int) -
         return _survival_adjust(law, cand, u, t, 2.0**-32 * (1.0 - 1.0 / math.log1p(-law.p)))
     # dpareto
     if law.beta == 0.0:
-        t = _guard_draw((law.c / u) ** (1.0 / law.kappa) - 1.0)
+        # a small kappa overflows the power to inf, which _guard_draw refuses
+        with np.errstate(over="ignore"):
+            t = _guard_draw((law.c / u) ** (1.0 / law.kappa) - 1.0)
         cand = np.ceil(np.maximum(t, 0.0)).astype(np.int64)
         return _survival_adjust(law, cand, u, t, 2.0**-32 * (1.0 + 1.0 / law.kappa))
     return _invert_by_bisection(law, u)

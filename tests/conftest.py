@@ -16,7 +16,10 @@ from bpire.env_model import (
     ModelSpec,
     OffspringFamily,
     draw_env_batch,
+    immigration_pmf,
+    thinned_offspring_pmf,
 )
+from bpire.oracle import _BAND_FLOOR, _KERNEL_BLOCK
 from bpire.simulator import OVERFLOW_LIMIT, imm_for_batch, thin_for_batch
 
 
@@ -72,6 +75,35 @@ def backward_terms(model: ModelSpec, trunc: int, rng, size: int) -> np.ndarray:
         if total.max(initial=0) > OVERFLOW_LIMIT:
             raise OverflowError("backward sum exceeds 2^62; model looks supercritical")
     return terms
+
+
+def full_width_kernel(env: EnvSpec, n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """(matrix, row_clip) of `build_kernel`, with each 64-row block's thinned
+    pmf evaluated on every column and the band's kept blocks read off it.
+
+    The independent route to the banded build, which finds its kept blocks
+    from each row's mode and evaluates the pmf only on their span: the two
+    must agree bit for bit."""
+    ks = np.arange(n_max + 1)
+    size = n_max + 1
+    body = np.zeros((size, size))
+    shifts = np.zeros((_KERNEL_BLOCK, size))
+    for atom in env.atoms:
+        imm = immigration_pmf(atom.immigration, ks)
+        for a in range(min(_KERNEL_BLOCK, size)):
+            shifts[a, a:] = imm[: size - a]
+        for lo in range(0, size, _KERNEL_BLOCK):
+            hi = min(lo + _KERNEL_BLOCK, size)
+            pmf = thinned_offspring_pmf(atom.offspring, np.arange(lo, hi)[:, None], ks)
+            thinned = atom.weight * pmf
+            for j0 in range(0, size, _KERNEL_BLOCK):
+                j1 = min(j0 + _KERNEL_BLOCK, size)
+                if pmf[:, j0:j1].max() <= _BAND_FLOOR:
+                    continue
+                body[lo:hi, j0:] += thinned[:, j0:j1] @ shifts[: j1 - j0, : size - j0]
+    exact_at_cap = body[:, n_max].copy()
+    body[:, n_max] = np.maximum(0.0, 1.0 - body[:, :n_max].sum(axis=1))
+    return body, np.maximum(0.0, body[:, n_max] - exact_at_cap)
 
 
 def chi_square_pvalue(samples, pmf, min_expected: float = 5.0) -> float:

@@ -315,6 +315,13 @@ REJECTIONS = [
     ("dump_samples", "maybe", "theorem", "dump_samples", "not a boolean: 'maybe'"),
     ("b_law", "dpareto", "lemma1", "b_law", "cannot parse law 'dpareto'"),
     ("b_law", "dpareto:-2,1", "lemma1", "b_law", "'dpareto:-2,1': dpareto kappa must be > 0"),
+    (
+        "b_law",
+        "dpareto:0.3,0.5,1",
+        "lemma1",
+        "b_law",
+        "'dpareto:0.3,0.5,1': dpareto beta must be <= 2.4327 kappa, or the survival rises",
+    ),
     ("n_law", "poisson:1", "grey", "n_law", "cannot parse law 'poisson:1'"),
     ("n_law", "geometric0:2", "grey", "n_law", "'geometric0:2': geometric0 p must lie in (0, 1]"),
     ("i_max", "1", "corollary", "i_max", "must be >= 2 (the decay fit needs 3 points)"),

@@ -15,6 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
 from bpire.env_model import (
+    DPARETO_BETA_PER_KAPPA,
     EnvAtom,
     EnvSpec,
     ImmigrationFamily,
@@ -32,8 +33,10 @@ from bpire.env_model import (
     moment_A,
     offspring_moment,
     pareto_tail_params,
+    thinned_offspring_mode,
     thinned_offspring_pmf,
 )
+from bpire.oracle import _BAND_FLOOR, _KERNEL_BLOCK
 from bpire.rng import RngState
 
 from conftest import two_atom_env, two_atom_model
@@ -106,6 +109,23 @@ def _support_end(law: OffspringFamily, x: int) -> int:
     else:
         mean, var = x * (1.0 - law.p) / law.p, x * (1.0 - law.p) / law.p**2
     return int(mean + 40.0 * math.sqrt(var) + 60.0)
+
+
+@given(law=OFFSPRING_LAWS, rows=hst.lists(hst.integers(0, 4095), min_size=1, max_size=8))
+@settings(max_examples=60, deadline=None)
+def test_mode_clamped_block_peak_is_the_block_maximum(law, rows):
+    # build_kernel keeps a column block of a row iff the pmf at the row's mode
+    # clamped into the block is above the floor; against the whole row's
+    # pmf, cut into blocks, that must keep the same blocks and find each
+    # block's largest entry up to rounding
+    x = np.array(rows)[:, None]
+    starts = np.arange(0, 4096, _KERNEL_BLOCK)
+    full = thinned_offspring_pmf(law, x, np.arange(4096)).reshape(x.size, starts.size, _KERNEL_BLOCK)
+    block_max = full.max(axis=2)
+    peaks = np.clip(thinned_offspring_mode(law, x), starts, starts + _KERNEL_BLOCK - 1).astype(np.int64)
+    at_peak = thinned_offspring_pmf(law, x, peaks)
+    assert np.array_equal(at_peak > _BAND_FLOOR, block_max > _BAND_FLOOR)
+    assert np.all(at_peak >= block_max * (1.0 - 1e-12))
 
 
 @given(law=OFFSPRING_LAWS, x=hst.integers(0, 4096))
@@ -254,19 +274,31 @@ def test_survival_light_tailed_families():
 
 
 @given(
-    kappa=hst.floats(0.5, 4.0),
-    c=hst.floats(0.05, 1.0),
-    beta=hst.floats(0.0, 0.5),
+    kappa=hst.floats(0.05, 10.0),
+    c=hst.floats(1e-9, 1.0),
+    share=hst.floats(0.0, 1.0),
 )
-def test_dpareto_survival_monotone_and_pmf_telescopes(kappa, c, beta):
-    # beta kept well under kappa: the log factor can otherwise outrun the
-    # power and the formula stops being a survival function
-    law = ImmigrationFamily.discrete_pareto(kappa, c, beta)
-    xs = np.arange(0, 200)
+@example(kappa=1.0, c=0.5, share=1.0)
+@settings(max_examples=60, deadline=None)
+def test_dpareto_survival_monotone_and_pmf_telescopes(kappa, c, share):
+    # beta up to the largest ImmigrationFamily accepts, the bound included.
+    # c >= 1e-9 keeps S above 1e-49 on 0..10^4: a subnormal S is rounded to
+    # a few multiples of 5e-324 and loses monotonicity whatever the law
+    law = ImmigrationFamily.discrete_pareto(kappa, c, share * DPARETO_BETA_PER_KAPPA * kappa)
+    xs = np.arange(0, 10**4 + 1)
     s = immigration_survival(law, xs)
-    assert np.all(np.diff(s) <= 1e-15)
-    total = float(np.sum(immigration_pmf(law, xs)))
-    assert total == pytest.approx(1.0 - float(s[-1]), abs=1e-12)
+    pmf = immigration_pmf(law, xs)
+    assert pmf.min() >= 0.0
+    assert float(np.sum(pmf)) == pytest.approx(1.0 - float(s[-1]), abs=1e-12)
+
+
+def test_dpareto_law_whose_survival_rises_is_refused():
+    # S(0..2) would read 0.5, 0.533, 0.558: a negative mass at 1
+    with pytest.raises(ValueError, match="beta must be <= 2.4327 kappa"):
+        ImmigrationFamily.discrete_pareto(0.3, 0.5, 1.0)
+    with pytest.raises(ValueError, match="beta must be <= 2.4327 kappa"):
+        ImmigrationFamily.discrete_pareto(1.0, 1.0, 2.44)
+    ImmigrationFamily.discrete_pareto(1.0, 1.0, 2.4327)
 
 
 @pytest.mark.parametrize(

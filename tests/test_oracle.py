@@ -22,6 +22,7 @@ from bpire.env_model import (
     OffspringFamily,
     env_immigration_survival,
     immigration_pmf,
+    law_label,
     thinned_offspring_pmf,
 )
 from bpire.errors import PmfUnavailable, ResidualTooLarge
@@ -35,7 +36,7 @@ from bpire.oracle import (
 from bpire.rng import RngState
 from bpire.simulator import random_sum_batch, sample_stationary_backward_batch
 
-from conftest import backward_terms, coin_env, coin_model, two_atom_env
+from conftest import backward_terms, coin_env, coin_model, full_width_kernel, two_atom_env
 
 
 def _single_atom(off, imm) -> EnvSpec:
@@ -47,7 +48,7 @@ def test_kernel_dead_offspring_constant_immigration():
     env = _single_atom(OffspringFamily.bernoulli(0.0), ImmigrationFamily.constant(2))
     kern = build_kernel(env, 8)
     assert np.allclose(kern.matrix[:, 2], 1.0)
-    assert kern.mass_clip == 0.0
+    assert kern.row_clip.sum() == 0.0
 
 
 def test_kernel_rows_are_distributions():
@@ -92,6 +93,53 @@ def test_kernel_matches_per_row_convolution(make_env, n_max):
     assert np.abs(kern.matrix - body).max() <= 1e-15
     assert np.abs(kern.row_clip - row_clip).max() <= 1e-15
     assert kern.matrix.min() >= 0.0
+
+
+@pytest.mark.parametrize(
+    "make_env, n_max",
+    [(two_atom_env, n) for n in (1, 63, 64, 65, 1024)] + [(coin_env, 200)],
+    ids=["config_a-1", "config_a-63", "config_a-64", "config_a-65", "config_a-1024", "coin-200"],
+)
+def test_banded_kernel_is_the_full_width_kernel(make_env, n_max):
+    kern = build_kernel(make_env(), n_max)
+    matrix, row_clip = full_width_kernel(make_env(), n_max)
+    assert np.array_equal(kern.matrix, matrix)
+    assert np.array_equal(kern.row_clip, row_clip)
+
+
+BAND_OFFSPRING = [
+    OffspringFamily.poisson(0.0),
+    OffspringFamily.poisson(0.3),
+    OffspringFamily.poisson(2.5),
+    OffspringFamily.bernoulli(0.0),
+    OffspringFamily.bernoulli(0.5),
+    OffspringFamily.bernoulli(1.0),
+    OffspringFamily.geometric0(0.01),
+    OffspringFamily.geometric0(0.6),
+    OffspringFamily.geometric0(1.0),
+    OffspringFamily.binomial(3, 0.2),
+    OffspringFamily.binomial(3, 1.0),
+]
+BAND_IMMIGRATION = [
+    ImmigrationFamily.discrete_pareto(2.0, 1.0),
+    ImmigrationFamily.discrete_pareto(0.5, 0.4, 1.0),
+    ImmigrationFamily.bernoulli(0.5),
+    ImmigrationFamily.constant(3),
+    ImmigrationFamily.geometric0(0.3),
+]
+
+
+@pytest.mark.parametrize("imm", BAND_IMMIGRATION, ids=law_label)
+@pytest.mark.parametrize("off", BAND_OFFSPRING, ids=law_label)
+def test_banded_kernel_is_the_full_width_kernel_for_every_family(off, imm):
+    # rate 0 and p = 1 are point masses; p = 0 leaves rows of exact zeros;
+    # at 300 whole column blocks fall below the floor for most laws
+    env = _single_atom(off, imm)
+    for n_max in (65, 300):
+        kern = build_kernel(env, n_max)
+        matrix, row_clip = full_width_kernel(env, n_max)
+        assert np.array_equal(kern.matrix, matrix), n_max
+        assert np.array_equal(kern.row_clip, row_clip), n_max
 
 
 def test_kernel_hand_entry_for_the_coin_config():

@@ -54,6 +54,18 @@ print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
     assert _run_fresh(code) == "[]"
 
 
+def test_one_worker_cli_imports_no_multiprocessing(tmp_path):
+    # only a pool of two or more workers needs it
+    config = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "config_a.cfg")
+    code = f"""
+import sys
+from bpire import cli
+assert cli.main(["check", "--config", {config!r}, "--out", {str(tmp_path)!r}]) == 0
+print(sorted(name for name in sys.modules if name.split(".")[0] == "multiprocessing"))
+"""
+    assert _run_fresh(code).splitlines()[-1] == "[]"
+
+
 def _load_spans():
     path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "spans.py")
     spec = importlib.util.spec_from_file_location("perfbench_spans", path)

@@ -9,6 +9,7 @@ these catch a wrong closure, a wrong pmf, or a biased sampler.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from hypothesis import strategies as hst
 
 from bpire import simulator
 from bpire.env_model import (
+    DPARETO_BETA_PER_KAPPA,
     EnvAtom,
     EnvBatch,
     EnvSpec,
@@ -254,12 +256,23 @@ def test_immigration_geometric0_overflow_guard():
         sample_immigration_batch(ImmigrationFamily.geometric0(1e-20), RngState.from_seed(1), 10)
 
 
+def test_immigration_dpareto_overflow_raises_without_a_warning():
+    # (1 / 2^-53)^(1 / 0.05) = 2^1060 overflows the power to inf; the draw is
+    # refused with the OverflowError alone, no numpy RuntimeWarning before it
+    law = ImmigrationFamily.discrete_pareto(0.05, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowError):
+            sample_immigration_batch(law, _FixedU(2.0**-53), 1)
+
+
 IMMIGRATION_LAWS = hst.one_of(
+    # beta as a share of the largest one ImmigrationFamily accepts
     hst.builds(
-        ImmigrationFamily.discrete_pareto,
+        lambda kappa, c, share: ImmigrationFamily.discrete_pareto(kappa, c, share * DPARETO_BETA_PER_KAPPA * kappa),
         kappa=hst.floats(0.05, 10.0),
         c=hst.floats(0.0, 1.0, exclude_min=True),
-        beta=hst.just(0.0) | hst.floats(0.0, 5.0, exclude_min=True),
+        share=hst.just(0.0) | hst.floats(0.0, 1.0, exclude_min=True),
     ),
     hst.builds(ImmigrationFamily.geometric0, p=hst.floats(-20.0, 0.0).map(lambda e: 10.0**e)),
 )
