@@ -546,7 +546,10 @@ def immigration_survival(law: ImmigrationFamily, x) -> np.ndarray | float:
         if law.beta == 0.0:
             s = np.minimum(1.0, law.c * (1.0 + xc) ** (-law.kappa))
         else:
-            s = np.minimum(1.0, law.c * np.log(math.e + xc) ** law.beta * (1.0 + xc) ** (-law.kappa))
+            # c last: a subnormal c times the log power first would round to
+            # a few multiples of 5e-324 before the power of 1 + x, and S
+            # could rise
+            s = np.minimum(1.0, law.c * (np.log(math.e + xc) ** law.beta * (1.0 + xc) ** (-law.kappa)))
     elif law.kind == "bernoulli":
         s = np.where(xc < 1.0, law.q, 0.0)
     elif law.kind == "constant":

@@ -318,18 +318,17 @@ def _run_corollary(cfg: ExperimentConfig):
     km = kappa_moment(cfg.model.env, cfg.model.kappa)
     surv = _survival(env_immigration_survival, cfg.model.env)
     x0 = tailstats.threshold_for_level(surv, cfg.level)
-    ref = surv(x0)
     depths = list(range(cfg.i_max + 1))
     stat = partial(_count_exceed, thresholds=(float(x0),))
     counts = _gather(cfg, composed_thinning_batch, [((_P_COMPOSED, d), d) for d in depths], stat)
-    n = cfg.replicas
     rows = []
     ratios = []
     for d, c in zip(depths, counts):
-        p = float(c[0]) / n
-        se = math.sqrt(p * (1.0 - p) / n)
-        ratios.append(p / ref)
-        rows.append((str(d), repr(p / ref), repr(se / ref)))
+        # refuses a reference survival of 0, as where immigration is 0
+        report = tailstats.ratio_from_counts(c, cfg.replicas, surv, [x0])
+        ratio, ratio_se = float(report.ratio[0]), float(report.ratio_se[0])
+        ratios.append(ratio)
+        rows.append((str(d), repr(ratio), repr(ratio_se)))
     rho_hat, r2 = tailstats.fit_geometric_decay(depths, ratios)
     metrics = [
         _metric("decay_ratio", rho_hat, km, cfg.tolerance, "rel"),

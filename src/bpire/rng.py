@@ -18,7 +18,10 @@ order, not one per environment group; immigration makes one inversion per
 distinct law; and the composed-thinning and unit-progeny samplers draw
 environments only for their entries still above zero.  Version 4 makes the
 same draws as version 3 from SFC64 instead of Philox, whose counter bpire
-never used; SFC64 draws uniforms and Poisson variates faster.
+never used; SFC64 draws uniforms and Poisson variates faster.  Version 5
+thins atomic environments through alias tables, one uniform per entry, zeros
+included, with numpy's draw only for populations past a law's tables; and a
+dpareto survival with a log power multiplies by c last.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-STREAM_VERSION = 4
+STREAM_VERSION = 5
 
 
 @dataclass

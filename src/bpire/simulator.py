@@ -2,14 +2,17 @@
 
 Every sampler is vectorized over replicas; a single draw is a batch of one.
 A generation's environments arrive as one EnvBatch.  Thinning exploits the
-offspring families' summation closure, so one generation costs one
-parametric draw per replica no matter how large the population is; it makes
-one such draw per offspring family over that family's entries, with
-parameters gathered per entry from its group, and immigration makes one
-inversion per distinct law.  That order is part of the stream contract.
-Entries at zero consume no randomness in a thinning stage; the draws
-skipped that way are a deterministic function of earlier output, so fixed
-seeds still give fixed results.
+offspring families' summation closure, so one generation costs one draw per
+replica no matter how large the population is.  Under an atomic
+environment that draw comes from alias tables of each law's x-fold sums for
+x < 64 (Walker's method in Vose's construction, 1991): one uniform per
+entry, zeros included, in index order.  Populations past a law's tables then
+take a numpy parametric draw, one per offspring family over its entries in
+numbering order, with parameters gathered per entry from its group; the
+continuous environment thins every entry that way, at its own Poisson rate.
+Immigration makes one inversion per distinct law.  That order is part of
+the stream contract; which entries reach numpy's draw is a deterministic
+function of earlier output, so fixed seeds still give fixed results.
 
 Values live in int64 and are guarded against exceeding 2^62: crossing that
 limit signals a supercritical misconfiguration, not a sampling regime this
@@ -18,6 +21,7 @@ engine supports, and raises OverflowError.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -53,18 +57,119 @@ OVERFLOW_LIMIT = 1 << 62
 
 # ---- thinning -------------------------------------------------------------
 
+# Alias tables hold rows x = 0 .. ALIAS_ROWS - 1 of each law's x-fold
+# offspring sum over columns 0 .. ALIAS_COLS - 1, plus one row past them
+# whose cells all send a draw to the numpy route.  Aliases are int8 columns,
+# so ALIAS_COLS stays at most 128.
+ALIAS_ROWS = 64
+ALIAS_COLS = 128
+# a row is tabulated while its mass past ALIAS_COLS stays below this share
+ALIAS_CUT = 2.0**-50
+# a row's weights sum to 2^53, so one cell holds 2^46: the resolution of
+# 128 v - j for a uniform v on the grid of 2^-53 that `Generator.random` draws
+_CELL = 1 << 46
+
+
 def _guard(param: np.ndarray) -> np.ndarray:
     if param.size and param.max(initial=0.0) > OVERFLOW_LIMIT:
         raise OverflowError("thinning parameter exceeds 2^62; model looks supercritical")
     return param
 
 
-def _draw_params(law: OffspringFamily | None) -> tuple[int, int, float]:
+def _recurrence_rows(law: OffspringFamily) -> np.ndarray:
+    """pmf of the x-fold offspring sum at 0 .. 2 ALIAS_COLS - 1, rows x = 0
+    .. ALIAS_ROWS - 1, from each family's own recurrence: p_0 in closed form,
+    then p_k = p_(k-1) times mu/k (Poisson, mu = x rate), (N - k + 1) p /
+    (k (1 - p)) (binomial, N = x n trials) or (x + k - 1)(1 - p)/k (negative
+    binomial).  A row whose p_0 underflows reads 0, and one whose mean
+    overflows reads NaN; neither is tabulated."""
+    x = np.arange(ALIAS_ROWS, dtype=float)[:, None]
+    k = np.arange(1, 2 * ALIAS_COLS, dtype=float)
+    if law.kind == "poisson":
+        mu = x * law.rate
+        head, ratio = np.exp(-mu), mu / k
+    elif law.kind == "geometric0":
+        head, ratio = law.p**x, (x + k - 1.0) * (1.0 - law.p) / k
+    else:
+        trials = x * (law.n if law.kind == "binomial" else 1)
+        if law.p == 1.0:
+            return (np.arange(2 * ALIAS_COLS) == trials).astype(float)
+        head, ratio = (1.0 - law.p) ** trials, np.maximum(trials - k + 1.0, 0.0) * (law.p / (1.0 - law.p)) / k
+    return np.cumprod(np.hstack([head, ratio]), axis=1)
+
+
+def _vose(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Walker/Vose alias table (Vose 1991) of integer weight rows that each
+    sum to ALIAS_COLS * _CELL, built in exact integer arithmetic for all rows
+    at once: (q, alias), with cell j of a row keeping j with probability q.
+
+    Cells under one share (small) are filled from those at or above it
+    (large) in a single pass over the flattened rows.  Lay the smalls'
+    deficits end to end and the larges' surpluses likewise; each row's
+    deficits and surpluses sum to the same integer, so the two lines meet
+    at every row boundary.  A small takes its alias from the large whose
+    surplus interval holds the small's start.  A large whose surplus a
+    small's deficit overruns by o keeps itself with probability 1 - o / _CELL
+    and gives the rest to the next large, which is in the same row.
+    """
+    flat = weights.ravel()
+    small = flat < _CELL
+    smalls, larges = np.flatnonzero(small), np.flatnonzero(~small)
+    deficit = _CELL - flat[smalls]
+    end = np.cumsum(deficit)
+    start = end - deficit
+    top = np.cumsum(flat[larges] - _CELL)
+    alias = np.empty(flat.size, dtype=np.int64)
+    alias[smalls] = larges[np.searchsorted(top, start, side="right")]
+    last = np.searchsorted(start, top, side="left")  # smalls starting before each top
+    over = np.maximum(np.concatenate([[0], end])[last] - top, 0)
+    alias[larges] = np.where(over > 0, np.append(larges[1:], larges[-1]), larges)
+    q = flat / _CELL
+    q[larges] = (_CELL - over) / _CELL
+    row_start = np.arange(flat.size) // ALIAS_COLS * ALIAS_COLS
+    return q.reshape(weights.shape), (alias - row_start).astype(np.int8).reshape(weights.shape)
+
+
+@functools.lru_cache(maxsize=64)
+def _alias_table(law: OffspringFamily) -> tuple[np.ndarray, np.ndarray]:
+    """(q, alias) of `law`, each (ALIAS_ROWS + 1, ALIAS_COLS): the rows up to
+    the first whose mass past column ALIAS_COLS - 1 is at least ALIAS_CUT,
+    then rows with alias -1 and q 0, which no draw keeps.
+
+    The recurrence runs over 2 ALIAS_COLS columns and a row's in-width mass
+    is taken as its share of them, so the rounding of p_0, which scales a
+    whole row, cancels.  Every x-fold law here is log-concave, so P(X >= 256)
+    <= P(X >= 128)^2 and the second window holds all but a negligible part
+    of the mass past the width.  A kept row is scaled to integer weights
+    summing to 2^53, floored, with the remainder given to its largest cell.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = _recurrence_rows(law)
+        inside = rows[:, :ALIAS_COLS].sum(axis=1)
+        kept = (inside >= (1.0 - ALIAS_CUT) * rows.sum(axis=1)) & (inside > 0.0)
+    n = ALIAS_ROWS if kept.all() else int(np.argmin(kept))
+    weights = np.floor(rows[:n, :ALIAS_COLS] / inside[:n, None] * 2.0**53).astype(np.int64)
+    weights[np.arange(n), weights.argmax(axis=1)] += (ALIAS_COLS * _CELL) - weights.sum(axis=1)
+    q = np.zeros((ALIAS_ROWS + 1, ALIAS_COLS))
+    alias = np.full((ALIAS_ROWS + 1, ALIAS_COLS), -1, dtype=np.int8)
+    q[:n], alias[:n] = _vose(weights)
+    return q, alias
+
+
+@functools.lru_cache(maxsize=16)
+def _batch_tables(laws: tuple[OffspringFamily, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """The alias tables of a batch's groups stacked in group order and
+    flattened, with j + q[x, j] in place of q.  Both terms sit on the grid of
+    2^-46 below 2^7, so the sum is exact and 128 v < j + q holds exactly
+    where 128 v - j < q does."""
+    tables = [_alias_table(law) for law in laws]
+    threshold = np.concatenate([(q + np.arange(ALIAS_COLS)).ravel() for q, _ in tables])
+    return threshold, np.concatenate([alias.ravel() for _, alias in tables])
+
+
+def _draw_params(law: OffspringFamily) -> tuple[int, int, float]:
     """(draw, n, p) of a group's x-fold offspring sum: draw 0 is Poisson at
-    p * x, 1 is binomial(n * x, p) and 2 negative binomial(x, p).  The
-    continuous group has no law and is Poisson at each draw's own mean."""
-    if law is None:
-        return 0, 0, np.nan
+    p * x, 1 is binomial(n * x, p) and 2 negative binomial(x, p)."""
     if law.kind == "poisson":
         return 0, 0, law.rate
     if law.kind == "geometric0":
@@ -72,46 +177,70 @@ def _draw_params(law: OffspringFamily | None) -> tuple[int, int, float]:
     return 1, law.n if law.kind == "binomial" else 1, law.p
 
 
-def thin_for_batch(batch: EnvBatch, values: np.ndarray, rng: RngState) -> np.ndarray:
-    """One thinning stage under per-replica environments.
-
-    One parametric draw per kind of `_draw_params` in use, over the nonzero
-    entries of every group of that kind; parameters are scalars when one
-    group has the kind and are gathered per entry from its group otherwise.
-    The kinds draw in numbering order, which is part of the stream contract.
-    Poisson offspring alone draw over all entries with no mask.  Entries
-    with value 0 stay 0 and consume no randomness.
-    """
-    values = np.asarray(values, dtype=np.int64)
-    if values.size and values.min() < 0:
-        raise ValueError("population sizes must be >= 0")
+def _thin_past_table(batch: EnvBatch, x: np.ndarray, group: np.ndarray, rng: RngState) -> np.ndarray:
+    """numpy's draw of each entry's x-fold sum: one draw per kind of
+    `_draw_params`, in numbering order, with parameters gathered per entry
+    from its group."""
     draw, n, p = (np.array(col) for col in zip(*(_draw_params(law) for law, _ in batch.laws)))
-    if not draw.any():
-        return rng.gen.poisson(_guard(batch.means * values))
-    out = np.zeros_like(values)
-    active = values > 0
-    kinds = np.unique(draw)
-    entry_draw = draw[batch.group] if kinds.size > 1 else None
-    for d in kinds:
-        sel = active if entry_draw is None else active & (entry_draw == d)
-        x = values[sel]
-        groups = np.flatnonzero(draw == d)
-        if groups.size == 1:
-            nd, pd = n[groups[0]], p[groups[0]]
-        else:
-            nd, pd = n[batch.group[sel]], p[batch.group[sel]]
+    out = np.empty_like(x)
+    entry_draw = draw[group]
+    for d in np.unique(entry_draw):
+        sel = entry_draw == d
+        xd, nd, pd = x[sel], n[group[sel]], p[group[sel]]
         if d == 0:
-            out[sel] = rng.gen.poisson(_guard(pd * x))
+            out[sel] = rng.gen.poisson(_guard(pd * xd))
         elif d == 1:
-            if n[groups].max() > 1:  # bernoulli draws cannot outgrow x
-                _guard(nd * x.astype(float))
-            out[sel] = rng.gen.binomial(nd * x, pd)
+            if nd.max() > 1:  # bernoulli draws cannot outgrow x
+                _guard(nd * xd.astype(float))
+            out[sel] = rng.gen.binomial(nd * xd, pd)
         else:
             # numpy raises ValueError where (1 - p)/p (x + 10 sqrt(x)), its
             # bound on the Poisson mean of the gamma mixture, nears 2^63;
             # the bound exceeds the mean x (1 - p)/p, so guard the bound
-            _guard((1.0 - pd) / pd * (x + 10.0 * np.sqrt(x)))
-            out[sel] = rng.gen.negative_binomial(x, pd)
+            _guard((1.0 - pd) / pd * (xd + 10.0 * np.sqrt(xd)))
+            out[sel] = rng.gen.negative_binomial(xd, pd)
+    return out
+
+
+def thin_for_batch(batch: EnvBatch, values: np.ndarray, rng: RngState) -> np.ndarray:
+    """One thinning stage under per-replica environments.
+
+    Atomic groups draw from their laws' alias tables: one uniform v per
+    entry, zeros included, in index order; the cell is j = floor(128 v), and
+    the draw is j if 128 v - j < q[x, j], else alias[x, j].  Entries past
+    their law's last tabulated row then take numpy's draw, one per kind of
+    `_draw_params` in numbering order, with each guarded against 2^62.  The
+    continuous group has no table and draws Poisson at each entry's own mean
+    over all entries.
+
+    The bound on a tabulated row.  With v on the grid of 2^-53, 128 v - j
+    takes each multiple of 2^-46 in [0, 1) once, so a cell keeps j with
+    probability exactly q: the sampler draws the integer weights w / 2^53
+    exactly.  Flooring them moves less than 2^-46 of mass in total.  The
+    recurrence adds at most 5 e (e = 2^-53) of relative error per step to
+    p_k, and the rescaling, a pairwise sum and a division, at most 9 e more,
+    so the rows carry a relative error below 127 * 5 e + 9 e < 2^-43.  The
+    share cut leaves out under 2^-50.  A tabulated row is thus within
+    2^-43 + 2^-46 + 2^-50 < 1.3e-13 in total variation of the exact x-fold
+    law.
+    """
+    values = np.asarray(values, dtype=np.int64)
+    if values.size and values.min() < 0:
+        raise ValueError("population sizes must be >= 0")
+    if batch.rates is not None:
+        return rng.gen.poisson(_guard(batch.means * values))
+    threshold, alias = _batch_tables(tuple(law for law, _ in batch.laws))
+    t = rng.gen.random(values.shape) * ALIAS_COLS
+    j = t.astype(np.int64)
+    cell = np.minimum(values, ALIAS_ROWS)
+    if len(batch.laws) > 1:
+        cell += batch.group * (ALIAS_ROWS + 1)
+    cell *= ALIAS_COLS
+    cell += j
+    out = np.where(t < threshold.take(cell), j, alias.take(cell))
+    past = out < 0
+    if past.any():
+        out[past] = _thin_past_table(batch, values[past], batch.group[past], rng)
     return out
 
 

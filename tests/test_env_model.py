@@ -275,15 +275,17 @@ def test_survival_light_tailed_families():
 
 @given(
     kappa=hst.floats(0.05, 10.0),
-    c=hst.floats(1e-9, 1.0),
+    c=hst.floats(5e-324, 1.0),
     share=hst.floats(0.0, 1.0),
 )
 @example(kappa=1.0, c=0.5, share=1.0)
+@example(kappa=1.0, c=5e-324, share=0.5)
 @settings(max_examples=60, deadline=None)
 def test_dpareto_survival_monotone_and_pmf_telescopes(kappa, c, share):
     # beta up to the largest ImmigrationFamily accepts, the bound included.
-    # c >= 1e-9 keeps S above 1e-49 on 0..10^4: a subnormal S is rounded to
-    # a few multiples of 5e-324 and loses monotonicity whatever the law
+    # c down to the least subnormal: S multiplies by c last, and rounding
+    # c times a falling factor cannot make it rise, so S stays monotone
+    # where it is rounded to a few multiples of 5e-324
     law = ImmigrationFamily.discrete_pareto(kappa, c, share * DPARETO_BETA_PER_KAPPA * kappa)
     xs = np.arange(0, 10**4 + 1)
     s = immigration_survival(law, xs)
@@ -306,10 +308,10 @@ def test_dpareto_law_whose_survival_rises_is_refused():
 )
 def test_dpareto_survival_equals_the_general_formula_exactly(kappa, c, beta):
     # at beta = 0 the log factor is skipped; ln(e + x) ** 0 == 1.0 exactly,
-    # so every bit must still match the general formula
+    # so every bit must still match the general formula, which takes c last
     x = np.concatenate([-np.arange(1.0, 6.0), np.arange(0.0, 5000.0), np.geomspace(5000.0, 1e18, 200)])
     xc = np.maximum(x, 0.0)
-    tail = c * np.log(math.e + xc) ** beta * (1.0 + xc) ** (-kappa)
+    tail = c * (np.log(math.e + xc) ** beta * (1.0 + xc) ** (-kappa))
     general = np.where(x < 0.0, 1.0, np.minimum(1.0, tail))
     got = immigration_survival(ImmigrationFamily.discrete_pareto(kappa, c, beta), x)
     assert np.array_equal(got, general)

@@ -11,10 +11,13 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import assume, event, given, settings
+from hypothesis import strategies as hst
 
 from bpire import cli, experiments, tailstats
-from bpire.config import load_config
-from bpire.errors import NotSubcritical
+from bpire.config import EXPERIMENTS, load_config
+from bpire.env_model import DPARETO_BETA_PER_KAPPA, kappa_moment
+from bpire.errors import NotSubcritical, ParseError, ValidationError
 from bpire.experiments import (
     CHUNK_REPLICAS,
     _merge_histograms,
@@ -164,11 +167,18 @@ def test_same_seed_reproduces_artifact_bytes(tmp_path):
     assert _report_key(a / "report.json") == _report_key(b / "report.json")
 
 
+def _ratio_grid(report) -> list[str]:
+    [(_, rows)] = [payload for name, _, payload in report.artifacts if name == "ratio.csv"]
+    return [row[3] for row in rows]
+
+
 def test_seed_changes_results(tmp_path):
+    # the whole ratio grid: one deep level's ratio is a count over a few
+    # expected exceedances, and two seeds can give the same one
     base = _cfg_file(tmp_path, SUBCRITICAL, "b_law = dpareto:2,1,0\nreplicas = 50000\n")
     r1 = run_experiment(load_config(base, experiment="lemma1", seed=1))
     r2 = run_experiment(load_config(base, experiment="lemma1", seed=2))
-    assert r1.metrics[0]["estimate"] != r2.metrics[0]["estimate"]
+    assert _ratio_grid(r1) != _ratio_grid(r2)
 
 
 COIN = """\
@@ -235,15 +245,18 @@ PIN_CHUNK = 1000
 # Every bundled experiment at seed 7 on 1000-replica chunks, each run ending
 # in a partial chunk, then the samplers on the PIN_INLINE environments.
 # corollary and decay need enough replicas for their deepest level to be hit
-# at all, or the log-linear fit has nothing to fit; lemma1 on the inline
-# environments needs enough for their tail counts to differ.
+# at all, or the log-linear fit has nothing to fit: decay_poisson.cfg's
+# tenth generation keeps a unit alive with probability 6.4e-4, so 15 500
+# replicas expect 10 survivors there (3 500 expected 2.2, and a stream could
+# give none); lemma1 on the inline environments needs enough for their tail
+# counts to differ.
 PIN_RUNS = (
     ("check", "config_a.cfg", 2_500),
     ("theorem", "config_a.cfg", 2_500),
     ("lemma1", "config_a.cfg", 2_500),
     ("corollary", "config_a.cfg", 30_500),
     ("grey", "grey.cfg", 2_500),
-    ("decay", "decay_poisson.cfg", 3_500),
+    ("decay", "decay_poisson.cfg", 15_500),
     ("sre", "config_a.cfg", 2_500),
     ("oracle", "oracle_bernoulli.cfg", 2_500),
     ("hill", "config_a.cfg", 2_500),
@@ -292,65 +305,65 @@ i_max = 2
 n_gens = 5
 """,
 }
-# sha256 of each artifact under STREAM_VERSION 4; report.json without its
+# sha256 of each artifact under STREAM_VERSION 5; report.json without its
 # wall_ms and out_dir lines.  oracle/stationary.csv and oracle/report.json
 # also hold the exact kernel route (build_kernel, stationary_power_iteration),
 # which draws nothing: a change there moves only these two.
 PIN_DIGESTS = {
     "check/condition.json": "dad419b5018c0d18582aff87119eef58f8aa44acef4fb11864448080654da245",
-    "check/report.json": "e6ff42534054d9bd852afd82b6acb05b9aea9d30726bc0be32db5992081efa05",
-    "theorem/ratio.csv": "e10810261e72cd80c76acd3da75409907fef8491b481d49016385a2cad97949f",
-    "theorem/hill.csv": "afbeb9471970cdf29c6c4f05fd7c704c3f16e1c7060a317a1cc0cc3ee7debcc0",
-    "theorem/summary.json": "8e37e5d336a6399c416c6e5bdae7fee90cb4cab4bff9c2bf9f63c775b1d41c0c",
-    "theorem/samples.txt": "7950c8d7f82745e25e4e54eae64f2c98e63453403ba15f6f444edeb1fd27b9d8",
-    "theorem/report.json": "ea233bc8047318227d662adbe93133079cbe905b7f21762f14f840d3f24d389b",
-    "lemma1/ratio.csv": "b9e6032c2b672719c0e40d1f3f4b4b94c6046c434aa55bae6fd46e4289a2c89a",
+    "check/report.json": "016a525c3c78c1b384858f4b89c4f8b61ec6b57a5bd59d0b4b9bbf379a8862b6",
+    "theorem/ratio.csv": "d926b5a715ce511aa19f44c7023645739db9a66d0d8e9aaebd751fbe99a7d9c7",
+    "theorem/summary.json": "367299ed112e8c632e8bc77d6d2385c170b9fff61ee89702a5b57976bed6c2b6",
+    "theorem/hill.csv": "683f93b77abe5d22aed351caaaeafd9882ffcc81a34bbe9a89c66d9d502de6ee",
+    "theorem/samples.txt": "5cb00b429c02cbdc3856f695e607a11ff736e95f5f96a4f3d93a691792d32525",
+    "theorem/report.json": "d4b4d5ea2e8727837db7e823968645cc5f2160b86b4116b72dd4a637a87d6d08",
+    "lemma1/ratio.csv": "d34cdce4116de2c85fa1b615b47189671da73e51a88ea86481f3aaf618e89fa2",
     "lemma1/summary.json": "2f7c64be63843876f1792b18b233a4d962a75c3c0a27335fafeea04dbcbe7518",
-    "lemma1/report.json": "0b64e9cc859754d2c4b81ea24294281d7b23dc22438e14e600ced6b11dc09042",
-    "corollary/depth_ratio.csv": "3b928fcf7583de70c868eaee503982a17c60c90e9a437816c4f524903c119fd5",
-    "corollary/report.json": "10ac7366fc33158e2656f620cceb30f2ed9ab581dd5e4ddbe444650e5411f991",
-    "grey/ratio.csv": "9d21741274bce5a9a8fa7f213c5e4fbd3314202f33bd8ed5b9ffeaddca179e1f",
+    "lemma1/report.json": "b74c6e4bb9029f1d320f909173abf4126784be203a604c7ad74a936610d3ad56",
+    "corollary/depth_ratio.csv": "4df0dfa803ec5031d8fe8d30f0d07d68df91070000a03aaaf573b74a43468f79",
+    "corollary/report.json": "7ce4d76d547d3d06bd7eb1a62eeab392e2b7ffdc1fa1a450776dec41611b50dc",
+    "grey/ratio.csv": "167008516468b3612ea41841b59d70217d816a6d87ac4edd3551c1bff3995be3",
     "grey/summary.json": "f718dd9d19cb712cd53ef86c86baa620cb493f72bca700df4be4c03ff2e733a8",
-    "grey/report.json": "5292ad37aed9e761a20b43f70a4230cc23ac02876b708198be18fd01c4f8ba73",
-    "decay/decay.csv": "5d785d93ddb7579b4d76192242a306a4328c48876c0e7b9f9c76b3f931419f87",
-    "decay/report.json": "7cd478a0720282dfceec107ab5f31fa325d62b884064ea95f94be83b7fe51271",
+    "grey/report.json": "e41d9030a2ec5e96e4a7967ad06c4277fb10a3648f78e19dd5dc37c91af3c018",
+    "decay/decay.csv": "babc296c7a14d8e14b45c4f29ec667cc68e9ab8aa28856e19ff84affcb8be13d",
+    "decay/report.json": "92f454feb2ee0185334309cbadee39aaf9d567cd30d9afec6bce02f7aa61db4e",
     "sre/ratio.csv": "c8810fb48c3eb69e9b008e3a6479a404be6e0a3759e9b5121973bd40d22c9d09",
     "sre/summary.json": "a27f723e939b8613cea672f6d544fcf398ae45992c3bc0c8498d576f84a0fdd7",
-    "sre/report.json": "ec38e67abe6c2276afeabcde3294407ea57265e2aad7d98472cb8fe7ec5d64b5",
+    "sre/report.json": "ba10c6188a6292eeaf791ca79ba265f2fed59279f1407f0b71611e977ac6a5ee",
     "oracle/stationary.csv": "9e68edb082e4e35b1526458305854b60c6e65a04b6adddfc6f88864d8ad0ae74",
-    "oracle/empirical.csv": "71dc94401419c452d7d7d1a78f8a1d253477f76e348475adf1e3c574718c9a9f",
-    "oracle/report.json": "d64a91cc59063839fa1e662f90fc6892ded0cc3ddede03ba47e49c34a8c45db7",
-    "hill/hill.csv": "afbeb9471970cdf29c6c4f05fd7c704c3f16e1c7060a317a1cc0cc3ee7debcc0",
-    "hill/samples.txt": "7950c8d7f82745e25e4e54eae64f2c98e63453403ba15f6f444edeb1fd27b9d8",
-    "hill/report.json": "d347a40dce8eb9109d707584f5033df59697241530cce0fbe3d7a57d1eae7e1e",
+    "oracle/empirical.csv": "5c171de30fa6c0e50e565118f5c56e9a5639043c159b38391bfd9f6ab1e4bd2e",
+    "oracle/report.json": "b260d687818fef7601324f648dd410e8a4f67b8842a8f966aae8809bd892cb82",
+    "hill/hill.csv": "683f93b77abe5d22aed351caaaeafd9882ffcc81a34bbe9a89c66d9d502de6ee",
+    "hill/samples.txt": "5cb00b429c02cbdc3856f695e607a11ff736e95f5f96a4f3d93a691792d32525",
+    "hill/report.json": "bd024e48fc2f4ffb15bd47111493323476a381a2ba5428fbb9803822e0436708",
     "continuous/theorem/ratio.csv": "6a3195e729a7300496486b9976c9bb27b649efd90b3de7cb366b7e0aa9191db5",
     "continuous/theorem/summary.json": "99ad08a02fbee78af8867dd5406fe3c63471a05929bd686879b0ce313621e340",
     "continuous/theorem/hill.csv": "fe2ea93de706b9630d9ab86e2e449921a05c55368d209bb99572fc115601fa29",
     "continuous/theorem/samples.txt": "617cd275652168425258b52a3dd0656e22f7b9fe3ae12f756553b9f3e76633e4",
-    "continuous/theorem/report.json": "75391908980de8de4481d98a776a91e6a05adb49dca0878599ad251bfb4cf875",
+    "continuous/theorem/report.json": "cd1154b44214f7a83f8ad0fd7fc12a23eb977a588adffce41f1c737fe2b5bc88",
     "continuous/lemma1/ratio.csv": "5107532def3f2f68f2d38ea0436838d749a7b186fca7a681ce333611598e880e",
     "continuous/lemma1/summary.json": "d5e1eda9d9fde33fe2dc037c32b486a8dd72b5788b46b8618fc80913c6a1d1c7",
-    "continuous/lemma1/report.json": "82f14d1d51006ac48f998353db01a35ad8afc3b476093ab9c58926eebb1333b6",
-    "continuous/decay/decay.csv": "7db49b9bb7f057719073e988c2084756684e50b45e2aa98cba1c9df98a7d93f3",
-    "continuous/decay/report.json": "742eb229cf5feca728478cc498c65945d1fe654b80f44c586134a59de64c8f06",
+    "continuous/lemma1/report.json": "d73093e7091c72a2f840649dd7898725a15118ca6f33a2510c79f24caa49adb8",
     "continuous/sre/ratio.csv": "5c6b0c8898b4e479404b6f755405ad694a561d48f9498b6abf1c3f3b6bbdd800",
     "continuous/sre/summary.json": "fe05a28ad2a8b66f0096c2580a4f6261a581081afef682da2df2664eccc89877",
-    "continuous/sre/report.json": "8718ba35fb9e9e2b9e1efe66f46473177438edda0ae1e743a73e6300f447e64a",
-    "mixed/theorem/ratio.csv": "4bb533f772f4ba34a586d87309633c6684aa909153956b0caa68d9b479f88de1",
-    "mixed/theorem/summary.json": "0ffa1470523bf35fd379f350d1ee0a6243c5c2318e9aaf202148b1a4df52e889",
-    "mixed/theorem/hill.csv": "b3466ea664d5e1a20640e8d9674f57776385c5af30ed272d88a8e65257cc24aa",
-    "mixed/theorem/samples.txt": "b3353dc042a8c8270aaf4c44a5e9410efa06438930b0def44876837321913293",
-    "mixed/theorem/report.json": "41995c87773c92aff1b888a41e3262ed5ca983a3e154653db5402feb5eb5ec14",
-    "mixed/lemma1/ratio.csv": "5f982500f2dbdd659eca4d35e10c6c3ce780578e9d998605793e774e30421128",
+    "continuous/sre/report.json": "d8e3c4a5ff3e32ea839422c57cd4a24dcd247d3f24fddd46fc1f5beb1dd8123f",
+    "continuous/decay/decay.csv": "7db49b9bb7f057719073e988c2084756684e50b45e2aa98cba1c9df98a7d93f3",
+    "continuous/decay/report.json": "dcb8aea87865b9f4ee1af0cb1a2aed5c68f143017b5f196edb9e88dd32df932c",
+    "mixed/theorem/ratio.csv": "27beb72bcbd96ec44d9ccba53fc4c3351136171f97b7fed418101535b8f505a9",
+    "mixed/theorem/summary.json": "c902f65287485923b45494a3221b70cee550740c6d2c6ae8bfd59bfd06bd20a7",
+    "mixed/theorem/hill.csv": "72c53169d98a77231297de709b8f2f832a4adda935c047e38ba76558bf5188b2",
+    "mixed/theorem/samples.txt": "07502b6a272de893e641254162741eee66e1bee3ab25a086194ed5b3213fd821",
+    "mixed/theorem/report.json": "9319fb461ba5273265bbc5ebf941e9d096ed07065fb4cc540796ee9e2014a008",
+    "mixed/lemma1/ratio.csv": "cecefd3fba1d1e13e140b613d2fbef6717d920209322ba02e7e468e6c9af2605",
     "mixed/lemma1/summary.json": "7c7a3f88645b91df97603640614358f9291f8ea536ddd16c40d960028467667d",
-    "mixed/lemma1/report.json": "50df756a0d3b1bd2ee45fa95157d6eb16f0c8911b343995058a0e64aec2dc8b1",
-    "mixed/corollary/depth_ratio.csv": "b262772ccbfd6ab355df470e23f4b6a616580b163ec567200a845bba20151872",
-    "mixed/corollary/report.json": "0b351cbb48f984b774f126dc9b9913a0bce24e5ee18155027d9e110437f589ab",
-    "mixed/decay/decay.csv": "13c04b98ef5c8e309d6b77c4aa00a8671812551008b6b43499d6f75d55846c1b",
-    "mixed/decay/report.json": "7e7bbccae019fb6d58eca977cc78249ac62a26ff12920f432c31e7951bfc1fe4",
+    "mixed/lemma1/report.json": "ea7ace3807624c03afdcd918c5d5b4d052ff4e50db9982f61d1fcb2f8b5b13d9",
+    "mixed/corollary/depth_ratio.csv": "229d7fd82a0b0fb263b4a70f4e3f074cf3fb6c668172a8c415f5f9fa4b1cd545",
+    "mixed/corollary/report.json": "a76c422d519bae5d1123bb08dca2ab783f49a3d71375151eb6225f18dc075baf",
     "mixed/sre/ratio.csv": "a3e650131e7064e86762fb3b30748a9b9dd550c8e5f00bbbad3cae44ebff2926",
     "mixed/sre/summary.json": "82204e55f927feb0590f7f0428c009f0b11a4abdca6000cfa9fc2636ad1a8215",
-    "mixed/sre/report.json": "5d3bf2c0f4bf2d0ed5d43fc68cd3b421b1b1317f1d70f57e429aacaf515a36d4",
+    "mixed/sre/report.json": "53b338c02aa5451b600e02be8f496272cd0c65eda44082e7ed613190a6a8ba46",
+    "mixed/decay/decay.csv": "750de87a98f1432304e99026e80c5b46737b38eb62971195cb664a7be37e1d81",
+    "mixed/decay/report.json": "afd7a8144b12fff42ecbf39714a94861946ae6a4b64ab0127659c206f5974d8c",
 }
 
 
@@ -377,9 +390,9 @@ def test_bundled_experiments_keep_their_streams(tmp_path, monkeypatch):
     monkeypatch.setattr(experiments, "CHUNK_REPLICAS", PIN_CHUNK)
     got = _pin_digests(tmp_path)
     changed = sorted(k for k in got.keys() | PIN_DIGESTS.keys() if got.get(k) != PIN_DIGESTS.get(k))
-    assert STREAM_VERSION == 4, "STREAM_VERSION moved: re-record PIN_DIGESTS under the new version"
+    assert STREAM_VERSION == 5, "STREAM_VERSION moved: re-record PIN_DIGESTS under the new version"
     assert not changed, (
-        f"outputs changed under STREAM_VERSION 4: {changed}. A sampler change must bump STREAM_VERSION and "
+        f"outputs changed under STREAM_VERSION 5: {changed}. A sampler change must bump STREAM_VERSION and "
         "re-record PIN_DIGESTS; an exact-route change (build_kernel, stationary_power_iteration) keeps the "
         "version and re-records only oracle/stationary.csv and oracle/report.json"
     )
@@ -623,11 +636,97 @@ def test_cli_resource_failure_exit_five(tmp_path, capsys, monkeypatch, sampler, 
     assert captured.out == ""
 
 
+def _offspring_token(kind, a, b, n):
+    return {
+        "poisson": f"poisson:{1.5 * a!r}",
+        "bernoulli": f"bernoulli:{a!r}",
+        "geometric0": f"geometric0:{0.4 + 0.6 * a!r}",
+        "binomial": f"binomial:{n},{b!r}",
+    }[kind]
+
+
+def _immigration_token(kind, a, b, share):
+    kappa = 0.3 + 3.7 * a
+    return {
+        # beta as a share of the largest ImmigrationFamily accepts
+        "dpareto": f"dpareto:{kappa!r},{max(b, 1e-3)!r},{share * DPARETO_BETA_PER_KAPPA * kappa!r}",
+        "bernoulli": f"bernoulli:{a!r}",
+        "constant": f"constant:{int(5 * a)}",
+        "geometric0": f"geometric0:{0.05 + 0.95 * b!r}",
+    }[kind]
+
+
+UNIT = hst.floats(0.0, 1.0)
+OFFSPRING_TOKENS = hst.builds(
+    _offspring_token, hst.sampled_from(["poisson", "bernoulli", "geometric0", "binomial"]), UNIT, UNIT, hst.integers(1, 3)
+)
+IMMIGRATION_TOKENS = hst.builds(
+    _immigration_token, hst.sampled_from(["dpareto", "bernoulli", "constant", "geometric0"]), UNIT, UNIT, UNIT
+)
+HEAVY_TOKENS = hst.builds(_immigration_token, hst.just("dpareto"), UNIT, UNIT, UNIT)
+ENV_SECTIONS = hst.one_of(
+    hst.builds(lambda o, i: f"atoms =\n    1.0 {o} {i}\n", OFFSPRING_TOKENS, IMMIGRATION_TOKENS),
+    hst.builds(
+        lambda w, o1, i1, o2, i2: f"atoms =\n    {w!r} {o1} {i1}\n    {1.0 - w!r} {o2} {i2}\n",
+        hst.floats(0.05, 0.95),
+        OFFSPRING_TOKENS,
+        IMMIGRATION_TOKENS,
+        OFFSPRING_TOKENS,
+        IMMIGRATION_TOKENS,
+    ),
+    hst.builds(
+        lambda lo, width, i: f"uniform_poisson_rate = {lo!r}, {lo + width!r}\nimmigration = {i}\n",
+        hst.floats(0.0, 1.0),
+        hst.floats(0.05, 1.0),
+        IMMIGRATION_TOKENS,
+    ),
+)
+
+
+@given(
+    experiment=hst.sampled_from(sorted(EXPERIMENTS)),
+    kappa=hst.floats(0.3, 4.0),
+    env=ENV_SECTIONS,
+    b_law=HEAVY_TOKENS,
+    n_law=HEAVY_TOKENS,
+    extra=hst.fixed_dictionaries(
+        {},
+        optional={
+            "epsilon_trunc": hst.floats(1e-6, 0.5).map(repr),
+            "level": hst.floats(1e-4, 0.5).map(repr),
+            "i_max": hst.integers(2, 5).map(str),
+            "n_gens": hst.integers(3, 8).map(str),
+            "state_cap": hst.integers(1, 200).map(str),
+            "hill_k": hst.sampled_from(["0", "2", "50"]),
+        },
+    ),
+)
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_cli_exits_with_a_documented_code_on_random_configs(tmp_path_factory, experiment, kappa, env, b_law, n_law, extra):
+    # any config load_config accepts ends in one of the codes 0-5 the CLI
+    # documents, never in a traceback
+    tmp_path = tmp_path_factory.mktemp("cli")
+    keys = {"replicas": "2000", "seed": "3", "b_law": b_law, "n_law": n_law, **extra}
+    body = f"[model]\nkappa = {kappa!r}\n\n[env]\n{env}\n[experiment]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+    path = tmp_path / "random.cfg"
+    path.write_text(body)
+    try:
+        cfg = load_config(str(path), experiment=experiment)
+    except (ParseError, ValidationError):
+        assume(False)
+    # a near-critical model needs thousands of generations per replica;
+    # those runs take seconds each and say nothing more about exit codes
+    assume(not 0.98 < kappa_moment(cfg.model.env, cfg.model.kappa) < 1.0)
+    code = cli.main([experiment, "--config", str(path), "--out", str(tmp_path / "o")])
+    event(f"exit {code}")
+    assert code in range(6), body
+
+
 def test_report_records_stream_version(tmp_path):
     cfg = load_config(_cfg_file(tmp_path, SUBCRITICAL), experiment="check")
     emit_report(run_experiment(cfg), tmp_path / "o")
     with open(tmp_path / "o" / "report.json") as fh:
-        assert json.load(fh)["stream_version"] == 4
+        assert json.load(fh)["stream_version"] == 5
 
 
 def test_cli_seed_override_lands_in_report(tmp_path, capsys):

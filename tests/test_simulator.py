@@ -156,8 +156,8 @@ MIXED_ENV = EnvSpec.from_atoms(
 
 
 def test_mixed_thinning_follows_each_groups_law():
-    # one draw per family over parameters gathered per entry: the draws of
-    # each (group, population) cell must follow that group's thinned law
+    # every group's alias tables stacked into one lookup: the draws of each
+    # (group, population) cell must follow that group's thinned law
     n = 400_000
     rng = RngState.from_seed(61)
     batch = draw_env_batch(MIXED_ENV, rng, n)
@@ -169,6 +169,95 @@ def test_mixed_thinning_follows_each_groups_law():
             cell = draws[(batch.group == j) & (values == x)]
             p = chi_square_pvalue(cell, lambda ks: thinned_offspring_pmf(atom.offspring, x, ks))
             assert p > 1e-3, f"group {j} ({atom.offspring.kind}) x={x}: chi-square p={p:.4g}"
+
+
+# ---- alias tables -------------------------------------------------------------
+
+def _tabulated_rows(law) -> int:
+    """Rows of `law`'s alias table that a draw can keep; the rest send every
+    cell to numpy's draw."""
+    return int(np.count_nonzero(simulator._alias_table(law)[1][:, 0] >= 0))
+
+
+def _tail_past_width(law, x) -> float:
+    """P(X >= ALIAS_COLS) for the x-fold sum, summed from the oracle pmf."""
+    ks = np.arange(simulator.ALIAS_COLS, 8 * simulator.ALIAS_COLS)
+    return float(np.sum(thinned_offspring_pmf(law, x, ks)))
+
+
+TABLE_LAWS = list(dict.fromkeys(FAMILIES + [atom.offspring for atom in MIXED_ENV.atoms])) + [
+    OffspringFamily.poisson(0.9),
+    OffspringFamily.poisson(5.0),
+    OffspringFamily.binomial(1000, 0.001),
+    OffspringFamily.geometric0(0.1),
+]
+
+
+@pytest.mark.parametrize("law", TABLE_LAWS, ids=lambda l: f"{l.kind}-{l.rate or l.p}-{l.n}")
+def test_alias_tables_imply_the_thinned_pmf(law):
+    # cell j keeps j with probability q[j] and hands the rest to alias[j];
+    # the pmf that implies is checked against the oracle's closed-form pmf,
+    # a route independent of the recurrence the tables are built from
+    q, alias = simulator._alias_table(law)
+    cols = simulator.ALIAS_COLS
+    rows = _tabulated_rows(law)
+    assert (alias[rows:] == -1).all() and (q[rows:] == 0.0).all()
+    for x in range(rows):
+        implied = (q[x] + np.bincount(alias[x], weights=1.0 - q[x], minlength=cols)) / cols
+        exact = thinned_offspring_pmf(law, x, np.arange(cols))
+        tv = 0.5 * (np.abs(implied - exact).sum() + _tail_past_width(law, x))
+        assert tv <= 1e-12, f"{law} x={x}: TV {tv:.3g}"
+    # the rows stop at the first whose mass past the width reaches the cut
+    if rows < simulator.ALIAS_ROWS:
+        assert _tail_past_width(law, rows) >= simulator.ALIAS_CUT
+    assert _tail_past_width(law, rows - 1) < simulator.ALIAS_CUT
+
+
+def test_config_a_laws_fill_their_tables():
+    # the bundled configs' populations sit below 64 all but a few in 10^4
+    # times; the tables must cover them for thinning to stay cheap
+    for rate in (0.3, 0.9):
+        assert _tabulated_rows(OffspringFamily.poisson(rate)) == simulator.ALIAS_ROWS
+
+
+OFFSPRING_LAWS = hst.one_of(
+    hst.builds(OffspringFamily.poisson, hst.floats(0.0, 3.0)),
+    hst.builds(OffspringFamily.bernoulli, hst.floats(0.0, 1.0)),
+    hst.builds(OffspringFamily.geometric0, hst.floats(0.3, 1.0)),
+    hst.builds(OffspringFamily.binomial, hst.integers(1, 5), hst.floats(0.0, 1.0)),
+)
+
+
+@given(law=OFFSPRING_LAWS, seed=hst.integers(0, 2**32))
+@settings(max_examples=12, deadline=None, derandomize=True)
+def test_thinning_follows_the_thinned_pmf_across_the_table_edge(law, seed):
+    # x = 1 and 63 draw from the tables where the law fills them, 64 and the
+    # first untabulated row from numpy, all in one stage
+    xs = (1, 63, 64, _tabulated_rows(law))
+    n = 20_000
+    draws = thin_batch(law, np.repeat(np.array(xs), n), RngState.from_seed(seed))
+    for i, x in enumerate(xs):
+        p = chi_square_pvalue(draws[i * n : (i + 1) * n], lambda ks: thinned_offspring_pmf(law, x, ks))
+        assert p > 1e-4, f"{law} x={x}: chi-square p={p:.4g}"
+
+
+@given(
+    kind=hst.sampled_from(["poisson", "geometric0", "binomial"]),
+    x=hst.sampled_from([1, 63, 64, 1 << 20]),
+    scale=hst.floats(1.01, 1.9),
+)
+@settings(max_examples=20, deadline=None, derandomize=True)
+def test_thinning_past_2_62_raises_overflow(kind, x, scale):
+    # x times the offspring mean (the binomial trial count) is scale * 2^62
+    target = scale * 2.0**62
+    if kind == "poisson":
+        law = OffspringFamily.poisson(target / x)
+    elif kind == "geometric0":
+        law = OffspringFamily.geometric0(x / (x + target))
+    else:
+        law = OffspringFamily.binomial(math.ceil(target / x), 0.5)
+    with pytest.raises(OverflowError):
+        thin_batch(law, np.array([0, x]), RngState.from_seed(0))
 
 
 def test_mixed_immigration_follows_each_groups_law():
