@@ -4,7 +4,9 @@ One experiment per invocation: `bpire <experiment> --config FILE`.  Exit
 codes: 0 all metrics pass, 1 a metric failed, 2 the standing condition is
 violated, 3 the config could not be parsed or validated, its output
 directory could not be created (checked before the run starts), an
-estimator got too few replicas, or the results could not be written there,
+estimator got too few replicas, an offspring moment series did not converge
+within its iteration cap (a law with a huge mean, such as geometric0:1e-7),
+decay moments overflowed float64, or the results could not be written there,
 4 a sampled value exceeded the 2^62 guard of the int64 samplers, 5 the run
 ran out of memory or a worker process died.
 """

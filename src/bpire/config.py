@@ -12,8 +12,10 @@ Atoms are one per line inside the multi-line `atoms` value:
         0.5 poisson:0.3 dpareto:2,1,0
         0.5 poisson:0.9 dpareto:2,1,0
 
-Law syntax is kind:comma-separated-params, as in poisson:0.3, bernoulli:0.5,
-geometric0:0.6, binomial:3,0.5, constant:2, dpareto:kappa,c[,beta].
+Law syntax is kind:comma-separated-params, as in poisson:0.3 or
+binomial:3,0.5.  The kinds of each family and the order of their params are
+its `PARAMS` table in env_model (OffspringFamily.PARAMS,
+ImmigrationFamily.PARAMS); dpareto:kappa,c[,beta] may leave out beta for 0.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import math
 import os
 import re
 from dataclasses import dataclass, field, fields
+from functools import partial
 
 from .env_model import (
     EnvAtom,
@@ -95,6 +98,22 @@ def _levels(key: str, raw) -> tuple[float, ...]:
     return levels
 
 
+def _parse_law(family, key: str, tok: str):
+    """A `family` law token, kind:args in the order of `family.PARAMS`; a bad
+    one is blamed on `key`.  dpareto alone may leave out its last argument,
+    beta, for 0."""
+    kind, _, rest = tok.partition(":")
+    args = [a for a in rest.split(",") if a != ""]
+    names = family.PARAMS.get(kind, ())
+    if not names or len(args) > len(names) or names[len(args):] not in ((), ("beta",)):
+        raise ValidationError(key, f"cannot parse law {tok!r}")
+    try:
+        # each argument takes the type of its field's default: int for n and b
+        return family(kind, **{name: type(getattr(family, name))(arg) for name, arg in zip(names, args)})
+    except ValueError as exc:
+        raise ValidationError(key, f"{tok!r}: {exc}") from exc
+
+
 def _key(parse, default, check=None, message: str = ""):
     """One [experiment] key: `parse(key, raw)` reads its value, `default`
     (a value, or a dict by experiment) stands in when the key is absent, and
@@ -131,8 +150,8 @@ class ExperimentConfig:
     )
     workers: int = _key(_int, 1, lambda w: w >= 1, "must be >= 1")
     out_dir: str = _key(lambda key, raw: str(raw), "out", lambda d: d != "", "must not be empty")
-    b_law: ImmigrationFamily | None = _key(lambda key, raw: _parse_immigration(key, raw), None)
-    n_law: ImmigrationFamily | None = _key(lambda key, raw: _parse_immigration(key, raw), None)
+    b_law: ImmigrationFamily | None = _key(partial(_parse_law, ImmigrationFamily), None)
+    n_law: ImmigrationFamily | None = _key(partial(_parse_law, ImmigrationFamily), None)
     i_max: int = _key(_int, 4, lambda i: i >= 2, "must be >= 2 (the decay fit needs 3 points)")
     level: float = _key(_float, 1e-3, lambda v: 0.0 < v < 1.0, "must lie in (0, 1)")
     alpha: float = _key(_float, 1.0, lambda a: a > 0.0, "must be > 0")
@@ -167,48 +186,12 @@ def _unknown_key_error(text: str, section: str, key: str) -> ParseError:
     return ParseError(msg, line=_find_line(text, key))
 
 
-def _parse_offspring(key: str, tok: str) -> OffspringFamily:
-    """An offspring law token; a bad one is blamed on `key`."""
-    kind, _, rest = tok.partition(":")
-    args = [a for a in rest.split(",") if a != ""]
-    try:
-        if kind == "poisson" and len(args) == 1:
-            return OffspringFamily.poisson(float(args[0]))
-        if kind == "bernoulli" and len(args) == 1:
-            return OffspringFamily.bernoulli(float(args[0]))
-        if kind == "geometric0" and len(args) == 1:
-            return OffspringFamily.geometric0(float(args[0]))
-        if kind == "binomial" and len(args) == 2:
-            return OffspringFamily.binomial(int(args[0]), float(args[1]))
-    except ValueError as exc:
-        raise ValidationError(key, f"{tok!r}: {exc}") from exc
-    raise ValidationError(key, f"cannot parse law {tok!r}")
-
-
-def _parse_immigration(key: str, tok: str) -> ImmigrationFamily:
-    """An immigration law token; a bad one is blamed on `key`."""
-    kind, _, rest = tok.partition(":")
-    args = [a for a in rest.split(",") if a != ""]
-    try:
-        if kind == "dpareto" and len(args) in (2, 3):
-            beta = float(args[2]) if len(args) == 3 else 0.0
-            return ImmigrationFamily.discrete_pareto(float(args[0]), float(args[1]), beta)
-        if kind == "bernoulli" and len(args) == 1:
-            return ImmigrationFamily.bernoulli(float(args[0]))
-        if kind == "constant" and len(args) == 1:
-            return ImmigrationFamily.constant(int(args[0]))
-        if kind == "geometric0" and len(args) == 1:
-            return ImmigrationFamily.geometric0(float(args[0]))
-    except ValueError as exc:
-        raise ValidationError(key, f"{tok!r}: {exc}") from exc
-    raise ValidationError(key, f"cannot parse law {tok!r}")
-
-
 def _parse_atom(weight: str, offspring: str, immigration: str) -> EnvAtom:
     """The three fields of one atom line."""
     w = _float("weight", weight)
     try:
-        return EnvAtom(w, _parse_offspring("offspring", offspring), _parse_immigration("immigration", immigration))
+        off = _parse_law(OffspringFamily, "offspring", offspring)
+        return EnvAtom(w, off, _parse_law(ImmigrationFamily, "immigration", immigration))
     except ValueError as exc:  # EnvAtom refuses the weight
         raise ValidationError("weight", str(exc)) from exc
 
@@ -249,7 +232,8 @@ def _parse_env(section, text: str) -> EnvSpec:
         except ValueError as exc:
             raise ValidationError("uniform_poisson_rate", "bad bounds") from exc
         try:
-            return EnvSpec.uniform_poisson_rate(lo, hi, _parse_immigration("immigration", section["immigration"]))
+            imm = _parse_law(ImmigrationFamily, "immigration", section["immigration"])
+            return EnvSpec.uniform_poisson_rate(lo, hi, imm)
         except ValueError as exc:
             raise ValidationError("uniform_poisson_rate", str(exc)) from exc
     raise ValidationError("env", "need 'atoms' or 'uniform_poisson_rate'")

@@ -48,9 +48,6 @@ __all__ = [
     "law_label",
 ]
 
-OFFSPRING_KINDS = ("poisson", "bernoulli", "geometric0", "binomial")
-IMMIGRATION_KINDS = ("dpareto", "bernoulli", "constant", "geometric0")
-
 # largest beta / kappa of a dpareto law; see ImmigrationFamily
 DPARETO_BETA_PER_KAPPA = 2.4327
 _SERIES_CAP = 10**7
@@ -72,7 +69,11 @@ class OffspringFamily:
     bernoulli   p in [0, 1]     Binomial(x, p)
     geometric0  p in (0, 1]     NegBinomial(x, p)   (support {0, 1, ...})
     binomial    n >= 1, p       Binomial(x * n, p)
+
+    PARAMS maps each kind to its parameter fields in config-syntax order.
     """
+
+    PARAMS = {"poisson": ("rate",), "bernoulli": ("p",), "geometric0": ("p",), "binomial": ("n", "p")}
 
     kind: str
     rate: float = 0.0
@@ -80,7 +81,7 @@ class OffspringFamily:
     n: int = 0
 
     def __post_init__(self):
-        _require(self.kind in OFFSPRING_KINDS, f"unknown offspring kind {self.kind!r}")
+        _require(self.kind in self.PARAMS, f"unknown offspring kind {self.kind!r}")
         if self.kind == "poisson":
             _require(math.isfinite(self.rate) and self.rate >= 0.0, "poisson rate must be finite and >= 0")
         elif self.kind == "bernoulli":
@@ -121,7 +122,11 @@ class ImmigrationFamily:
     ln((x + 2)/(x + 1)) / ln(ln(e + x + 1) / ln(e + x)), reached at x = 1.
     Laws past 2.4327 kappa, just under it so that rounding cannot make the
     evaluated S rise at x = 1, are refused: their pmf would go negative.
+
+    PARAMS maps each kind to its parameter fields in config-syntax order.
     """
+
+    PARAMS = {"dpareto": ("kappa", "c", "beta"), "bernoulli": ("q",), "constant": ("b",), "geometric0": ("p",)}
 
     kind: str
     kappa: float = 0.0
@@ -132,7 +137,7 @@ class ImmigrationFamily:
     p: float = 0.0
 
     def __post_init__(self):
-        _require(self.kind in IMMIGRATION_KINDS, f"unknown immigration kind {self.kind!r}")
+        _require(self.kind in self.PARAMS, f"unknown immigration kind {self.kind!r}")
         if self.kind == "dpareto":
             _require(self.kappa > 0.0 and math.isfinite(self.kappa), "dpareto kappa must be > 0")
             _require(0.0 < self.c <= 1.0, "dpareto c must lie in (0, 1]")
@@ -602,26 +607,13 @@ def env_pareto_prefactor(env: EnvSpec) -> tuple[float, float, float]:
     return c_mix, params[0][1], params[0][2]
 
 
-def _fmt_num(v: float) -> str:
-    if float(v) == int(v):
+def _fmt_num(v) -> str:
+    """An integer, or an integral float, without a point; else the float's repr."""
+    if isinstance(v, int) or float(v) == int(v):
         return str(int(v))
     return repr(float(v))
 
 
 def law_label(law: OffspringFamily | ImmigrationFamily) -> str:
     """Canonical config-syntax string for a law, e.g. 'poisson:0.3'."""
-    if isinstance(law, OffspringFamily):
-        if law.kind == "poisson":
-            return f"poisson:{_fmt_num(law.rate)}"
-        if law.kind == "bernoulli":
-            return f"bernoulli:{_fmt_num(law.p)}"
-        if law.kind == "geometric0":
-            return f"geometric0:{_fmt_num(law.p)}"
-        return f"binomial:{law.n},{_fmt_num(law.p)}"
-    if law.kind == "dpareto":
-        return f"dpareto:{_fmt_num(law.kappa)},{_fmt_num(law.c)},{_fmt_num(law.beta)}"
-    if law.kind == "bernoulli":
-        return f"bernoulli:{_fmt_num(law.q)}"
-    if law.kind == "constant":
-        return f"constant:{law.b}"
-    return f"geometric0:{_fmt_num(law.p)}"
+    return f"{law.kind}:" + ",".join(_fmt_num(getattr(law, name)) for name in law.PARAMS[law.kind])

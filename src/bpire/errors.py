@@ -13,8 +13,9 @@ class BpireError(Exception):
 class SeriesDivergence(BpireError):
     """A moment series failed its tail bound within the iteration cap.
 
-    Not reachable for the supported offspring families (all moments finite);
-    kept as a defensive guard.
+    Every moment of the supported offspring families is finite, but a law
+    with a huge mean needs more terms than the cap: `bpire check` on the atom
+    `1.0 geometric0:1e-7 dpareto:2,1,0` stops with it (exit 3).
     """
 
 

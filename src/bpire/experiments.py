@@ -100,10 +100,19 @@ def _count_exceed(values: np.ndarray, thresholds: tuple[float, ...]) -> np.ndarr
 
 
 def _moment_sums(values: np.ndarray, alpha: float) -> np.ndarray:
-    v = values.astype(np.float64)
-    if alpha != 1.0:
-        v = v**alpha
-    return np.array([v.sum(), (v * v).sum()])
+    """Sums of v and v^2 for v = values^alpha; an overflow leaves inf, which
+    `_run_decay` refuses."""
+    with np.errstate(over="ignore"):
+        v = values.astype(np.float64)
+        if alpha != 1.0:
+            v = v**alpha
+        return np.array([v.sum(), (v * v).sum()])
+
+
+def _add_moment_sums(parts) -> np.ndarray:
+    """Chunk moment sums added up; an overflow leaves inf, as in a chunk."""
+    with np.errstate(over="ignore"):
+        return np.sum(parts, axis=0)
 
 
 _value_histogram = partial(np.unique, return_counts=True)
@@ -359,7 +368,9 @@ def _run_decay(cfg: ExperimentConfig):
     rho_theory = kappa_moment(cfg.model.env, cfg.alpha)
     depths = list(range(1, cfg.n_gens + 1))
     stat = partial(_moment_sums, alpha=cfg.alpha)
-    sums = _gather(cfg, unit_progeny_batch, [((_P_DECAY, d), d) for d in depths], stat)
+    sums = _gather(cfg, unit_progeny_batch, [((_P_DECAY, d), d) for d in depths], stat, _add_moment_sums)
+    if not np.isfinite(sums).all():
+        raise ValidationError("alpha", f"moments of order {2 * cfg.alpha!r} overflow float64; lower alpha")
     n = cfg.replicas
     means = []
     rows = []

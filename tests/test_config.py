@@ -5,6 +5,8 @@ import pathlib
 import re
 
 import pytest
+from hypothesis import example, given, reject, settings
+from hypothesis import strategies as hst
 
 from bpire.config import _SECTION_KEYS, EXPERIMENTS, config_to_dict, load_config
 from bpire.env_model import ImmigrationFamily, OffspringFamily, law_label
@@ -54,34 +56,40 @@ def test_experiment_specific_defaults(tmp_path):
     assert decay.tolerance == 0.02
 
 
-def test_law_grammar_round_trips_through_labels(tmp_path):
-    laws = [
-        OffspringFamily.poisson(0.3),
-        OffspringFamily.bernoulli(0.5),
-        OffspringFamily.geometric0(0.6),
-        OffspringFamily.binomial(3, 0.5),
-    ]
-    imms = [
-        ImmigrationFamily.discrete_pareto(2.0, 1.0),
-        ImmigrationFamily.discrete_pareto(2.0, 0.5, 1.0),
-        ImmigrationFamily.bernoulli(0.5),
-        ImmigrationFamily.constant(2),
-        ImmigrationFamily.geometric0(0.6),
-    ]
-    for off in laws:
-        for imm in imms:
-            text = f"""\
-[model]
-kappa = 2
+# every law parameter by name, over its whole valid range: a subnormal c,
+# integral floats past 2^53 and integers past 2^53 must survive a label
+PARAM_VALUES = {
+    "rate": hst.floats(min_value=0.0, allow_infinity=False),
+    "p": hst.floats(0.0, 1.0),
+    "q": hst.floats(0.0, 1.0),
+    "n": hst.integers(min_value=1),
+    "kappa": hst.floats(min_value=5e-324, allow_infinity=False),
+    "c": hst.floats(5e-324, 1.0),
+    "beta": hst.floats(min_value=0.0, allow_infinity=False),
+    "b": hst.integers(min_value=0),
+}
 
-[env]
-atoms =
-    1.0 {law_label(off)} {law_label(imm)}
-"""
-            cfg = load_config(_write(tmp_path, text), experiment="check")
-            atom = cfg.model.env.atoms[0]
-            assert atom.offspring == off
-            assert atom.immigration == imm
+
+@hst.composite
+def _laws(draw, family):
+    """A law of any kind in `family.PARAMS`."""
+    kind = draw(hst.sampled_from(list(family.PARAMS)))
+    values = {name: draw(PARAM_VALUES[name]) for name in family.PARAMS[kind]}
+    try:
+        return family(kind, **values)
+    except ValueError:  # geometric0 p = 0, or dpareto beta past 2.4327 kappa
+        reject()
+
+
+@given(off=_laws(OffspringFamily), imm=_laws(ImmigrationFamily))
+@example(off=OffspringFamily.poisson(1e20), imm=ImmigrationFamily.discrete_pareto(2.0, 5e-324))
+@example(off=OffspringFamily.binomial(2**62 + 1, 0.5), imm=ImmigrationFamily.constant(2**62))
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_law_grammar_round_trips_through_labels(tmp_path_factory, off, imm):
+    text = f"[model]\nkappa = 2\n\n[env]\natoms =\n    1.0 {law_label(off)} {law_label(imm)}\n"
+    cfg = load_config(_write(tmp_path_factory.mktemp("law"), text), experiment="check")
+    atom = cfg.model.env.atoms[0]
+    assert (atom.offspring, atom.immigration) == (off, imm)
 
 
 def test_unknown_key_suggests_the_fix(tmp_path):
@@ -314,6 +322,9 @@ REJECTIONS = [
     ("tolerance", "nan", "theorem", "tolerance", "not a number: 'nan'"),
     ("dump_samples", "maybe", "theorem", "dump_samples", "not a boolean: 'maybe'"),
     ("b_law", "dpareto", "lemma1", "b_law", "cannot parse law 'dpareto'"),
+    ("b_law", "dpareto:2", "lemma1", "b_law", "cannot parse law 'dpareto:2'"),
+    ("b_law", "dpareto:2,1,0,1", "lemma1", "b_law", "cannot parse law 'dpareto:2,1,0,1'"),
+    ("n_law", "constant:1,2", "grey", "n_law", "cannot parse law 'constant:1,2'"),
     ("b_law", "dpareto:-2,1", "lemma1", "b_law", "'dpareto:-2,1': dpareto kappa must be > 0"),
     (
         "b_law",
@@ -370,3 +381,11 @@ def test_readme_table_names_every_experiment_key():
     readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
     rows = re.findall(r"^\| `(\w+)` ", readme.read_text(), flags=re.M)
     assert sorted(rows) == sorted(_SECTION_KEYS["experiment"])
+
+
+def test_readme_names_every_law_kind():
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    paragraph = readme[readme.index("Each environment atom is") :].split("\n\n")[0]
+    for family in (OffspringFamily, ImmigrationFamily):
+        for kind in family.PARAMS:
+            assert f"`{kind}:" in paragraph, kind

@@ -14,10 +14,10 @@ import pytest
 from hypothesis import assume, event, given, settings
 from hypothesis import strategies as hst
 
-from bpire import cli, experiments, tailstats
+from bpire import cli, env_model, experiments, tailstats
 from bpire.config import EXPERIMENTS, load_config
-from bpire.env_model import DPARETO_BETA_PER_KAPPA, kappa_moment
-from bpire.errors import NotSubcritical, ParseError, ValidationError
+from bpire.env_model import DPARETO_BETA_PER_KAPPA, ImmigrationFamily, OffspringFamily, kappa_moment, offspring_moment
+from bpire.errors import NotSubcritical, ParseError, SeriesDivergence, ValidationError
 from bpire.experiments import (
     CHUNK_REPLICAS,
     _merge_histograms,
@@ -222,6 +222,30 @@ def test_decay_csv_is_numeric(tmp_path):
     for row in rows:
         for cell in row.split(","):
             float(cell)
+
+
+def test_decay_refuses_overflowed_moments(tmp_path, capsys):
+    # Z^400 passes float64 at Z = 6 and Z^800 at Z = 3: the sums are inf
+    path = _cfg_file(tmp_path, HALVING, "replicas = 20000\nalpha = 400\n")
+    out = tmp_path / "o"
+    code = cli.main(["decay", "--config", path, "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err.startswith("error: alpha: ") and captured.err.count("\n") == 1
+    assert not any("inf" in f.read_text() for f in out.iterdir())
+
+
+def test_a_moment_series_past_its_cap_exits_three(tmp_path, capsys, monkeypatch):
+    # geometric0:1e-7 needs about 10^9 terms; a cap of 1000 shows the same
+    # refusal at once
+    monkeypatch.setattr(env_model, "_SERIES_CAP", 1000)
+    with pytest.raises(SeriesDivergence):
+        offspring_moment(OffspringFamily.geometric0(1e-7), 2.5)
+    path = _cfg_file(tmp_path, "[model]\nkappa = 2\n\n[env]\natoms =\n    1.0 geometric0:1e-7 dpareto:2,1,0\n")
+    code = cli.main(["check", "--config", path, "--out", str(tmp_path / "o")])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err == "error: geometric0 moment series exceeded iteration cap\n"
 
 
 def test_dump_samples_round_trip(tmp_path):
@@ -658,11 +682,9 @@ def _immigration_token(kind, a, b, share):
 
 UNIT = hst.floats(0.0, 1.0)
 OFFSPRING_TOKENS = hst.builds(
-    _offspring_token, hst.sampled_from(["poisson", "bernoulli", "geometric0", "binomial"]), UNIT, UNIT, hst.integers(1, 3)
+    _offspring_token, hst.sampled_from(list(OffspringFamily.PARAMS)), UNIT, UNIT, hst.integers(1, 3)
 )
-IMMIGRATION_TOKENS = hst.builds(
-    _immigration_token, hst.sampled_from(["dpareto", "bernoulli", "constant", "geometric0"]), UNIT, UNIT, UNIT
-)
+IMMIGRATION_TOKENS = hst.builds(_immigration_token, hst.sampled_from(list(ImmigrationFamily.PARAMS)), UNIT, UNIT, UNIT)
 HEAVY_TOKENS = hst.builds(_immigration_token, hst.just("dpareto"), UNIT, UNIT, UNIT)
 ENV_SECTIONS = hst.one_of(
     hst.builds(lambda o, i: f"atoms =\n    1.0 {o} {i}\n", OFFSPRING_TOKENS, IMMIGRATION_TOKENS),
