@@ -5,10 +5,10 @@ codes: 0 all metrics pass, 1 a metric failed, 2 the standing condition is
 violated, 3 the config could not be parsed or validated, its output
 directory could not be created (checked before the run starts), an
 estimator got too few replicas, an offspring moment series did not converge
-within its iteration cap (a law with a huge mean, such as geometric0:1e-7),
-decay moments overflowed float64, or the results could not be written there,
-4 a sampled value exceeded the 2^62 guard of the int64 samplers, 5 the run
-ran out of memory or a worker process died.
+within its iteration cap (a law with a huge mean, such as geometric0:1e-7,
+where E[m^kappa] < 1 still holds), or the results could not be written
+there, 4 a sampled value exceeded the 2^62 guard of the int64 samplers, 5
+the run ran out of memory or a worker process died.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ _HELP = {
     "lemma1": "single-thinning random-sum tail ratio",
     "corollary": "per-depth composed-thinning tail decay",
     "grey": "independent-count sum tail ratio",
-    "decay": "geometric decay of unit-progeny moments",
+    "decay": "geometric decay of the unit-progeny mean",
     "sre": "affine-recursion perpetuity tail ratio",
     "oracle": "exact truncated-kernel stationary law vs the sampler",
     "hill": "tail-index estimate on stationary samples",

@@ -154,7 +154,7 @@ class ExperimentConfig:
     n_law: ImmigrationFamily | None = _key(partial(_parse_law, ImmigrationFamily), None)
     i_max: int = _key(_int, 4, lambda i: i >= 2, "must be >= 2 (the decay fit needs 3 points)")
     level: float = _key(_float, 1e-3, lambda v: 0.0 < v < 1.0, "must lie in (0, 1)")
-    alpha: float = _key(_float, 1.0, lambda a: a > 0.0, "must be > 0")
+    alpha: float = _key(_float, 1.0, lambda a: a == 1.0, "must be 1: only E[Z_n] decays at a known rate, E[m]^n")
     n_gens: int = _key(_int, 10, lambda n: n >= 3, "must be >= 3")
     state_cap: int = _key(_int, 64, lambda s: 1 <= s <= 4096, "must lie in [1, 4096]")
     tv_tol: float = _key(_float, 0.005, lambda t: t > 0.0, "must be > 0")

@@ -316,8 +316,10 @@ def mean_offspring(law: OffspringFamily) -> float:
 def offspring_moment(law: OffspringFamily, order: float, tol: float = 1e-12) -> float:
     """E[A^order] for one realized offspring law, order >= 1 real.
 
-    Bernoulli and binomial are finite sums; poisson and geometric0 are summed
-    until a geometric bound on the remaining tail drops below `tol`.
+    Bernoulli and binomial are finite sums.  The poisson and geometric0 pmfs
+    both follow p_k = p_(k-1) r_k, with r_k = rate/k or 1 - p, so one series
+    sums them, until the tail past term k, at most a geometric series of
+    ratio exp(order/k) r_(k+1), drops below `tol`.
     """
     _require(order >= 1.0 and math.isfinite(order), "order must be >= 1")
     if law.kind == "bernoulli":
@@ -326,41 +328,22 @@ def offspring_moment(law: OffspringFamily, order: float, tol: float = 1e-12) -> 
         ks = np.arange(law.n + 1)
         return float(np.sum(ks**order * offspring_pmf(law, ks)))
     if law.kind == "poisson":
-        lam = law.rate
-        if lam == 0.0:
-            return 0.0
-        total = 0.0
-        term = math.exp(-lam)  # pmf at 0; contribution 0
-        k = 0
-        while True:
-            k += 1
-            term *= lam / k
-            contrib = k**order * term
-            total += contrib
-            if k >= 2.0 * lam and k >= 2.0 * order:
-                ratio = math.exp(order / k) * lam / (k + 1)
-                if ratio < 1.0 and contrib * ratio / (1.0 - ratio) <= tol:
-                    return total
-            if k > _SERIES_CAP:
-                raise SeriesDivergence("poisson moment series exceeded iteration cap")
-    # geometric0
-    p = law.p
-    if p == 1.0:
-        return 0.0
+        term, step, start = math.exp(-law.rate), lambda k: law.rate / k, 2.0 * max(law.rate, order)
+    else:  # geometric0
+        term, step, start = law.p, lambda k: 1.0 - law.p, 2.0 * order
     total = 0.0
-    term = p  # pmf at 0
     k = 0
     while True:
         k += 1
-        term *= 1.0 - p
+        term *= step(k)
         contrib = k**order * term
         total += contrib
-        if k >= 2.0 * order:
-            ratio = math.exp(order / k) * (1.0 - p)
+        if k >= start:
+            ratio = math.exp(order / k) * step(k + 1)
             if ratio < 1.0 and contrib * ratio / (1.0 - ratio) <= tol:
                 return total
         if k > _SERIES_CAP:
-            raise SeriesDivergence("geometric0 moment series exceeded iteration cap")
+            raise SeriesDivergence(f"{law.kind} moment series exceeded iteration cap")
 
 
 def kappa_moment(env: EnvSpec, kappa: float) -> float:
@@ -376,24 +359,23 @@ def kappa_moment(env: EnvSpec, kappa: float) -> float:
     return (hi ** (kappa + 1.0) - lo ** (kappa + 1.0)) / ((kappa + 1.0) * (hi - lo))
 
 
-def moment_A(env: EnvSpec, order: float, tol: float = 1e-10) -> float:
+def moment_A(env: EnvSpec, order: float) -> float:
     """Unconditional offspring moment E[A^order], order >= 1.
 
-    In the continuous mode E[Poisson(lam)^order] is entire in lam, so a fixed
-    32-node Gauss-Legendre rule over [lo, hi] adds no error above rounding;
-    the series at each node is summed to a relative tol/100.
+    Each atom's series is summed to an absolute 1e-12.  In the continuous
+    mode E[Poisson(lam)^order] is entire in lam, so a fixed 32-node
+    Gauss-Legendre rule over [lo, hi] adds no error above rounding; the
+    series at each node is summed to a relative 1e-12.
     """
     _require(order >= 1.0 and math.isfinite(order), "order must be >= 1")
     if env.is_atomic:
-        return math.fsum(
-            a.weight * offspring_moment(a.offspring, order, tol=tol * 1e-2) for a in env.atoms
-        )
+        return math.fsum(a.weight * offspring_moment(a.offspring, order) for a in env.atoms)
     lo, hi = env.rate_lo, env.rate_hi
     nodes, weights = np.polynomial.legendre.leggauss(_GAUSS_NODES)
     lams = 0.5 * (lo + hi) + 0.5 * (hi - lo) * nodes
     # E[Poisson(lam)^order] >= lam, so an absolute series tolerance of
-    # tol/100 * lam is a relative one
-    values = [offspring_moment(OffspringFamily.poisson(lam), order, tol=tol * 1e-2 * lam) for lam in lams]
+    # 1e-12 lam is a relative one
+    values = [offspring_moment(OffspringFamily.poisson(lam), order, tol=1e-12 * lam) for lam in lams]
     # (hi - lo)/2 * sum(w f) integrates over [lo, hi]; dividing by hi - lo averages
     return 0.5 * math.fsum(w * v for w, v in zip(weights, values))
 
@@ -416,16 +398,18 @@ def log_mean_offspring(env: EnvSpec) -> float:
     return (anti(hi) - anti(lo)) / (hi - lo)
 
 
-def check_conditions(model: ModelSpec, tol: float = 1e-10) -> ConditionReport:
+def check_conditions(model: ModelSpec) -> ConditionReport:
     """Evaluate the standing condition for the model.
 
     Passing needs E[m(xi)^kappa] < 1 together with a finite offspring moment
     of order max(1, kappa) + delta; subcriticality of the log mean follows
-    and is reported alongside.
+    and is reported alongside.  The offspring moment is evaluated only when
+    E[m(xi)^kappa] < 1, and is NaN otherwise: the verdict is already known,
+    and a law with a huge mean would sum its series to the iteration cap.
     """
     km = kappa_moment(model.env, model.kappa)
     lm = log_mean_offspring(model.env)
-    ma = moment_A(model.env, max(1.0, model.kappa) + model.delta, tol=tol)
+    ma = moment_A(model.env, max(1.0, model.kappa) + model.delta) if km < 1.0 else math.nan
     subcritical = lm < 0.0
     passed = km < 1.0 and math.isfinite(ma)
     return ConditionReport(

@@ -14,8 +14,10 @@ class SeriesDivergence(BpireError):
     """A moment series failed its tail bound within the iteration cap.
 
     Every moment of the supported offspring families is finite, but a law
-    with a huge mean needs more terms than the cap: `bpire check` on the atom
-    `1.0 geometric0:1e-7 dpareto:2,1,0` stops with it (exit 3).
+    with a huge mean needs more terms than the cap: `bpire check` at
+    kappa = 0.01 on the atoms `0.1 geometric0:1e-7 dpareto:2,1,0` and
+    `0.9 poisson:0 dpareto:2,1,0`, where E[m^kappa] = 0.117, stops with it
+    (exit 3).  At E[m^kappa] >= 1 the series is not summed (exit 2).
     """
 
 

@@ -339,7 +339,7 @@ REJECTIONS = [
     ("i_max", "2.5", "corollary", "i_max", "not an integer: '2.5'"),
     ("level", "1", "corollary", "level", "must lie in (0, 1)"),
     ("level", "nan", "corollary", "level", "not a number: 'nan'"),
-    ("alpha", "0", "decay", "alpha", "must be > 0"),
+    ("alpha", "2", "decay", "alpha", "must be 1: only E[Z_n] decays at a known rate, E[m]^n"),
     ("alpha", "nan", "decay", "alpha", "not a number: 'nan'"),
     ("alpha", "inf", "decay", "alpha", "not a number: 'inf'"),
     ("alpha", "1e400", "decay", "alpha", "not a number: '1e400'"),

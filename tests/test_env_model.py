@@ -14,6 +14,7 @@ from scipy import integrate
 from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
+from bpire import env_model
 from bpire.env_model import (
     DPARETO_BETA_PER_KAPPA,
     EnvAtom,
@@ -36,6 +37,7 @@ from bpire.env_model import (
     thinned_offspring_mode,
     thinned_offspring_pmf,
 )
+from bpire.errors import SeriesDivergence
 from bpire.oracle import _BAND_FLOOR, _KERNEL_BLOCK
 from bpire.rng import RngState
 
@@ -69,6 +71,21 @@ def test_offspring_moment_fractional_order_against_scipy_series():
     assert offspring_moment(OffspringFamily.poisson(0.9), 2.5) == pytest.approx(direct, rel=1e-9)
     direct_g = float(np.sum(np.arange(2000.0) ** 2.5 * st.nbinom.pmf(np.arange(2000), 1, 0.4)))
     assert offspring_moment(OffspringFamily.geometric0(0.4), 2.5) == pytest.approx(direct_g, rel=1e-9)
+
+
+def test_offspring_moment_of_the_point_mass_is_exactly_zero():
+    for law in (OffspringFamily.poisson(0.0), OffspringFamily.geometric0(1.0)):
+        for order in (1.0, 2.5, 7.0):
+            assert offspring_moment(law, order) == 0.0
+
+
+def test_offspring_moment_cap_names_the_family(monkeypatch):
+    # Poisson(10^4) sums past k = 2 * 10^4 and geometric0(10^-4) past about
+    # 3 * 10^5 before either tail bound is met
+    monkeypatch.setattr(env_model, "_SERIES_CAP", 100)
+    for law in (OffspringFamily.poisson(1e4), OffspringFamily.geometric0(1e-4)):
+        with pytest.raises(SeriesDivergence, match=f"^{law.kind} moment series exceeded iteration cap$"):
+            offspring_moment(law, 2.0)
 
 
 def test_offspring_moment_bernoulli_binomial_exact():
@@ -248,6 +265,8 @@ def test_check_conditions_rejects_supercritical_moment():
     rep = check_conditions(ModelSpec(env=env, kappa=1.0, delta=0.5))
     assert not rep.passed
     assert rep.kappa_moment == pytest.approx(1.2, rel=1e-12)
+    # the verdict is known, so the offspring moment is not evaluated
+    assert math.isnan(rep.moment_a)
 
 
 def test_condition_report_json_keys():

@@ -224,28 +224,52 @@ def test_decay_csv_is_numeric(tmp_path):
             float(cell)
 
 
-def test_decay_refuses_overflowed_moments(tmp_path, capsys):
-    # Z^400 passes float64 at Z = 6 and Z^800 at Z = 3: the sums are inf
+def test_decay_refuses_an_alpha_other_than_one_at_config_time(tmp_path, capsys):
+    # only E[Z_n] has a known decay rate; alpha = 400 is refused before any
+    # sampling, and nothing is written
     path = _cfg_file(tmp_path, HALVING, "replicas = 20000\nalpha = 400\n")
     out = tmp_path / "o"
     code = cli.main(["decay", "--config", path, "--out", str(out)])
     captured = capsys.readouterr()
     assert code == 3
-    assert captured.err.startswith("error: alpha: ") and captured.err.count("\n") == 1
-    assert not any("inf" in f.read_text() for f in out.iterdir())
+    assert captured.err.startswith("config error: alpha: ") and captured.err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_decay_judges_the_mean_against_the_mean_offspring_rate(tmp_path):
+    # config_a's atoms: E[m] = 0.6, while E[m^kappa] = 0.45 lies outside the
+    # tolerance of the estimate
+    cfg = load_config(_cfg_file(tmp_path, SUBCRITICAL, "replicas = 20000\n"), experiment="decay")
+    [metric] = run_experiment(cfg).metrics
+    assert metric["theory"] == pytest.approx(0.6, rel=1e-15) and metric["pass"], metric
+    assert abs(metric["estimate"] - kappa_moment(cfg.model.env, cfg.model.kappa)) > metric["tolerance"]
 
 
 def test_a_moment_series_past_its_cap_exits_three(tmp_path, capsys, monkeypatch):
     # geometric0:1e-7 needs about 10^9 terms; a cap of 1000 shows the same
-    # refusal at once
+    # refusal at once.  E[m^kappa] = 0.1 (10^7 - 1)^0.01 = 0.117 passes, so
+    # the moment is evaluated
     monkeypatch.setattr(env_model, "_SERIES_CAP", 1000)
     with pytest.raises(SeriesDivergence):
         offspring_moment(OffspringFamily.geometric0(1e-7), 2.5)
-    path = _cfg_file(tmp_path, "[model]\nkappa = 2\n\n[env]\natoms =\n    1.0 geometric0:1e-7 dpareto:2,1,0\n")
+    atoms = "    0.1 geometric0:1e-7 dpareto:2,1,0\n    0.9 poisson:0 dpareto:2,1,0\n"
+    path = _cfg_file(tmp_path, f"[model]\nkappa = 0.01\n\n[env]\natoms =\n{atoms}")
     code = cli.main(["check", "--config", path, "--out", str(tmp_path / "o")])
     captured = capsys.readouterr()
     assert code == 3
     assert captured.err == "error: geometric0 moment series exceeded iteration cap\n"
+
+
+def test_a_failed_kappa_moment_skips_the_moment_series(tmp_path, capsys, monkeypatch):
+    # E[m^2] is about 1e14; with a cap of 0 any summed series would raise
+    monkeypatch.setattr(env_model, "_SERIES_CAP", 0)
+    path = _cfg_file(tmp_path, "[model]\nkappa = 2\n\n[env]\natoms =\n    1.0 geometric0:1e-7 dpareto:2,1,0\n")
+    assert cli.main(["check", "--config", path, "--out", str(tmp_path / "o")]) == 2
+    assert "FAIL (standing condition violated)" in capsys.readouterr().out
+    code = cli.main(["theorem", "--config", path, "--out", str(tmp_path / "o")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "hypothesis failure: standing condition fails: E[m^kappa] = 99999980000001.03\n"
 
 
 def test_dump_samples_round_trip(tmp_path):
