@@ -6,7 +6,8 @@ violated, 3 the config could not be parsed or validated, its output
 directory could not be created (checked before the run starts), an
 estimator got too few replicas, an offspring moment series did not converge
 within its iteration cap (a law with a huge mean, such as geometric0:1e-7,
-where E[m^kappa] < 1 still holds), or the results could not be written
+where E[m^kappa] < 1 still holds) or does not fit in float64, the power
+iteration of `oracle` did not converge, or the results could not be written
 there, 4 a sampled value exceeded the 2^62 guard of the int64 samplers, 5
 the run ran out of memory or a worker process died.
 """
@@ -23,18 +24,6 @@ from .config import EXPERIMENTS, load_config
 from .errors import BpireError, NotSubcritical, ParseError, ValidationError
 from .experiments import emit_report, run_experiment
 
-_HELP = {
-    "check": "evaluate the standing condition and report its moments",
-    "theorem": "stationary tail ratio against the immigration tail",
-    "lemma1": "single-thinning random-sum tail ratio",
-    "corollary": "per-depth composed-thinning tail decay",
-    "grey": "independent-count sum tail ratio",
-    "decay": "geometric decay of the unit-progeny mean",
-    "sre": "affine-recursion perpetuity tail ratio",
-    "oracle": "exact truncated-kernel stationary law vs the sampler",
-    "hill": "tail-index estimate on stationary samples",
-}
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -43,11 +32,11 @@ def build_parser() -> argparse.ArgumentParser:
         "with immigration in a random environment.",
     )
     sub = parser.add_subparsers(dest="experiment", required=True)
-    for name in EXPERIMENTS:
-        sp = sub.add_parser(name, help=_HELP[name])
+    for name, help_line in EXPERIMENTS.items():
+        sp = sub.add_parser(name, help=help_line)
         sp.add_argument("--config", required=True, help="experiment config file")
         sp.add_argument("--seed", type=int, default=None, help="override the master seed")
-        sp.add_argument("--workers", type=int, default=None, help="worker processes (also BPIRE_WORKERS)")
+        sp.add_argument("--workers", type=int, default=None, help="worker processes")
         sp.add_argument("--out", default=None, help="output directory for reports")
     return parser
 
@@ -64,13 +53,7 @@ def _metric_line(m: dict) -> str:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = load_config(
-            args.config,
-            experiment=args.experiment,
-            seed=args.seed,
-            workers=args.workers,
-            out_dir=args.out,
-        )
+        cfg = load_config(args.config, args.experiment, seed=args.seed, workers=args.workers, out_dir=args.out)
         os.makedirs(cfg.out_dir, exist_ok=True)
     except (ParseError, ValidationError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

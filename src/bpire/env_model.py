@@ -319,14 +319,31 @@ def offspring_moment(law: OffspringFamily, order: float, tol: float = 1e-12) -> 
     Bernoulli and binomial are finite sums.  The poisson and geometric0 pmfs
     both follow p_k = p_(k-1) r_k, with r_k = rate/k or 1 - p, so one series
     sums them, until the tail past term k, at most a geometric series of
-    ratio exp(order/k) r_(k+1), drops below `tol`.
+    ratio exp(order/k) r_(k+1), drops below `tol`.  A term k^order p_k whose
+    k^order alone passes float64 is taken in logs; a moment that does not
+    fit in float64 raises SeriesDivergence.
     """
     _require(order >= 1.0 and math.isfinite(order), "order must be >= 1")
+    try:
+        total = _moment_sum(law, order, tol)
+    except (OverflowError, FloatingPointError):
+        total = math.inf
+    if not math.isfinite(total):
+        raise SeriesDivergence(f"{law.kind} moment of order {order:g} exceeds float64")
+    return total
+
+
+def _moment_sum(law: OffspringFamily, order: float, tol: float) -> float:
     if law.kind == "bernoulli":
         return law.p  # A in {0, 1}
     if law.kind == "binomial":
         ks = np.arange(law.n + 1)
-        return float(np.sum(ks**order * offspring_pmf(law, ks)))
+        pmf = offspring_pmf(law, ks)
+        with np.errstate(over="raise", divide="ignore"):
+            try:
+                return float(np.sum(ks**order * pmf))
+            except FloatingPointError:
+                return float(np.sum(np.exp(order * np.log(ks) + np.log(pmf))))
     if law.kind == "poisson":
         term, step, start = math.exp(-law.rate), lambda k: law.rate / k, 2.0 * max(law.rate, order)
     else:  # geometric0
@@ -336,7 +353,10 @@ def offspring_moment(law: OffspringFamily, order: float, tol: float = 1e-12) -> 
     while True:
         k += 1
         term *= step(k)
-        contrib = k**order * term
+        try:
+            contrib = k**order * term
+        except OverflowError:
+            contrib = math.exp(order * math.log(k) + math.log(term)) if term > 0.0 else 0.0
         total += contrib
         if k >= start:
             ratio = math.exp(order / k) * step(k + 1)

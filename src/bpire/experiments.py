@@ -385,7 +385,7 @@ def _run_oracle(cfg: ExperimentConfig):
     emp = empirical_pmf(values, cfg.state_cap, counts)
     tv = tv_distance(exact.pmf, emp)
     metrics = [
-        _metric("tv_distance", tv, 0.0, cfg.tv_tol, "upper"),
+        _metric("tv_distance", tv, 0.0, cfg.tolerance, "upper"),
         _metric("clipped_mass", exact.residual, 0.0, 1e-8, "upper"),
     ]
     exact_rows = [(str(s), repr(float(p))) for s, p in enumerate(exact.pmf)]

@@ -44,6 +44,8 @@ _KERNEL_BLOCK = 64
 # build_kernel skips a B x B block of thinned pmf whose entries are all at or
 # below this floor; each row then loses at most (n_max + 1) * floor of mass
 _BAND_FLOOR = 1e-20
+# sweeps stationary_power_iteration makes before it gives up
+_MAX_SWEEPS = 10**6
 
 
 @dataclass(frozen=True)
@@ -123,24 +125,23 @@ def build_kernel(env: EnvSpec, n_max: int) -> TruncatedKernel:
     return TruncatedKernel(n_max=n_max, matrix=body, row_clip=row_clip)
 
 
-def stationary_power_iteration(
-    kernel: TruncatedKernel, tol: float = 1e-12, max_iter: int = 10**6
-) -> ExactDistribution:
+def stationary_power_iteration(kernel: TruncatedKernel, tol: float = 1e-12) -> ExactDistribution:
     """Left fixed vector by repeated multiplication, stopping when the
-    sweep-to-sweep total-variation increment drops below tol."""
+    sweep-to-sweep total-variation increment drops below tol, within
+    _MAX_SWEEPS sweeps."""
     if tol <= 0.0:
         raise ValueError("tol must be > 0")
     p = kernel.matrix
     n = p.shape[0]
     pi = np.full(n, 1.0 / n)
-    for _ in range(max_iter):
+    for _ in range(_MAX_SWEEPS):
         nxt = pi @ p
         tv = 0.5 * float(np.abs(nxt - pi).sum())
         pi = nxt
         if tv < tol:
             pi = pi / pi.sum()
             return ExactDistribution(pmf=pi, residual=float(pi @ kernel.row_clip))
-    raise NoConvergence(f"power iteration exceeded {max_iter} sweeps")
+    raise NoConvergence(f"power iteration exceeded {_MAX_SWEEPS} sweeps")
 
 
 def _single_draw_support(law: OffspringFamily) -> np.ndarray:

@@ -161,23 +161,11 @@ atoms =
     assert err.value.field == "atoms"
 
 
-def test_experiment_name_mismatch_is_an_error(tmp_path):
-    text = MINIMAL + "\n[experiment]\nname = theorem\n"
+def test_an_unknown_experiment_is_refused(tmp_path):
     with pytest.raises(ValidationError) as err:
-        load_config(_write(tmp_path, text), experiment="lemma1")
+        load_config(_write(tmp_path, MINIMAL), "nosuch")
     assert err.value.field == "experiment"
-
-
-def test_experiment_name_from_file_alone_works(tmp_path):
-    text = MINIMAL + "\n[experiment]\nname = check\n"
-    cfg = load_config(_write(tmp_path, text))
-    assert cfg.experiment == "check"
-
-
-def test_missing_experiment_name_everywhere_is_an_error(tmp_path):
-    with pytest.raises(ValidationError) as err:
-        load_config(_write(tmp_path, MINIMAL))
-    assert err.value.field == "experiment"
+    assert str(err.value) == "experiment: unknown experiment 'nosuch'"
 
 
 def test_lemma1_requires_a_designated_law(tmp_path):
@@ -192,21 +180,17 @@ def test_grey_requires_a_count_law(tmp_path):
     assert err.value.field == "n_law"
 
 
-def test_workers_precedence(tmp_path, monkeypatch):
+def test_workers_precedence(tmp_path):
     path = _write(tmp_path, MINIMAL + "\n[experiment]\nworkers = 3\n")
-    monkeypatch.setenv("BPIRE_WORKERS", "7")
     assert load_config(path, experiment="check", workers=2).workers == 2
     assert load_config(path, experiment="check").workers == 3
-    bare = _write(tmp_path, MINIMAL, "bare.cfg")
-    assert load_config(bare, experiment="check").workers == 7
-    monkeypatch.delenv("BPIRE_WORKERS")
-    assert load_config(bare, experiment="check").workers == 1
+    assert load_config(_write(tmp_path, MINIMAL, "bare.cfg"), experiment="check").workers == 1
 
 
-def test_bad_workers_env_var(tmp_path, monkeypatch):
+def test_workers_ignore_the_environment(tmp_path, monkeypatch):
+    # workers come from the file or the override alone
     monkeypatch.setenv("BPIRE_WORKERS", "many")
-    with pytest.raises(ValidationError):
-        load_config(_write(tmp_path, MINIMAL), experiment="check")
+    assert load_config(_write(tmp_path, MINIMAL), experiment="check").workers == 1
 
 
 def test_seed_and_out_overrides(tmp_path):
@@ -296,8 +280,6 @@ def test_every_experiment_name_is_loadable(tmp_path):
 # field named, message).  out_dir takes any non-empty path; `bpire` exits 3
 # on one it cannot create.
 REJECTIONS = [
-    ("name", "nosuch", None, "experiment", "unknown experiment 'nosuch'"),
-    ("name", "hill", "theorem", "experiment", "file names 'hill' but 'theorem' was requested"),
     ("replicas", "0", "check", "replicas", "must be >= 1"),
     ("replicas", "1e6", "check", "replicas", "not an integer: '1e6'"),
     ("seed", "-1", "check", "seed", "must fit in 64 bits"),
@@ -346,8 +328,6 @@ REJECTIONS = [
     ("n_gens", "2", "decay", "n_gens", "must be >= 3"),
     ("state_cap", "0", "oracle", "state_cap", "must lie in [1, 4096]"),
     ("state_cap", "4097", "oracle", "state_cap", "must lie in [1, 4096]"),
-    ("tv_tol", "0", "oracle", "tv_tol", "must be > 0"),
-    ("tv_tol", "nan", "oracle", "tv_tol", "not a number: 'nan'"),
     ("hill_k", "1", "hill", "hill_k", "must be 0 (automatic) or >= 2"),
     ("hill_k", "-3", "hill", "hill_k", "must be 0 (automatic) or >= 2"),
     ("hill_k", "1000000", "hill", "hill_k", "must be below replicas (1000000)"),

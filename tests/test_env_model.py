@@ -88,6 +88,18 @@ def test_offspring_moment_cap_names_the_family(monkeypatch):
             offspring_moment(law, 2.0)
 
 
+def test_offspring_moment_takes_large_powers_in_logs():
+    # k^order passes float64 within each sum (from k = 112, 371 and 635),
+    # the moment does not; reference values summed with 50-digit mpmath
+    cases = [
+        (OffspringFamily.poisson(0.3), 150.5, 1.0432808427499605e175),
+        (OffspringFamily.geometric0(0.5), 120.0, 6.088118052531736e217),
+        (OffspringFamily.binomial(1000, 0.001), 110.0, 2.175441136767523e130),
+    ]
+    for law, order, want in cases:
+        assert offspring_moment(law, order) == pytest.approx(want, rel=1e-12), law
+
+
 def test_offspring_moment_bernoulli_binomial_exact():
     # A in {0, 1}: every moment is p
     assert offspring_moment(OffspringFamily.bernoulli(0.35), 7.3) == pytest.approx(0.35, rel=1e-12)

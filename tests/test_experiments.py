@@ -14,7 +14,7 @@ import pytest
 from hypothesis import assume, event, given, settings
 from hypothesis import strategies as hst
 
-from bpire import cli, env_model, experiments, tailstats
+from bpire import cli, env_model, experiments, oracle, tailstats
 from bpire.config import EXPERIMENTS, load_config
 from bpire.env_model import DPARETO_BETA_PER_KAPPA, ImmigrationFamily, OffspringFamily, kappa_moment, offspring_moment
 from bpire.errors import NotSubcritical, ParseError, SeriesDivergence, ValidationError
@@ -194,7 +194,7 @@ atoms =
 def test_oracle_experiment_small(tmp_path):
     # Bounded immigration: the truncated kernel loses next to no mass, so the
     # clipped_mass gate is meaningful at the default cap.
-    path = _cfg_file(tmp_path, COIN, "replicas = 200000\ntv_tol = 0.01\n")
+    path = _cfg_file(tmp_path, COIN, "replicas = 200000\ntolerance = 0.01\n")
     cfg = load_config(path, experiment="oracle")
     report = run_experiment(cfg)
     assert report.passed, report.metrics
@@ -202,6 +202,25 @@ def test_oracle_experiment_small(tmp_path):
     emit_report(report, out)
     assert (out / "stationary.csv").exists() and (out / "empirical.csv").exists()
 
+
+
+def test_oracle_judges_tv_distance_by_tolerance(tmp_path, capsys):
+    # no sampled pmf matches the exact one to the last bit
+    path = _cfg_file(tmp_path, COIN, "replicas = 20000\ntolerance = 0\n")
+    code = cli.main(["oracle", "--config", path, "--out", str(tmp_path / "o")])
+    capsys.readouterr()
+    assert code == 1
+    with open(tmp_path / "o" / "report.json") as fh:
+        metrics = {m["name"]: m for m in json.load(fh)["metrics"]}
+    assert metrics["tv_distance"]["tolerance"] == 0.0 and not metrics["tv_distance"]["pass"]
+    assert metrics["clipped_mass"]["pass"]
+
+
+def test_power_iteration_past_its_sweep_cap_exits_three(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(oracle, "_MAX_SWEEPS", 1)
+    code = cli.main(["oracle", "--config", str(CONFIGS / "oracle_bernoulli.cfg"), "--out", str(tmp_path / "o")])
+    assert code == 3
+    assert capsys.readouterr().err == "error: power iteration exceeded 1 sweeps\n"
 
 HALVING = """\
 [model]
@@ -258,6 +277,26 @@ def test_a_moment_series_past_its_cap_exits_three(tmp_path, capsys, monkeypatch)
     captured = capsys.readouterr()
     assert code == 3
     assert captured.err == "error: geometric0 moment series exceeded iteration cap\n"
+
+
+@pytest.mark.parametrize(
+    "kappa, offspring, code, err",
+    [
+        (300, "poisson:0.3", 3, "error: poisson moment of order 300.5 exceeds float64\n"),
+        (300, "geometric0:0.9", 3, "error: geometric0 moment of order 300.5 exceeds float64\n"),
+        (300, "binomial:20,0.01", 3, "error: binomial moment of order 300.5 exceeds float64\n"),
+        # E[A^150.5] is about 1.04e175; its terms' k^150.5 pass float64 from k = 112
+        (150, "poisson:0.3", 0, ""),
+    ],
+)
+def test_a_moment_past_float64_exits_three_with_one_line(tmp_path, capsys, kappa, offspring, code, err):
+    # E[m^kappa] is tiny, so the offspring moment of order kappa + 1/2 is evaluated
+    path = _cfg_file(tmp_path, f"[model]\nkappa = {kappa}\n\n[env]\natoms =\n    1.0 {offspring} dpareto:{kappa},1,0\n")
+    assert cli.main(["check", "--config", path, "--out", str(tmp_path / "o")]) == code
+    assert capsys.readouterr().err == err
+    if code == 0:
+        with open(tmp_path / "o" / "condition.json") as fh:
+            assert json.load(fh)["moment_A"] == pytest.approx(1.0432808427499605e175, rel=1e-12)
 
 
 def test_a_failed_kappa_moment_skips_the_moment_series(tmp_path, capsys, monkeypatch):
@@ -359,59 +398,59 @@ n_gens = 5
 # which draws nothing: a change there moves only these two.
 PIN_DIGESTS = {
     "check/condition.json": "dad419b5018c0d18582aff87119eef58f8aa44acef4fb11864448080654da245",
-    "check/report.json": "016a525c3c78c1b384858f4b89c4f8b61ec6b57a5bd59d0b4b9bbf379a8862b6",
+    "check/report.json": "89e6ed0099aa2852ced88954854a69ad79cd73398a4b8af9e0641e78755341f7",
     "theorem/ratio.csv": "d926b5a715ce511aa19f44c7023645739db9a66d0d8e9aaebd751fbe99a7d9c7",
     "theorem/summary.json": "367299ed112e8c632e8bc77d6d2385c170b9fff61ee89702a5b57976bed6c2b6",
     "theorem/hill.csv": "683f93b77abe5d22aed351caaaeafd9882ffcc81a34bbe9a89c66d9d502de6ee",
     "theorem/samples.txt": "5cb00b429c02cbdc3856f695e607a11ff736e95f5f96a4f3d93a691792d32525",
-    "theorem/report.json": "d4b4d5ea2e8727837db7e823968645cc5f2160b86b4116b72dd4a637a87d6d08",
+    "theorem/report.json": "c3f680c8db6c5a70a26bc8bd738226462525e9e28ec2778b51c85bfc18392754",
     "lemma1/ratio.csv": "d34cdce4116de2c85fa1b615b47189671da73e51a88ea86481f3aaf618e89fa2",
     "lemma1/summary.json": "2f7c64be63843876f1792b18b233a4d962a75c3c0a27335fafeea04dbcbe7518",
-    "lemma1/report.json": "b74c6e4bb9029f1d320f909173abf4126784be203a604c7ad74a936610d3ad56",
+    "lemma1/report.json": "c809255dbb9f4284cc5f699793c571a0e6a191c97981ff0a41838372aa715ccd",
     "corollary/depth_ratio.csv": "4df0dfa803ec5031d8fe8d30f0d07d68df91070000a03aaaf573b74a43468f79",
-    "corollary/report.json": "7ce4d76d547d3d06bd7eb1a62eeab392e2b7ffdc1fa1a450776dec41611b50dc",
+    "corollary/report.json": "478a1322f14bcabfe70635426ebbb24b7ff079bad834b321ec0675d92b30488d",
     "grey/ratio.csv": "167008516468b3612ea41841b59d70217d816a6d87ac4edd3551c1bff3995be3",
     "grey/summary.json": "f718dd9d19cb712cd53ef86c86baa620cb493f72bca700df4be4c03ff2e733a8",
-    "grey/report.json": "e41d9030a2ec5e96e4a7967ad06c4277fb10a3648f78e19dd5dc37c91af3c018",
+    "grey/report.json": "8d1397d2d60c5eecaf510c6dd6bac4f5d384cef589adf95f6e21472070c5125e",
     "decay/decay.csv": "babc296c7a14d8e14b45c4f29ec667cc68e9ab8aa28856e19ff84affcb8be13d",
-    "decay/report.json": "92f454feb2ee0185334309cbadee39aaf9d567cd30d9afec6bce02f7aa61db4e",
+    "decay/report.json": "6ddf4279339bb568458fa053637f4da0bad13b569eca77f9bd534a914afd4020",
     "sre/ratio.csv": "c8810fb48c3eb69e9b008e3a6479a404be6e0a3759e9b5121973bd40d22c9d09",
     "sre/summary.json": "a27f723e939b8613cea672f6d544fcf398ae45992c3bc0c8498d576f84a0fdd7",
-    "sre/report.json": "ba10c6188a6292eeaf791ca79ba265f2fed59279f1407f0b71611e977ac6a5ee",
+    "sre/report.json": "bb98210675d351f7740bd610c1b5a922abe58d47a324f3c8d4dd2708fa1fd140",
     "oracle/stationary.csv": "9e68edb082e4e35b1526458305854b60c6e65a04b6adddfc6f88864d8ad0ae74",
     "oracle/empirical.csv": "5c171de30fa6c0e50e565118f5c56e9a5639043c159b38391bfd9f6ab1e4bd2e",
-    "oracle/report.json": "b260d687818fef7601324f648dd410e8a4f67b8842a8f966aae8809bd892cb82",
+    "oracle/report.json": "6e9fd89946ade40267661d05ab8d4a98bbc0d8de75fc292e36fedd285d292ca1",
     "hill/hill.csv": "683f93b77abe5d22aed351caaaeafd9882ffcc81a34bbe9a89c66d9d502de6ee",
     "hill/samples.txt": "5cb00b429c02cbdc3856f695e607a11ff736e95f5f96a4f3d93a691792d32525",
-    "hill/report.json": "bd024e48fc2f4ffb15bd47111493323476a381a2ba5428fbb9803822e0436708",
+    "hill/report.json": "eb2c22050e799d2bf29b5230903db6b22076bb17a2e4076e3b81aa014b6248d0",
     "continuous/theorem/ratio.csv": "6a3195e729a7300496486b9976c9bb27b649efd90b3de7cb366b7e0aa9191db5",
     "continuous/theorem/summary.json": "99ad08a02fbee78af8867dd5406fe3c63471a05929bd686879b0ce313621e340",
     "continuous/theorem/hill.csv": "fe2ea93de706b9630d9ab86e2e449921a05c55368d209bb99572fc115601fa29",
     "continuous/theorem/samples.txt": "617cd275652168425258b52a3dd0656e22f7b9fe3ae12f756553b9f3e76633e4",
-    "continuous/theorem/report.json": "cd1154b44214f7a83f8ad0fd7fc12a23eb977a588adffce41f1c737fe2b5bc88",
+    "continuous/theorem/report.json": "dda13e45592515c20a2d13a715bf8bf6d815eec4b1d8da14d6bdefce377eef2b",
     "continuous/lemma1/ratio.csv": "5107532def3f2f68f2d38ea0436838d749a7b186fca7a681ce333611598e880e",
     "continuous/lemma1/summary.json": "d5e1eda9d9fde33fe2dc037c32b486a8dd72b5788b46b8618fc80913c6a1d1c7",
-    "continuous/lemma1/report.json": "d73093e7091c72a2f840649dd7898725a15118ca6f33a2510c79f24caa49adb8",
+    "continuous/lemma1/report.json": "fed084e9fae077814defa842c6c47bfc7e13e6b4494a797f2140df6a94bcbb30",
     "continuous/sre/ratio.csv": "5c6b0c8898b4e479404b6f755405ad694a561d48f9498b6abf1c3f3b6bbdd800",
     "continuous/sre/summary.json": "fe05a28ad2a8b66f0096c2580a4f6261a581081afef682da2df2664eccc89877",
-    "continuous/sre/report.json": "d8e3c4a5ff3e32ea839422c57cd4a24dcd247d3f24fddd46fc1f5beb1dd8123f",
+    "continuous/sre/report.json": "c12bf328e578fc3fea06c42408e1ac56868c6838607c4dff6de4884533daf07b",
     "continuous/decay/decay.csv": "7db49b9bb7f057719073e988c2084756684e50b45e2aa98cba1c9df98a7d93f3",
-    "continuous/decay/report.json": "dcb8aea87865b9f4ee1af0cb1a2aed5c68f143017b5f196edb9e88dd32df932c",
+    "continuous/decay/report.json": "83b588673a83cb905925cdc629efe8ee849f008960187681b95bd5fdc800670e",
     "mixed/theorem/ratio.csv": "27beb72bcbd96ec44d9ccba53fc4c3351136171f97b7fed418101535b8f505a9",
     "mixed/theorem/summary.json": "c902f65287485923b45494a3221b70cee550740c6d2c6ae8bfd59bfd06bd20a7",
     "mixed/theorem/hill.csv": "72c53169d98a77231297de709b8f2f832a4adda935c047e38ba76558bf5188b2",
     "mixed/theorem/samples.txt": "07502b6a272de893e641254162741eee66e1bee3ab25a086194ed5b3213fd821",
-    "mixed/theorem/report.json": "9319fb461ba5273265bbc5ebf941e9d096ed07065fb4cc540796ee9e2014a008",
+    "mixed/theorem/report.json": "ed7ef77895ae7b981c2f951bac6d2126d460b4348c578c0c3083e4f06f8d52d6",
     "mixed/lemma1/ratio.csv": "cecefd3fba1d1e13e140b613d2fbef6717d920209322ba02e7e468e6c9af2605",
     "mixed/lemma1/summary.json": "7c7a3f88645b91df97603640614358f9291f8ea536ddd16c40d960028467667d",
-    "mixed/lemma1/report.json": "ea7ace3807624c03afdcd918c5d5b4d052ff4e50db9982f61d1fcb2f8b5b13d9",
+    "mixed/lemma1/report.json": "467943d3cde3533c0b032a8fda77849007be91749e195101fc27dc7b0bca8472",
     "mixed/corollary/depth_ratio.csv": "229d7fd82a0b0fb263b4a70f4e3f074cf3fb6c668172a8c415f5f9fa4b1cd545",
-    "mixed/corollary/report.json": "a76c422d519bae5d1123bb08dca2ab783f49a3d71375151eb6225f18dc075baf",
+    "mixed/corollary/report.json": "94c7ad14f2de3582efc0c2012ab05723d9d1bcb66c7645160307afba22abf82c",
     "mixed/sre/ratio.csv": "a3e650131e7064e86762fb3b30748a9b9dd550c8e5f00bbbad3cae44ebff2926",
     "mixed/sre/summary.json": "82204e55f927feb0590f7f0428c009f0b11a4abdca6000cfa9fc2636ad1a8215",
-    "mixed/sre/report.json": "53b338c02aa5451b600e02be8f496272cd0c65eda44082e7ed613190a6a8ba46",
+    "mixed/sre/report.json": "d554ef5d806ecb3193a9893b018404bb48727738ad7ac4eb4024286130dfd28b",
     "mixed/decay/decay.csv": "750de87a98f1432304e99026e80c5b46737b38eb62971195cb664a7be37e1d81",
-    "mixed/decay/report.json": "afd7a8144b12fff42ecbf39714a94861946ae6a4b64ab0127659c206f5974d8c",
+    "mixed/decay/report.json": "13ec29dfa6fbc2057f2ae4e1440e8063c97fb52a4dce98aee1ef0f1130443b93",
 }
 
 
@@ -783,6 +822,21 @@ def test_cli_seed_override_lands_in_report(tmp_path, capsys):
     assert code == 0
     with open(out / "report.json") as fh:
         assert json.load(fh)["seed"] == 777
+
+
+@pytest.mark.parametrize("line", ["name = theorem", "tv_tol = 0.01"])
+def test_cli_refuses_the_removed_keys(tmp_path, capsys, line):
+    key = line.split()[0]
+    path = _cfg_file(tmp_path, SUBCRITICAL, line + "\n")
+    assert cli.main(["theorem", "--config", path, "--out", str(tmp_path / "o")]) == 3
+    assert capsys.readouterr().err.startswith(f"config error: line 10: unknown key {key!r} in [experiment]")
+
+
+def test_every_experiment_has_a_runner_and_a_help_line():
+    assert set(experiments._RUNNERS) == set(EXPERIMENTS)
+    usage = cli.build_parser().format_help()
+    for name, help_line in EXPERIMENTS.items():
+        assert help_line.strip() and help_line in usage, name
 
 
 def test_cli_rejects_unknown_experiment(tmp_path):
