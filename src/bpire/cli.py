@@ -8,8 +8,9 @@ estimator got too few replicas, an offspring moment series did not converge
 within its iteration cap (a law with a huge mean, such as geometric0:1e-7,
 where E[m^kappa] < 1 still holds) or does not fit in float64, the power
 iteration of `oracle` did not converge, or the results could not be written
-there, 4 a sampled value exceeded the 2^62 guard of the int64 samplers, 5
-the run ran out of memory or a worker process died.
+there, 4 a sampled value exceeded the 2^62 guard of the int64 samplers, or
+a survival level is not reached below 2^62, found before sampling, 5 the
+run ran out of memory or a worker process died.
 """
 
 from __future__ import annotations

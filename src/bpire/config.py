@@ -36,6 +36,7 @@ from .env_model import (
     law_label,
 )
 from .errors import ParseError, ValidationError
+from .oracle import MAX_STATES
 
 __all__ = ["ExperimentConfig", "EXPERIMENTS", "load_config", "config_to_dict"]
 
@@ -156,7 +157,7 @@ class ExperimentConfig:
     level: float = _key(_float, 1e-3, lambda v: 0.0 < v < 1.0, "must lie in (0, 1)")
     alpha: float = _key(_float, 1.0, lambda a: a == 1.0, "must be 1: only E[Z_n] decays at a known rate, E[m]^n")
     n_gens: int = _key(_int, 10, lambda n: n >= 3, "must be >= 3")
-    state_cap: int = _key(_int, 64, lambda s: 1 <= s <= 4096, "must lie in [1, 4096]")
+    state_cap: int = _key(_int, 64, lambda s: 1 <= s <= MAX_STATES, f"must lie in [1, {MAX_STATES}]")
     hill_k: int = _key(_int, 0, lambda k: k == 0 or k >= 2, "must be 0 (automatic) or >= 2")
     dump_samples: bool = _key(_bool, False)
 

@@ -92,6 +92,16 @@ class OffspringFamily:
             _require(self.n >= 1 and self.n == int(self.n), "binomial n must be an integer >= 1")
             _require(0.0 <= self.p <= 1.0, "binomial p must lie in [0, 1]")
 
+    def x_fold(self) -> tuple[int, int, float]:
+        """(draw, n, p) of the x-fold sum above: draw 0 is Poisson(x p), 1
+        Binomial(x n, p), with n = 1 for bernoulli, and 2 NegBinomial(x, p),
+        numbered in the order the simulator draws past its alias tables."""
+        if self.kind == "poisson":
+            return 0, 0, self.rate
+        if self.kind == "geometric0":
+            return 2, 0, self.p
+        return 1, self.n if self.kind == "binomial" else 1, self.p
+
     @classmethod
     def poisson(cls, rate: float) -> "OffspringFamily":
         return cls(kind="poisson", rate=float(rate))
@@ -304,13 +314,12 @@ def draw_env_batch(env: EnvSpec, rng: RngState, size: int) -> EnvBatch:
 
 def mean_offspring(law: OffspringFamily) -> float:
     """Conditional offspring mean m for one realized law."""
-    if law.kind == "poisson":
-        return law.rate
-    if law.kind == "bernoulli":
-        return law.p
-    if law.kind == "geometric0":
-        return (1.0 - law.p) / law.p
-    return law.n * law.p
+    draw, n, p = law.x_fold()
+    if draw == 0:
+        return p
+    if draw == 1:
+        return n * p
+    return (1.0 - p) / p
 
 
 def offspring_moment(law: OffspringFamily, order: float, tol: float = 1e-12) -> float:
@@ -334,20 +343,21 @@ def offspring_moment(law: OffspringFamily, order: float, tol: float = 1e-12) -> 
 
 
 def _moment_sum(law: OffspringFamily, order: float, tol: float) -> float:
-    if law.kind == "bernoulli":
-        return law.p  # A in {0, 1}
-    if law.kind == "binomial":
-        ks = np.arange(law.n + 1)
+    draw, n, p = law.x_fold()
+    if draw == 1:
+        if n == 1:
+            return p  # A in {0, 1}
+        ks = np.arange(n + 1)
         pmf = offspring_pmf(law, ks)
         with np.errstate(over="raise", divide="ignore"):
             try:
                 return float(np.sum(ks**order * pmf))
             except FloatingPointError:
                 return float(np.sum(np.exp(order * np.log(ks) + np.log(pmf))))
-    if law.kind == "poisson":
-        term, step, start = math.exp(-law.rate), lambda k: law.rate / k, 2.0 * max(law.rate, order)
-    else:  # geometric0
-        term, step, start = law.p, lambda k: 1.0 - law.p, 2.0 * order
+    if draw == 0:
+        term, step, start = math.exp(-p), lambda k: p / k, 2.0 * max(p, order)
+    else:  # negative binomial
+        term, step, start = p, lambda k: 1.0 - p, 2.0 * order
     total = 0.0
     k = 0
     while True:
@@ -371,12 +381,17 @@ def kappa_moment(env: EnvSpec, kappa: float) -> float:
 
     Atoms give the weighted sum; the uniform rate range [lo, hi] gives
     (hi^(kappa+1) - lo^(kappa+1)) / ((kappa+1)(hi-lo)), exactly 1 at kappa = 0.
+    A power past float64 reads inf: the moment is then far above 1, unless
+    an atom weight is subnormal.
     """
     _require(kappa >= 0.0 and math.isfinite(kappa), "kappa must be >= 0")
-    if env.is_atomic:
-        return math.fsum(a.weight * mean_offspring(a.offspring) ** kappa for a in env.atoms)
-    lo, hi = env.rate_lo, env.rate_hi
-    return (hi ** (kappa + 1.0) - lo ** (kappa + 1.0)) / ((kappa + 1.0) * (hi - lo))
+    try:
+        if env.is_atomic:
+            return math.fsum(a.weight * mean_offspring(a.offspring) ** kappa for a in env.atoms)
+        lo, hi = env.rate_lo, env.rate_hi
+        return (hi ** (kappa + 1.0) - lo ** (kappa + 1.0)) / ((kappa + 1.0) * (hi - lo))
+    except OverflowError:
+        return math.inf
 
 
 def moment_A(env: EnvSpec, order: float) -> float:
@@ -509,14 +524,15 @@ def thinned_offspring_pmf(law: OffspringFamily, x, ks: np.ndarray) -> np.ndarray
     # x = 0 is handled apart: the negative binomial with n = 0 is undefined
     n = np.maximum(x, 1)
     k = np.maximum(ks, 0)
-    if law.kind == "poisson":
-        pmf = _poisson_pmf(k, n * law.rate) if law.rate > 0.0 else k == 0
-    elif law.kind == "geometric0":
+    draw, each, p = law.x_fold()
+    if draw == 0:
+        pmf = _poisson_pmf(k, n * p) if p > 0.0 else k == 0
+    elif draw == 2:
         # failures before the n-th success: n/(n+k) P(Binomial(n+k, p) = n)
-        pmf = n / (n + k) * _binomial_pmf(n, n + k, law.p)
+        pmf = n / (n + k) * _binomial_pmf(n, n + k, p)
     else:
-        trials = n * (law.n if law.kind == "binomial" else 1)
-        pmf = (k <= trials) * _binomial_pmf(np.minimum(k, trials), trials, law.p)
+        trials = n * each
+        pmf = (k <= trials) * _binomial_pmf(np.minimum(k, trials), trials, p)
     return np.where(ks < 0, 0.0, np.where(x == 0, ks == 0, pmf))
 
 
@@ -531,13 +547,14 @@ def thinned_offspring_mode(law: OffspringFamily, x) -> np.ndarray:
     """
     x = np.asarray(x, dtype=np.int64)
     n = np.maximum(x, 1)
-    if law.kind == "poisson":
-        mode = np.floor(n * law.rate)
-    elif law.kind == "geometric0":
-        mode = np.floor((n - 1) * (1.0 - law.p) / law.p)
+    draw, each, p = law.x_fold()
+    if draw == 0:
+        mode = np.floor(n * p)
+    elif draw == 2:
+        mode = np.floor((n - 1) * (1.0 - p) / p)
     else:
-        trials = n * (law.n if law.kind == "binomial" else 1)
-        mode = np.minimum(np.floor((trials + 1) * law.p), trials)
+        trials = n * each
+        mode = np.minimum(np.floor((trials + 1) * p), trials)
     return np.where(x == 0, 0.0, mode)
 
 
@@ -551,14 +568,9 @@ def immigration_survival(law: ImmigrationFamily, x) -> np.ndarray | float:
     x = np.asarray(x, dtype=float)
     xc = np.maximum(x, 0.0)
     if law.kind == "dpareto":
-        # ln(e + x) ** 0 is exactly 1.0, so skipping it changes no bit
-        if law.beta == 0.0:
-            s = np.minimum(1.0, law.c * (1.0 + xc) ** (-law.kappa))
-        else:
-            # c last: a subnormal c times the log power first would round to
-            # a few multiples of 5e-324 before the power of 1 + x, and S
-            # could rise
-            s = np.minimum(1.0, law.c * (np.log(math.e + xc) ** law.beta * (1.0 + xc) ** (-law.kappa)))
+        # c last: a subnormal c times the log power first would round to a
+        # few multiples of 5e-324 before the power of 1 + x, and S could rise
+        s = np.minimum(1.0, law.c * (np.log(math.e + xc) ** law.beta * (1.0 + xc) ** (-law.kappa)))
     elif law.kind == "bernoulli":
         s = np.where(xc < 1.0, law.q, 0.0)
     elif law.kind == "constant":

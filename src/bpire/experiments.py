@@ -254,11 +254,6 @@ def _run_check(cfg: ExperimentConfig):
     return metrics, [("condition.json", "json", rep.to_dict())]
 
 
-def _survival(survival_fn, law):
-    """x -> float survival of `law` (an immigration law or an environment)."""
-    return lambda x: float(survival_fn(law, x))
-
-
 def _stationary_constant(cfg: ExperimentConfig) -> float:
     return 1.0 / (1.0 - kappa_moment(cfg.model.env, cfg.model.kappa))
 
@@ -296,26 +291,26 @@ def _run_tail_ratio(cfg: ExperimentConfig, surv, theory: float, sampler=None, jo
     const_hat = _ratio_at(report, x_for[cfg.metric_levels[-1]])
     artifacts = [
         ("ratio.csv", "csv", tailstats.tail_table(report, _reliable_flags(surv, xs, cfg.replicas))),
-        ("summary.json", "json", tailstats.summary_dict(const_hat, theory, kappa_hat)),
+        ("summary.json", "json", {"constant_hat": const_hat, "constant_theory": theory, "kappa_hat": kappa_hat}),
         *hill_artifacts,
     ]
     return _level_metrics(cfg, report, x_for, theory), artifacts
 
 
 def _run_theorem(cfg: ExperimentConfig):
-    surv = _survival(env_immigration_survival, cfg.model.env)
+    surv = partial(env_immigration_survival, cfg.model.env)
     return _run_tail_ratio(cfg, surv, _stationary_constant(cfg))
 
 
 def _run_lemma1(cfg: ExperimentConfig):
     km = kappa_moment(cfg.model.env, cfg.model.kappa)
-    surv = _survival(immigration_survival, cfg.b_law)
+    surv = partial(immigration_survival, cfg.b_law)
     return _run_tail_ratio(cfg, surv, km, random_sum_batch, ((_P_RANDOM_SUM,), cfg.b_law))
 
 
 def _run_corollary(cfg: ExperimentConfig):
     km = kappa_moment(cfg.model.env, cfg.model.kappa)
-    surv = _survival(env_immigration_survival, cfg.model.env)
+    surv = partial(env_immigration_survival, cfg.model.env)
     x0 = tailstats.threshold_for_level(surv, cfg.level)
     depths = list(range(cfg.i_max + 1))
     stat = partial(_count_exceed, thresholds=(float(x0),))
@@ -350,7 +345,7 @@ def _run_grey(cfg: ExperimentConfig):
     if (round(kap_n, 15), round(beta_n, 15)) != (round(kap_b, 15), round(beta_b, 15)):
         raise ValidationError("n_law", "count law must share the immigration tail exponent and log power")
     theory = 1.0 + (c_n / c_b) * km
-    surv = _survival(env_immigration_survival, env)
+    surv = partial(env_immigration_survival, env)
     return _run_tail_ratio(cfg, surv, theory, grey_sum_batch, ((_P_GREY,), cfg.n_law))
 
 
@@ -373,7 +368,7 @@ def _run_decay(cfg: ExperimentConfig):
 
 
 def _run_sre(cfg: ExperimentConfig):
-    surv = _survival(env_immigration_survival, cfg.model.env)
+    surv = partial(env_immigration_survival, cfg.model.env)
     job = ((_P_SRE,), choose_truncation(cfg.model, cfg.epsilon_trunc))
     return _run_tail_ratio(cfg, surv, _stationary_constant(cfg), sample_perpetuity_batch, job)
 

@@ -85,16 +85,17 @@ def _recurrence_rows(law: OffspringFamily) -> np.ndarray:
     overflows reads NaN; neither is tabulated."""
     x = np.arange(ALIAS_ROWS, dtype=float)[:, None]
     k = np.arange(1, 2 * ALIAS_COLS, dtype=float)
-    if law.kind == "poisson":
-        mu = x * law.rate
+    draw, each, p = law.x_fold()
+    if draw == 0:
+        mu = x * p
         head, ratio = np.exp(-mu), mu / k
-    elif law.kind == "geometric0":
-        head, ratio = law.p**x, (x + k - 1.0) * (1.0 - law.p) / k
+    elif draw == 2:
+        head, ratio = p**x, (x + k - 1.0) * (1.0 - p) / k
     else:
-        trials = x * (law.n if law.kind == "binomial" else 1)
-        if law.p == 1.0:
+        trials = x * each
+        if p == 1.0:
             return (np.arange(2 * ALIAS_COLS) == trials).astype(float)
-        head, ratio = (1.0 - law.p) ** trials, np.maximum(trials - k + 1.0, 0.0) * (law.p / (1.0 - law.p)) / k
+        head, ratio = (1.0 - p) ** trials, np.maximum(trials - k + 1.0, 0.0) * (p / (1.0 - p)) / k
     return np.cumprod(np.hstack([head, ratio]), axis=1)
 
 
@@ -167,21 +168,11 @@ def _batch_tables(laws: tuple[OffspringFamily, ...]) -> tuple[np.ndarray, np.nda
     return threshold, np.concatenate([alias.ravel() for _, alias in tables])
 
 
-def _draw_params(law: OffspringFamily) -> tuple[int, int, float]:
-    """(draw, n, p) of a group's x-fold offspring sum: draw 0 is Poisson at
-    p * x, 1 is binomial(n * x, p) and 2 negative binomial(x, p)."""
-    if law.kind == "poisson":
-        return 0, 0, law.rate
-    if law.kind == "geometric0":
-        return 2, 0, law.p
-    return 1, law.n if law.kind == "binomial" else 1, law.p
-
-
 def _thin_past_table(batch: EnvBatch, x: np.ndarray, group: np.ndarray, rng: RngState) -> np.ndarray:
     """numpy's draw of each entry's x-fold sum: one draw per kind of
-    `_draw_params`, in numbering order, with parameters gathered per entry
-    from its group."""
-    draw, n, p = (np.array(col) for col in zip(*(_draw_params(law) for law, _ in batch.laws)))
+    `OffspringFamily.x_fold`, in numbering order, with parameters gathered
+    per entry from its group."""
+    draw, n, p = (np.array(col) for col in zip(*(law.x_fold() for law, _ in batch.laws)))
     out = np.empty_like(x)
     entry_draw = draw[group]
     for d in np.unique(entry_draw):
@@ -209,9 +200,9 @@ def thin_for_batch(batch: EnvBatch, values: np.ndarray, rng: RngState) -> np.nda
     entry, zeros included, in index order; the cell is j = floor(128 v), and
     the draw is j if 128 v - j < q[x, j], else alias[x, j].  Entries past
     their law's last tabulated row then take numpy's draw, one per kind of
-    `_draw_params` in numbering order, with each guarded against 2^62.  The
-    continuous group has no table and draws Poisson at each entry's own mean
-    over all entries.
+    `OffspringFamily.x_fold` in numbering order, with each guarded against
+    2^62.  The continuous group has no table and draws Poisson at each
+    entry's own mean over all entries.
 
     The bound on a tabulated row.  With v on the grid of 2^-53, 128 v - j
     takes each multiple of 2^-46 in [0, 1) once, so a cell keeps j with

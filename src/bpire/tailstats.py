@@ -34,7 +34,6 @@ __all__ = [
     "hill_estimate",
     "hill_sweep",
     "fit_geometric_decay",
-    "summary_dict",
     "tail_table",
     "hill_table",
 ]
@@ -44,15 +43,14 @@ _REF_FLOOR = 1e-300
 
 @dataclass(frozen=True)
 class TailReport:
-    """Survival estimates on a grid; ratio columns present when a reference
-    survival was supplied."""
+    """Survival estimates on a grid and their ratios to a reference survival."""
 
     x_grid: np.ndarray
     survival: np.ndarray
     se: np.ndarray
     n: int
-    ratio: np.ndarray | None = None
-    ratio_se: np.ndarray | None = None
+    ratio: np.ndarray
+    ratio_se: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -94,8 +92,10 @@ def exceedances(values, x_grid, counts=None) -> np.ndarray:
     return at_most[-1] - at_most[np.searchsorted(v, _check_grid(x_grid), side="right")]
 
 
-def tail_from_counts(exceed_counts, n: int, x_grid) -> TailReport:
-    """Exceedance frequencies #{s > x}/n with binomial standard errors."""
+def ratio_from_counts(exceed_counts, n: int, ref_survival, x_grid) -> TailReport:
+    """Exceedance frequencies #{s > x}/n with binomial standard errors, and
+    their ratios to an exact reference survival with delta-method standard
+    errors (se / reference)."""
     x = _check_grid(x_grid)
     counts = np.asarray(exceed_counts, dtype=np.int64)
     if counts.shape != x.shape:
@@ -106,25 +106,10 @@ def tail_from_counts(exceed_counts, n: int, x_grid) -> TailReport:
         raise ValueError("counts must lie in [0, n]")
     p = counts / n
     se = np.sqrt(p * (1.0 - p) / n)
-    return TailReport(x_grid=x, survival=p, se=se, n=int(n))
-
-
-def ratio_from_counts(exceed_counts, n: int, ref_survival, x_grid) -> TailReport:
-    """Empirical survival divided by an exact reference, with delta-method
-    standard errors (se / reference)."""
-    report = tail_from_counts(exceed_counts, n, x_grid)
-    ref = np.array([float(ref_survival(x)) for x in report.x_grid])
+    ref = np.array([float(ref_survival(v)) for v in x])
     if np.any(ref <= _REF_FLOOR):
-        bad = report.x_grid[ref <= _REF_FLOOR]
-        raise ReferenceVanishes(f"reference survival underflows at x = {bad.tolist()}")
-    return TailReport(
-        x_grid=report.x_grid,
-        survival=report.survival,
-        se=report.se,
-        n=report.n,
-        ratio=report.survival / ref,
-        ratio_se=report.se / ref,
-    )
+        raise ReferenceVanishes(f"reference survival underflows at x = {x[ref <= _REF_FLOOR].tolist()}")
+    return TailReport(x_grid=x, survival=p, se=se, n=int(n), ratio=p / ref, ratio_se=se / ref)
 
 
 def tail_ratio(values, ref_survival, x_grid, counts=None) -> TailReport:
@@ -143,7 +128,7 @@ def threshold_for_level(surv, level: float) -> int:
     while float(surv(hi)) > level:
         hi *= 2
         if hi > 1 << 62:
-            raise OverflowError("survival level unreachable below 2^62")
+            raise OverflowError(f"survival level {level:g} unreachable below 2^62")
     lo = hi // 2
     while hi - lo > 1:
         mid = (lo + hi) // 2
@@ -275,20 +260,9 @@ def _fmt(v) -> str:
     return str(int(f)) if f == int(f) and abs(f) < 1e15 else repr(f)
 
 
-def summary_dict(constant_hat: float, constant_theory: float, kappa_hat: float | None) -> dict:
-    return {
-        "constant_hat": constant_hat,
-        "constant_theory": constant_theory,
-        "kappa_hat": kappa_hat,
-    }
-
-
 def tail_table(report: TailReport, reliable) -> tuple[str, list[tuple[str, ...]]]:
     """ratio.csv as (header, rows): x, survival, se, ratio, ratio_se and
-    whether the reference survival at x is at least 1/sqrt(n).  Requires
-    ratio columns, which is what the experiments publish."""
-    if report.ratio is None:
-        raise ValueError("report carries no ratio columns")
+    whether the reference survival at x is at least 1/sqrt(n)."""
     columns = (report.survival, report.se, report.ratio, report.ratio_se)
     rows = [
         (_fmt(x), *(repr(float(v)) for v in values), "1" if ok else "0")

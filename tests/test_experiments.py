@@ -299,16 +299,37 @@ def test_a_moment_past_float64_exits_three_with_one_line(tmp_path, capsys, kappa
             assert json.load(fh)["moment_A"] == pytest.approx(1.0432808427499605e175, rel=1e-12)
 
 
-def test_a_failed_kappa_moment_skips_the_moment_series(tmp_path, capsys, monkeypatch):
-    # E[m^2] is about 1e14; with a cap of 0 any summed series would raise
+@pytest.mark.parametrize(
+    "env, moment",
+    [
+        ("atoms =\n    1.0 geometric0:1e-7 dpareto:2,1,0\n", "99999980000001.03"),
+        # m^2 passes float64, so E[m^kappa] reads inf
+        ("atoms =\n    1.0 poisson:1e200 dpareto:2,1,0\n", "inf"),
+        ("atoms =\n    1.0 geometric0:1e-300 dpareto:2,1,0\n", "inf"),
+        ("uniform_poisson_rate = 0.1, 1e200\nimmigration = dpareto:2,1,0\n", "inf"),
+    ],
+    ids=["geometric0-1e-7", "poisson-1e200", "geometric0-1e-300", "uniform-rate-1e200"],
+)
+def test_a_failed_kappa_moment_skips_the_moment_series(tmp_path, capsys, monkeypatch, env, moment):
+    # E[m^2] is at least about 1e14; with a cap of 0 any summed series would raise
     monkeypatch.setattr(env_model, "_SERIES_CAP", 0)
-    path = _cfg_file(tmp_path, "[model]\nkappa = 2\n\n[env]\natoms =\n    1.0 geometric0:1e-7 dpareto:2,1,0\n")
+    path = _cfg_file(tmp_path, f"[model]\nkappa = 2\n\n[env]\n{env}")
     assert cli.main(["check", "--config", path, "--out", str(tmp_path / "o")]) == 2
-    assert "FAIL (standing condition violated)" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert f"kappa_moment: estimate={float(moment):.6g}" in out and "FAIL (standing condition violated)" in out
     code = cli.main(["theorem", "--config", path, "--out", str(tmp_path / "o")])
     captured = capsys.readouterr()
     assert code == 2
-    assert captured.err == "hypothesis failure: standing condition fails: E[m^kappa] = 99999980000001.03\n"
+    assert captured.err == f"hypothesis failure: standing condition fails: E[m^kappa] = {moment}\n"
+
+
+@pytest.mark.parametrize("experiment, level", [("theorem", "0.01"), ("corollary", "0.001"), ("sre", "0.01")])
+def test_an_unreachable_survival_level_exits_four_naming_it(tmp_path, capsys, experiment, level):
+    # the standing condition holds, but S(x) = (1 + x)^-0.05 stays above 1e-2
+    # up to x = 10^40, past the 2^62 guard: the run stops before sampling
+    path = _cfg_file(tmp_path, "[model]\nkappa = 0.05\n\n[env]\natoms =\n    1.0 poisson:0.3 dpareto:0.05,1,0\n")
+    assert cli.main([experiment, "--config", path, "--out", str(tmp_path / "o")]) == 4
+    assert capsys.readouterr().err == f"error: survival level {level} unreachable below 2^62\n"
 
 
 def test_dump_samples_round_trip(tmp_path):

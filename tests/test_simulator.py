@@ -29,7 +29,10 @@ from bpire.env_model import (
     env_immigration_survival,
     immigration_pmf,
     immigration_survival,
+    mean_offspring,
+    offspring_moment,
     offspring_pmf,
+    thinned_offspring_mode,
     thinned_offspring_pmf,
 )
 from bpire.errors import NotSubcritical
@@ -218,6 +221,23 @@ def test_config_a_laws_fill_their_tables():
     # times; the tables must cover them for thinning to stay cheap
     for rate in (0.3, 0.9):
         assert _tabulated_rows(OffspringFamily.poisson(rate)) == simulator.ALIAS_ROWS
+
+
+@pytest.mark.parametrize("p", [0.0, 1e-5, 0.1, 0.35, 1.0])
+def test_bernoulli_is_a_one_trial_binomial_to_the_bit(p):
+    # every reader of the summation closure sees the same law in both
+    coin, one_trial = OffspringFamily.bernoulli(p), OffspringFamily.binomial(1, p)
+    xs, ks = np.arange(200)[:, None], np.arange(-1, 210)
+    assert np.array_equal(thinned_offspring_pmf(coin, xs, ks), thinned_offspring_pmf(one_trial, xs, ks))
+    assert np.array_equal(thinned_offspring_mode(coin, xs), thinned_offspring_mode(one_trial, xs))
+    assert mean_offspring(coin) == mean_offspring(one_trial) == p
+    assert offspring_moment(coin, 2.5) == offspring_moment(one_trial, 2.5) == p
+    for table, other in zip(simulator._alias_table(coin), simulator._alias_table(one_trial)):
+        assert np.array_equal(table, other)
+    # rows 0 .. 63 draw from the tables, 64 and 1000 from numpy's binomial
+    xs = np.repeat(np.array([0, 1, 63, 64, 1000]), 500)
+    draws = [thin_batch(law, xs, RngState.from_seed(3)) for law in (coin, one_trial)]
+    assert np.array_equal(*draws)
 
 
 OFFSPRING_LAWS = hst.one_of(

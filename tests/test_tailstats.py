@@ -1,6 +1,6 @@
 """Tail estimation: exceedance counting, threshold search, Hill estimator,
-geometric decay fits, the CSV row builders, the summary dict, and the KS
-helpers of tests/conftest.py.
+geometric decay fits, the CSV row builders, and the KS helpers of
+tests/conftest.py.
 
 The Hill estimator is validated on continuous Pareto draws where the index
 is known exactly and against a naive sort of the sample; counting code is
@@ -8,7 +8,6 @@ validated against naive loops.  Raw samples and value histograms must give
 the same numbers.
 """
 
-import json
 import math
 
 import numpy as np
@@ -31,8 +30,6 @@ from bpire.tailstats import (
     hill_table,
     histogram,
     ratio_from_counts,
-    summary_dict,
-    tail_from_counts,
     tail_ratio,
     tail_table,
     threshold_for_level,
@@ -42,7 +39,8 @@ from conftest import hill_functional, ks_distance, ks_threshold
 
 
 def _empirical_tail(samples, grid):
-    return tail_from_counts(exceedances(samples, grid), len(samples), grid)
+    # against a unit reference the survival columns are the plain frequencies
+    return ratio_from_counts(exceedances(samples, grid), len(samples), lambda x: 1.0, grid)
 
 
 def test_empirical_tail_counts_by_hand():
@@ -75,7 +73,7 @@ def test_empirical_tail_rejects_bad_inputs():
     with pytest.raises(ValueError):
         exceedances(np.array([1]), np.array([3.0, 2.0]))
     with pytest.raises(ValueError):
-        tail_from_counts(np.array([5]), 3, np.array([1.0]))
+        ratio_from_counts(np.array([5]), 3, lambda x: 1.0, np.array([1.0]))
 
 
 def test_histogram_of_raw_draws_and_its_checks():
@@ -312,10 +310,6 @@ def test_tail_csv_layout():
     assert rows[0][0] == "1" and rows[0][-1] == "1"
     assert rows[1][-1] == "0"
     assert [float(v) for v in rows[0][1:5]] == [rep.survival[0], rep.se[0], rep.ratio[0], rep.ratio_se[0]]
-    # a ratio-free report is a caller error
-    bare = tail_from_counts(exceedances(draws, grid), draws.size, grid)
-    with pytest.raises(ValueError):
-        tail_table(bare, [True, True])
 
 
 def test_hill_csv_layout():
@@ -328,14 +322,6 @@ def test_hill_csv_layout():
     k, est, ci = rows[0]
     assert int(k) == int(rep.k_grid[0])
     assert float(est) == rep.estimate[0] and float(ci) == rep.ci95[0]
-
-
-def test_summary_json_keys():
-    d = summary_dict(1.9, 1.8182, 2.05)
-    assert set(d) == {"constant_hat", "constant_theory", "kappa_hat"}
-    loaded = json.loads(json.dumps(summary_dict(1.9, 1.8182, None)))
-    assert loaded["kappa_hat"] is None
-    assert loaded["constant_hat"] == 1.9
 
 
 def test_csv_writers_are_deterministic(tmp_path):
