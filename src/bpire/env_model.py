@@ -325,17 +325,18 @@ def mean_offspring(law: OffspringFamily) -> float:
 def offspring_moment(law: OffspringFamily, order: float, tol: float = 1e-12) -> float:
     """E[A^order] for one realized offspring law, order >= 1 real.
 
-    Bernoulli and binomial are finite sums.  The poisson and geometric0 pmfs
-    both follow p_k = p_(k-1) r_k, with r_k = rate/k or 1 - p, so one series
-    sums them, until the tail past term k, at most a geometric series of
-    ratio exp(order/k) r_(k+1), drops below `tol`.  A term k^order p_k whose
-    k^order alone passes float64 is taken in logs; a moment that does not
-    fit in float64 raises SeriesDivergence.
+    Bernoulli is p and a binomial at p = 1 is N^order.  One recurrence sums
+    every other law: its pmf follows p_k = p_(k-1) r_k, with r_k = rate/k,
+    (N - k + 1)p/(k(1 - p)) or 1 - p, carried in logs from log p_0 = -rate,
+    N log1p(-p) or log p, so neither p_0 nor k^order leaves float64.  It
+    stops at a zero step, or once the tail past term k, at most a geometric
+    series of ratio exp(order/k) r_(k+1), drops below `tol`.  A moment that
+    does not fit in float64 raises SeriesDivergence.
     """
     _require(order >= 1.0 and math.isfinite(order), "order must be >= 1")
     try:
         total = _moment_sum(law, order, tol)
-    except (OverflowError, FloatingPointError):
+    except OverflowError:
         total = math.inf
     if not math.isfinite(total):
         raise SeriesDivergence(f"{law.kind} moment of order {order:g} exceeds float64")
@@ -344,29 +345,25 @@ def offspring_moment(law: OffspringFamily, order: float, tol: float = 1e-12) -> 
 
 def _moment_sum(law: OffspringFamily, order: float, tol: float) -> float:
     draw, n, p = law.x_fold()
-    if draw == 1:
-        if n == 1:
-            return p  # A in {0, 1}
-        ks = np.arange(n + 1)
-        pmf = offspring_pmf(law, ks)
-        with np.errstate(over="raise", divide="ignore"):
-            try:
-                return float(np.sum(ks**order * pmf))
-            except FloatingPointError:
-                return float(np.sum(np.exp(order * np.log(ks) + np.log(pmf))))
     if draw == 0:
-        term, step, start = math.exp(-p), lambda k: p / k, 2.0 * max(p, order)
-    else:  # negative binomial
-        term, step, start = p, lambda k: 1.0 - p, 2.0 * order
+        log_term, step, start = -p, lambda k: p / k, 2.0 * max(p, order)
+    elif draw == 2:  # negative binomial
+        log_term, step, start = math.log(p), lambda k: 1.0 - p, 2.0 * order
+    elif n == 1:
+        return p  # A in {0, 1}
+    elif p == 1.0:
+        return float(n) ** order  # the point mass at N
+    else:
+        log_term, step, start = n * math.log1p(-p), lambda k: (n - k + 1) * p / (k * (1.0 - p)), 2.0 * max(n * p, order)
     total = 0.0
     k = 0
     while True:
         k += 1
-        term *= step(k)
-        try:
-            contrib = k**order * term
-        except OverflowError:
-            contrib = math.exp(order * math.log(k) + math.log(term)) if term > 0.0 else 0.0
+        r = step(k)
+        if r == 0.0:
+            return total
+        log_term += math.log(r)
+        contrib = math.exp(order * math.log(k) + log_term)
         total += contrib
         if k >= start:
             ratio = math.exp(order / k) * step(k + 1)
@@ -454,21 +451,23 @@ def check_conditions(model: ModelSpec) -> ConditionReport:
 
 # ---- pmf / survival evaluation ------------------------------------------
 
-def _stirling_error(top: int) -> np.ndarray:
-    """delta(n) = log n! - (n + 1/2) log n + n - log(2 pi)/2 for n = 0..top.
+_STIRLING_HEAD = np.array(
+    [0.0] + [math.lgamma(m + 1.0) - (m + 0.5) * math.log(m) + m - 0.5 * math.log(2.0 * math.pi) for m in range(1, 16)]
+)
 
-    From lgamma for n <= 15, where the terms are small; above, the Stirling
-    series to n^-9, whose truncation error is below rounding.  delta(0) is
-    set to 0 and never used.
+
+def _stirling_error(n) -> np.ndarray:
+    """delta(n) = log n! - (n + 1/2) log n + n - log(2 pi)/2 at each integer n >= 0.
+
+    From lgamma for n <= 15 (_STIRLING_HEAD), where the terms are small; above,
+    the Stirling series to n^-9, whose truncation error is below rounding.
+    delta(0) is set to 0 and never used.
     """
-    n = np.arange(top + 1, dtype=float)
-    nn = n * n
+    nf = np.asarray(n, dtype=float)
+    nn = nf * nf
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / (1188 * nn)) / nn) / nn) / nn) / n
-    out[0] = 0.0
-    for m in range(1, min(top, 15) + 1):
-        out[m] = math.lgamma(m + 1.0) - (m + 0.5) * math.log(m) + m - 0.5 * math.log(2.0 * math.pi)
-    return out
+        series = (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / (1188 * nn)) / nn) / nn) / nn) / nf
+    return np.where(nf <= 15, _STIRLING_HEAD[np.minimum(n, 15)], series)
 
 
 def _deviance(x, m):
@@ -488,13 +487,12 @@ def _binomial_pmf(k, trials, p: float) -> np.ndarray:
     to the rounding of terms of size N log N."""
     if p == 0.0 or p == 1.0:
         return k == (trials if p == 1.0 else 0)
-    delta = _stirling_error(int(np.max(trials)))
     rest = trials - k
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         inner = (
-            delta[trials]
-            - delta[k]
-            - delta[rest]
+            _stirling_error(trials)
+            - _stirling_error(k)
+            - _stirling_error(rest)
             - _deviance(k, trials * p)
             - _deviance(rest, trials * (1.0 - p))
             + 0.5 * np.log(trials / (2.0 * math.pi * k * rest))
@@ -504,9 +502,8 @@ def _binomial_pmf(k, trials, p: float) -> np.ndarray:
 
 def _poisson_pmf(ks: np.ndarray, mu) -> np.ndarray:
     """Poisson(mu) pmf at integers ks >= 0, mu > 0, in Loader's form."""
-    delta = _stirling_error(int(ks.max(initial=0)))
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        inner = np.exp(-delta[ks] - 0.5 * np.log(2.0 * math.pi * ks) - _deviance(ks, mu))
+        inner = np.exp(-_stirling_error(ks) - 0.5 * np.log(2.0 * math.pi * ks) - _deviance(ks, mu))
     return np.where(ks == 0, np.exp(-mu), inner)
 
 

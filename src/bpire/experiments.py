@@ -444,6 +444,8 @@ def emit_report(report: RunReport, out_dir) -> list[str]:
     """Write report.json plus the experiment's CSV/JSON artifacts.
 
     Same (config, seed) reproduces every byte except wall_ms in report.json.
+    A non-finite number, such as the NaN moment_A of a model that fails
+    E[m^kappa] < 1, is written as null.
     """
     os.makedirs(out_dir, exist_ok=True)
     written = []
@@ -457,8 +459,7 @@ def emit_report(report: RunReport, out_dir) -> list[str]:
                     fh.write(",".join(row) + "\n")
         elif kind == "json":
             with open(path, "w") as fh:
-                json.dump(payload, fh, indent=2, sort_keys=True)
-                fh.write("\n")
+                fh.write(_json_text(payload))
         elif kind == "samples_text":
             write_samples_text(path, payload)
         else:
@@ -466,7 +467,22 @@ def emit_report(report: RunReport, out_dir) -> list[str]:
         written.append(path)
     path = os.path.join(out_dir, "report.json")
     with open(path, "w") as fh:
-        json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(_json_text(report.to_dict()))
     written.append(path)
     return written
+
+
+def _json_text(payload) -> str:
+    """Indented, key-sorted JSON with each non-finite float written as null:
+    RFC 8259 has no NaN or Infinity."""
+    return json.dumps(_finite_or_null(payload), indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+def _finite_or_null(obj):
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _finite_or_null(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_or_null(v) for v in obj]
+    return obj

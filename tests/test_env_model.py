@@ -6,6 +6,7 @@ the function under test.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -38,7 +39,7 @@ from bpire.env_model import (
     thinned_offspring_pmf,
 )
 from bpire.errors import SeriesDivergence
-from bpire.oracle import _BAND_FLOOR, _KERNEL_BLOCK
+from bpire.oracle import _BAND_FLOOR, _KERNEL_BLOCK, build_kernel
 from bpire.rng import RngState
 
 from conftest import two_atom_env, two_atom_model
@@ -105,6 +106,43 @@ def test_offspring_moment_bernoulli_binomial_exact():
     assert offspring_moment(OffspringFamily.bernoulli(0.35), 7.3) == pytest.approx(0.35, rel=1e-12)
     direct = float(np.sum(np.arange(4.0) ** 2 * st.binom.pmf(np.arange(4), 3, 0.5)))
     assert offspring_moment(OffspringFamily.binomial(3, 0.5), 2.0) == pytest.approx(direct, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "law, want",
+    [
+        # exp(-1000) underflows: a term carried as a product of floats reads 0
+        (OffspringFamily.poisson(1000), 31682075.484289971),
+        # 1 - 5e-13 rounds p by 1e-4 relative, so a head (1 - p)^N would read 0.98974789
+        (OffspringFamily.binomial(10**12, 5e-13), 0.98979188371396148),
+        (OffspringFamily.binomial(2000, 0.5), 31652422.028318644),
+        (OffspringFamily.binomial(5, 1.0), 5**2.5),
+    ],
+    ids=["poisson-1000", "binomial-1e12", "binomial-2000", "binomial-p-1"],
+)
+def test_offspring_moment_against_mpmath(law, want):
+    # E[A^2.5], the whole support summed with 40-digit mpmath
+    assert offspring_moment(law, 2.5) == pytest.approx(want, rel=1e-12)
+
+
+def test_a_huge_trial_count_costs_what_the_support_needs():
+    # binomial:10^12,5e-13 has 10^12 + 1 support points but mean 1/2: the
+    # pmf, the kernel and the moment evaluate a few dozen of them
+    law = OffspringFamily.binomial(10**12, 5e-13)
+    env = EnvSpec.from_atoms([EnvAtom(1.0, law, ImmigrationFamily.discrete_pareto(2.0, 1.0))])
+    for run in (lambda: build_kernel(env, 64), lambda: offspring_moment(law, 2.5)):
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5e6
+    ks = np.arange(200)
+    want = st.binom.pmf(ks, 64 * 10**12, 5e-13)
+    big = want >= 1e-250
+    got = thinned_offspring_pmf(law, 64, ks)
+    assert np.all(np.abs(got[big] - want[big]) <= 1e-10 * want[big])
 
 
 OFFSPRING_LAWS = hst.one_of(

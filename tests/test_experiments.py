@@ -323,6 +323,51 @@ def test_a_failed_kappa_moment_skips_the_moment_series(tmp_path, capsys, monkeyp
     assert captured.err == f"hypothesis failure: standing condition fails: E[m^kappa] = {moment}\n"
 
 
+def _refuse_constant(name):
+    raise AssertionError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize(
+    "offspring, field",
+    [("poisson:1.5", "moment_A"), ("poisson:1e200", "kappa_moment")],
+    ids=["nan-moment", "inf-kappa-moment"],
+)
+def test_non_finite_numbers_are_written_as_null(tmp_path, capsys, offspring, field):
+    # E[m^2] >= 1 leaves moment_A NaN, and m^2 = 1e400 reads inf; the CLI line
+    # prints them, the JSON files write null
+    path = _cfg_file(tmp_path, f"[model]\nkappa = 2\n\n[env]\natoms =\n    1.0 {offspring} dpareto:2,1,0\n")
+    assert cli.main(["check", "--config", path, "--out", str(tmp_path / "o")]) == 2
+    assert f"{field}: estimate={'nan' if field == 'moment_A' else 'inf'}" in capsys.readouterr().out
+    condition, report = (
+        json.loads((tmp_path / "o" / name).read_text(), parse_constant=_refuse_constant)
+        for name in ("condition.json", "report.json")
+    )
+    assert condition[field] is None
+    assert {m["name"]: m["estimate"] for m in report["metrics"]}[field] is None
+
+
+def test_check_sums_a_moment_whose_head_underflows(tmp_path, capsys):
+    # exp(-1000) underflows, so a product-form series gives the poisson:1000
+    # atom moment 0 and moment_A 0.4717; 40-digit mpmath gives 0.78852...
+    atoms = "    0.99999999 poisson:0.3 dpareto:2,1,0\n    0.00000001 poisson:1000 dpareto:2,1,0\n"
+    path = _cfg_file(tmp_path, f"[model]\nkappa = 2\n\n[env]\natoms =\n{atoms}")
+    assert cli.main(["check", "--config", path, "--out", str(tmp_path / "o")]) == 0
+    capsys.readouterr()
+    condition = json.loads((tmp_path / "o" / "condition.json").read_text())
+    assert condition["moment_A"] == pytest.approx(0.78852469610713068, rel=1e-12)
+
+
+def test_a_huge_binomial_trial_count_runs_in_bounded_memory(tmp_path, capsys):
+    # 10^12 + 1 support points: arithmetic over all of them would need
+    # terabytes and exit 5
+    body = "[model]\nkappa = 2\n\n[env]\natoms =\n    1.0 binomial:1000000000000,5e-13 dpareto:2,1,0\n"
+    path = _cfg_file(tmp_path, body, "replicas = 20000\n")
+    assert cli.main(["check", "--config", path, "--out", str(tmp_path / "check")]) == 0
+    # the dpareto tail puts 2.5e-4 of mass past the cap of 64, so clipped_mass fails
+    assert cli.main(["oracle", "--config", path, "--out", str(tmp_path / "oracle")]) == 1
+    assert "error" not in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("experiment, level", [("theorem", "0.01"), ("corollary", "0.001"), ("sre", "0.01")])
 def test_an_unreachable_survival_level_exits_four_naming_it(tmp_path, capsys, experiment, level):
     # the standing condition holds, but S(x) = (1 + x)^-0.05 stays above 1e-2
@@ -416,10 +461,11 @@ n_gens = 5
 # sha256 of each artifact under STREAM_VERSION 5; report.json without its
 # wall_ms and out_dir lines.  oracle/stationary.csv and oracle/report.json
 # also hold the exact kernel route (build_kernel, stationary_power_iteration),
-# which draws nothing: a change there moves only these two.
+# which draws nothing: a change there moves only these two.  Likewise
+# check/condition.json and check/report.json hold the offspring-moment series.
 PIN_DIGESTS = {
-    "check/condition.json": "dad419b5018c0d18582aff87119eef58f8aa44acef4fb11864448080654da245",
-    "check/report.json": "89e6ed0099aa2852ced88954854a69ad79cd73398a4b8af9e0641e78755341f7",
+    "check/condition.json": "0796d4daa65948e6bd390913f4c76fa6789d08445fc8585dd0a10e504d9c69ec",
+    "check/report.json": "41af140fe56f00017166c6a668979b34ccb37e8ec43ff6d8907e7bfa2f495d0c",
     "theorem/ratio.csv": "d926b5a715ce511aa19f44c7023645739db9a66d0d8e9aaebd751fbe99a7d9c7",
     "theorem/summary.json": "367299ed112e8c632e8bc77d6d2385c170b9fff61ee89702a5b57976bed6c2b6",
     "theorem/hill.csv": "683f93b77abe5d22aed351caaaeafd9882ffcc81a34bbe9a89c66d9d502de6ee",
@@ -494,7 +540,9 @@ def _pin_digests(tmp_path) -> dict:
 def test_bundled_experiments_keep_their_streams(tmp_path, monkeypatch):
     # A change that alters what a seed draws must say so: bump STREAM_VERSION
     # (bpire/rng.py) and re-record PIN_DIGESTS with it.  A change to the exact
-    # kernel route alone draws nothing and re-records only its two digests.
+    # kernel route alone draws nothing and re-records only its two digests,
+    # and so does a change to the offspring-moment series, which only check
+    # reports.
     monkeypatch.setattr(experiments, "CHUNK_REPLICAS", PIN_CHUNK)
     got = _pin_digests(tmp_path)
     changed = sorted(k for k in got.keys() | PIN_DIGESTS.keys() if got.get(k) != PIN_DIGESTS.get(k))
@@ -502,7 +550,9 @@ def test_bundled_experiments_keep_their_streams(tmp_path, monkeypatch):
     assert not changed, (
         f"outputs changed under STREAM_VERSION 5: {changed}. A sampler change must bump STREAM_VERSION and "
         "re-record PIN_DIGESTS; an exact-route change (build_kernel, stationary_power_iteration) keeps the "
-        "version and re-records only oracle/stationary.csv and oracle/report.json"
+        "version and re-records only oracle/stationary.csv and oracle/report.json; an offspring-moment change "
+        "(offspring_moment, moment_A) keeps the version and re-records only check/condition.json and "
+        "check/report.json"
     )
 
 
