@@ -5,7 +5,7 @@ codes: 0 all metrics pass, 1 a metric failed, 2 the standing condition is
 violated, 3 the config could not be parsed or validated, its output
 directory could not be created (checked before the run starts), an
 estimator got too few replicas, an offspring moment series did not converge
-within its iteration cap (a law with a huge mean, such as geometric0:1e-7,
+within its iteration cap (a law with a huge spread, such as geometric0:1e-7,
 where E[m^kappa] < 1 still holds) or does not fit in float64, the power
 iteration of `oracle` did not converge, or the results could not be written
 there, 4 a sampled value exceeded the 2^62 guard of the int64 samplers, or

@@ -14,13 +14,14 @@ class SeriesDivergence(BpireError):
     """A moment series failed its tail bound within the iteration cap, or
     its sum does not fit in float64.
 
-    Every moment of the supported offspring families is finite, but a law
-    with a huge mean needs more terms than the cap: `bpire check` at
-    kappa = 0.01 on the atoms `0.1 geometric0:1e-7 dpareto:2,1,0` and
-    `0.9 poisson:0 dpareto:2,1,0`, where E[m^kappa] = 0.117, stops with it
-    (exit 3).  So does a high order: at kappa = 300 the moment of order
-    300.5 of poisson:0.3 is about e^972, past float64's 1.8e308.  At
-    E[m^kappa] >= 1 the series is not summed (exit 2).
+    Every moment of the supported offspring families is finite, and its
+    series costs what the law's spread needs, not its mean (poisson:6000000
+    passes), but a huge spread needs more terms than the cap: `bpire check`
+    at kappa = 0.01 on the atoms `0.1 geometric0:1e-7 dpareto:2,1,0` (sd
+    10^7) and `0.9 poisson:0 dpareto:2,1,0`, where E[m^kappa] = 0.117,
+    stops with it (exit 3).  So does a high order: at kappa = 300 the moment
+    of order 300.5 of poisson:0.3 is about e^972, past float64's 1.8e308.
+    At E[m^kappa] >= 1 the series is not summed (exit 2).
     """
 
 

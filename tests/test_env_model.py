@@ -6,6 +6,7 @@ the function under test.
 """
 
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -81,8 +82,9 @@ def test_offspring_moment_of_the_point_mass_is_exactly_zero():
 
 
 def test_offspring_moment_cap_names_the_family(monkeypatch):
-    # Poisson(10^4) sums past k = 2 * 10^4 and geometric0(10^-4) past about
-    # 3 * 10^5 before either tail bound is met
+    # Poisson(10^4) (sd 100) and geometric0(10^-4) (sd about 10^4) each take
+    # more than one block of 256 terms on their upper side before the tail
+    # bound is met
     monkeypatch.setattr(env_model, "_SERIES_CAP", 100)
     for law in (OffspringFamily.poisson(1e4), OffspringFamily.geometric0(1e-4)):
         with pytest.raises(SeriesDivergence, match=f"^{law.kind} moment series exceeded iteration cap$"):
@@ -117,12 +119,26 @@ def test_offspring_moment_bernoulli_binomial_exact():
         (OffspringFamily.binomial(10**12, 5e-13), 0.98979188371396148),
         (OffspringFamily.binomial(2000, 0.5), 31652422.028318644),
         (OffspringFamily.binomial(5, 1.0), 5**2.5),
+        # a log pmf carried as a running sum of steps from k = 0 drifts by
+        # about 1e-16 |log p_k| a step, past 1e-12 at these means
+        (OffspringFamily.poisson(1e4), 10001875019.53129883),
+        (OffspringFamily.poisson(1e5), 3162336952936.2707401),
     ],
-    ids=["poisson-1000", "binomial-1e12", "binomial-2000", "binomial-p-1"],
+    ids=["poisson-1000", "binomial-1e12", "binomial-2000", "binomial-p-1", "poisson-1e4", "poisson-1e5"],
 )
 def test_offspring_moment_against_mpmath(law, want):
-    # E[A^2.5], the whole support summed with 40-digit mpmath
+    # E[A^2.5], the whole support (for Poisson, mean +- 50 sd) summed with
+    # 40-digit mpmath
     assert offspring_moment(law, 2.5) == pytest.approx(want, rel=1e-12)
+
+
+def test_a_huge_poisson_mean_costs_what_its_spread_needs():
+    # E[A^2] = mu^2 + mu; the sum starts at the mode, so Poisson(5 * 10^6)
+    # (sd 2236) takes about 64 blocks of 256 a side
+    start = time.perf_counter()
+    got = offspring_moment(OffspringFamily.poisson(5e6), 2.0)
+    assert time.perf_counter() - start < 0.5
+    assert got == pytest.approx(25000005000000.0, rel=1e-12)
 
 
 def test_a_huge_trial_count_costs_what_the_support_needs():
@@ -279,6 +295,13 @@ def test_moment_A_uniform_rate_quadrature():
             _poisson_moment_direct, lo, hi, args=(order,), epsabs=0.0, epsrel=1e-13, limit=200
         )
         assert moment_A(env, order) == pytest.approx(integral / (hi - lo), rel=1e-12, abs=0.0)
+
+
+def test_moment_A_uniform_rate_to_the_rounding():
+    # 30-digit mpmath quadrature of the Poisson series over the float
+    # endpoints: the rule and each node's series add no error above rounding
+    env = EnvSpec.uniform_poisson_rate(0.3, 0.9, ImmigrationFamily.constant(1))
+    assert moment_A(env, 2.5) == pytest.approx(1.38276743015109075, rel=1e-14)
 
 
 def test_log_mean_offspring_values():

@@ -357,6 +357,28 @@ def test_check_sums_a_moment_whose_head_underflows(tmp_path, capsys):
     assert condition["moment_A"] == pytest.approx(0.78852469610713068, rel=1e-12)
 
 
+def test_check_passes_a_poisson_atom_whose_mean_is_past_the_cap(tmp_path, capsys):
+    # E[m^2] = 0.45; poisson:6000000 has an sd of 2449, so a sum from its
+    # mode needs about 70 blocks a side.  40-digit mpmath gives moment_A =
+    # 882.28828691552623
+    atoms = "    0.99999999999999 poisson:0.3 dpareto:2,1,0\n    0.00000000000001 poisson:6000000 dpareto:2,1,0\n"
+    path = _cfg_file(tmp_path, f"[model]\nkappa = 2\n\n[env]\natoms =\n{atoms}")
+    assert cli.main(["check", "--config", path, "--out", str(tmp_path / "o")]) == 0
+    capsys.readouterr()
+    condition = json.loads((tmp_path / "o" / "condition.json").read_text())
+    assert condition["moment_A"] == pytest.approx(882.28828691552623, rel=1e-12)
+
+
+def test_a_mode_past_int64_exits_three_at_the_cap(tmp_path, capsys):
+    # binomial:10^30,0.5 has its mode past int64 and an sd of 5 * 10^14: no
+    # sum from its mode fits, so check names the cap (exit 3) in one line
+    atoms = "    1.0 poisson:0.3 dpareto:2,1,0\n    1e-70 binomial:1000000000000000000000000000000,0.5 dpareto:2,1,0\n"
+    path = _cfg_file(tmp_path, f"[model]\nkappa = 2\n\n[env]\natoms =\n{atoms}")
+    assert cli.main(["check", "--config", path, "--out", str(tmp_path / "o")]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "error: binomial moment series exceeded iteration cap\n"
+
+
 def test_a_huge_binomial_trial_count_runs_in_bounded_memory(tmp_path, capsys):
     # 10^12 + 1 support points: arithmetic over all of them would need
     # terabytes and exit 5
@@ -464,8 +486,8 @@ n_gens = 5
 # which draws nothing: a change there moves only these two.  Likewise
 # check/condition.json and check/report.json hold the offspring-moment series.
 PIN_DIGESTS = {
-    "check/condition.json": "0796d4daa65948e6bd390913f4c76fa6789d08445fc8585dd0a10e504d9c69ec",
-    "check/report.json": "41af140fe56f00017166c6a668979b34ccb37e8ec43ff6d8907e7bfa2f495d0c",
+    "check/condition.json": "198fa30ffb71773ca5e63fd61a25a993d876bf2356d8b69efb8ba01f25013326",
+    "check/report.json": "1b2969ab42178110487d942ff164e48d557f5c32410f273136b3d9782be26efc",
     "theorem/ratio.csv": "d926b5a715ce511aa19f44c7023645739db9a66d0d8e9aaebd751fbe99a7d9c7",
     "theorem/summary.json": "367299ed112e8c632e8bc77d6d2385c170b9fff61ee89702a5b57976bed6c2b6",
     "theorem/hill.csv": "683f93b77abe5d22aed351caaaeafd9882ffcc81a34bbe9a89c66d9d502de6ee",
