@@ -51,7 +51,8 @@ __all__ = [
 # largest beta / kappa of a dpareto law; see ImmigrationFamily
 DPARETO_BETA_PER_KAPPA = 2.4327
 _SERIES_CAP = 10**7
-_MOMENT_BLOCK = 256
+_MOMENT_BLOCK = 4096
+_TRIALS_LIMIT = 1 << 62  # binomial trial counts x n stay below it, exact in int64
 _GAUSS_NODES = 32
 
 
@@ -90,7 +91,10 @@ class OffspringFamily:
         elif self.kind == "geometric0":
             _require(0.0 < self.p <= 1.0, "geometric0 p must lie in (0, 1]")
         elif self.kind == "binomial":
-            _require(self.n >= 1 and self.n == int(self.n), "binomial n must be an integer >= 1")
+            _require(
+                1 <= self.n < _TRIALS_LIMIT and self.n == int(self.n),
+                f"binomial n must be an integer in [1, 2^62), got {self.n}",
+            )
             _require(0.0 <= self.p <= 1.0, "binomial p must lie in [0, 1]")
 
     def x_fold(self) -> tuple[int, int, float]:
@@ -334,9 +338,10 @@ def offspring_moment(law: OffspringFamily, order: float) -> float:
     ratio never rises on either side, and a side stops at a zero term or
     once the geometric bound read off its last two terms is below half of
     1e-12 of the sum so far.  The cost follows the law's spread, not its
-    mean: poisson:6e6 (sd 2449) takes about 70 blocks a side.  A side past
-    `_SERIES_CAP` terms, as for geometric0:1e-7 (sd 10^7), a mode past
-    int64, or a moment past float64 raises SeriesDivergence.
+    mean: poisson:6e6 (sd 2449) takes 5 blocks a side.  A side past
+    `_SERIES_CAP` terms, as for geometric0:1e-7 (sd 10^7) after 2442
+    blocks, a mode past int64, or a moment past float64 raises
+    SeriesDivergence.
     """
     _require(order >= 1.0 and math.isfinite(order), "order must be >= 1")
     draw, n, p = law.x_fold()
@@ -497,6 +502,13 @@ def _poisson_pmf(ks: np.ndarray, mu) -> np.ndarray:
     return np.where(ks == 0, np.exp(-mu), inner)
 
 
+def _trials(x: np.ndarray, each: int) -> np.ndarray:
+    """x each, a binomial x-fold sum's trial count; OverflowError at 2^62."""
+    if x.size and x.max() >= -(-_TRIALS_LIMIT // each):
+        raise OverflowError(f"binomial trial count {x.max()} x {each} reaches 2^62")
+    return x * each
+
+
 def thinned_offspring_pmf(law: OffspringFamily, x, ks: np.ndarray) -> np.ndarray:
     """pmf of the sum of `x` iid offspring draws, evaluated at integers `ks`.
 
@@ -518,7 +530,7 @@ def thinned_offspring_pmf(law: OffspringFamily, x, ks: np.ndarray) -> np.ndarray
         # failures before the n-th success: n/(n+k) P(Binomial(n+k, p) = n)
         pmf = n / (n + k) * _binomial_pmf(n, n + k, p)
     else:
-        trials = n * each
+        trials = _trials(n, each)
         pmf = (k <= trials) * _binomial_pmf(np.minimum(k, trials), trials, p)
     return np.where(ks < 0, 0.0, np.where(x == 0, ks == 0, pmf))
 
@@ -540,7 +552,7 @@ def thinned_offspring_mode(law: OffspringFamily, x) -> np.ndarray:
     elif draw == 2:
         mode = np.floor((n - 1) * (1.0 - p) / p)
     else:
-        trials = n * each
+        trials = _trials(n, each)
         mode = np.minimum(np.floor((trials + 1) * p), trials)
     return np.where(x == 0, 0.0, mode)
 

@@ -13,7 +13,6 @@ the closed-form thinning sampler is what validates the closure.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +20,6 @@ import numpy as np
 from .env_model import (
     EnvSpec,
     ImmigrationFamily,
-    OffspringFamily,
     immigration_pmf,
     offspring_pmf,
     thinned_offspring_mode,
@@ -38,7 +36,6 @@ __all__ = [
 ]
 
 MAX_STATES = 4096
-_SUPPORT_TAIL = 1e-16
 # block size B of build_kernel's matrix product; bounds its scratch memory
 _KERNEL_BLOCK = 64
 # build_kernel skips a B x B block of thinned pmf whose entries are all at or
@@ -144,33 +141,15 @@ def stationary_power_iteration(kernel: TruncatedKernel, tol: float = 1e-12) -> E
     raise NoConvergence(f"power iteration exceeded {_MAX_SWEEPS} sweeps")
 
 
-def _single_draw_support(law: OffspringFamily) -> np.ndarray:
-    """Single-draw offspring pmf out to a point with tail mass < 1e-16."""
-    if law.kind == "bernoulli":
-        hi = 1
-    elif law.kind == "binomial":
-        hi = law.n
-    elif law.kind == "poisson":
-        # 12 standard deviations and 60 more: the tail is far below 1e-16
-        # there.  Tail sums run from the right, so they resolve 1e-16, which
-        # 1 - cumsum cannot.
-        pmf = offspring_pmf(law, np.arange(int(law.rate + 12.0 * math.sqrt(law.rate)) + 60))
-        tail = np.cumsum(pmf[::-1])[::-1]  # tail[k] = P(A >= k)
-        hi = int(np.argmax(tail < _SUPPORT_TAIL)) + 1
-    else:  # geometric0
-        if law.p == 1.0:
-            hi = 0
-        else:
-            hi = int(math.ceil(math.log(_SUPPORT_TAIL) / math.log1p(-law.p))) + 2
-    return offspring_pmf(law, np.arange(hi + 1))
-
-
 def brute_force_random_sum_tail(env: EnvSpec, b_law: ImmigrationFamily, x: int, cap: int) -> float:
     """P(sum_{i<=B} A_i > x) by iterated convolution of the single-draw pmf.
 
-    B is truncated at `cap`; remaining B-mass above cap must be < 1e-12 or
-    the computation refuses.  Independent of the families' closure, hence an
-    oracle for the thinning sampler.
+    Entries 0 .. x of each convolution read the single-draw pmf at 0 .. x
+    only, so that pmf is evaluated there and nowhere else: the sum is exact
+    up to rounding whatever the law's support.  B is truncated at `cap`;
+    remaining B-mass above cap must be < 1e-12 or the computation refuses.
+    Independent of the families' closure, hence an oracle for the thinning
+    sampler.
     """
     if not env.is_atomic:
         raise PmfUnavailable("brute-force tail needs an atomic environment")
@@ -182,7 +161,7 @@ def brute_force_random_sum_tail(env: EnvSpec, b_law: ImmigrationFamily, x: int, 
         raise ResidualTooLarge(f"B mass beyond cap is {residual:.3e} (> 1e-12)")
     total = 0.0
     for atom in env.atoms:
-        base = _single_draw_support(atom.offspring)
+        base = offspring_pmf(atom.offspring, np.arange(x + 1))
         v = np.zeros(x + 1)
         v[0] = 1.0
         tails = np.zeros(cap + 1)

@@ -38,6 +38,7 @@ from .env_model import (
 )
 from .errors import NotSubcritical
 from .rng import RngState
+from .tailstats import threshold_for_level
 
 __all__ = [
     "sample_immigration_batch",
@@ -247,8 +248,9 @@ def _survival_adjust(law: ImmigrationFamily, cand: np.ndarray, u: np.ndarray, t:
     entries with |t - rint(t)| <= tol (1 + |t|) are checked, by evaluating S
     on both sides of the candidate; exact hits S(x) == u belong to x.  Every
     t >= 2^52 is an integer and so is checked.  A NaN t is checked too.  A
-    checked candidate outside its bracket is drawn again by bisection, which
-    also finds the bracket where S rounds to one value over many x.
+    checked candidate outside its bracket is drawn again by
+    `tailstats.threshold_for_level`, whose search also finds the bracket
+    where S rounds to one value over many x.
 
     The bound, for u >= 2^-53 (the least `uniform_open` returns) and unit
     roundoff e = 2^-53.  dpareto: c/u is off by a relative e, which the
@@ -268,37 +270,8 @@ def _survival_adjust(law: ImmigrationFamily, cand: np.ndarray, u: np.ndarray, t:
     x, v = cand[near], u[near]
     off = (immigration_survival(law, x) > v) | ((x > 0) & (immigration_survival(law, x - 1) <= v))
     if off.any():
-        cand[near[off]] = _invert_by_bisection(law, v[off])
+        cand[near[off]] = threshold_for_level(functools.partial(immigration_survival, law), v[off])
     return cand
-
-
-def _invert_by_bisection(law: ImmigrationFamily, u: np.ndarray) -> np.ndarray:
-    """Smallest x >= 0 with S(x) <= u, by doubling then integer bisection."""
-    n = u.size
-    out = np.zeros(n, dtype=np.int64)
-    need = np.asarray(immigration_survival(law, np.zeros(n)) > u)
-    if not need.any():
-        return out
-    lo = np.zeros(n, dtype=np.int64)
-    hi = np.ones(n, dtype=np.int64)
-    grow = need & (immigration_survival(law, hi) > u)
-    while grow.any():
-        # S(2^62) > u: the draw is past 2^62, and doubling would wrap int64
-        if hi[grow].max() >= OVERFLOW_LIMIT:
-            raise OverflowError("immigration draw exceeds 2^62")
-        lo[grow] = hi[grow]
-        hi[grow] *= 2
-        grow = grow & (immigration_survival(law, hi) > u)
-    # invariant: S(lo) > u >= S(hi) wherever `need`
-    span = need & (hi - lo > 1)
-    while span.any():
-        mid = (lo + hi) // 2
-        below = immigration_survival(law, mid) <= u
-        hi = np.where(span & below, mid, hi)
-        lo = np.where(span & ~below, mid, lo)
-        span = need & (hi - lo > 1)
-    out[need] = hi[need]
-    return out
 
 
 def _guard_draw(t: np.ndarray) -> np.ndarray:
@@ -333,7 +306,7 @@ def sample_immigration_batch(law: ImmigrationFamily, rng: RngState, size: int) -
             t = _guard_draw((law.c / u) ** (1.0 / law.kappa) - 1.0)
         cand = np.ceil(np.maximum(t, 0.0)).astype(np.int64)
         return _survival_adjust(law, cand, u, t, 2.0**-32 * (1.0 + 1.0 / law.kappa))
-    return _invert_by_bisection(law, u)
+    return threshold_for_level(functools.partial(immigration_survival, law), u)
 
 
 def imm_for_batch(batch: EnvBatch, rng: RngState) -> np.ndarray:
@@ -372,24 +345,19 @@ def simulate_forward_batch(x0: int, steps: int, env: EnvSpec, rng: RngState, siz
 # ---- stationary sampling -----------------------------------------------------
 
 def choose_truncation(model: ModelSpec, epsilon: float) -> int:
-    """Smallest K with r^(K+1) / (1 - r) <= epsilon, r = E[m(xi)^kappa].
+    """Smallest K with r^(K+1) / (1 - r) <= epsilon, r = E[m(xi)^kappa],
+    epsilon in (0, 1], found by `tailstats.threshold_for_level` on that
+    bound as it evaluates in float64.
 
     The geometric bound dominates the summed tail mass dropped by stopping
     the backward sum at K terms.
     """
-    if not (0.0 < epsilon):
-        raise ValueError("epsilon must be > 0")
+    if not (0.0 < epsilon <= 1.0):
+        raise ValueError("epsilon must lie in (0, 1]")
     r = kappa_moment(model.env, model.kappa)
     if not r < 1.0:
         raise NotSubcritical(f"E[m^kappa] = {r!r} >= 1")
-    if r == 0.0:
-        return 0
-    k = max(0, math.ceil(math.log(epsilon * (1.0 - r)) / math.log(r)) - 1)
-    while k > 0 and r**k / (1.0 - r) <= epsilon:
-        k -= 1
-    while r ** (k + 1) / (1.0 - r) > epsilon:
-        k += 1
-    return k
+    return threshold_for_level(lambda k: r ** (k + 1.0) / (1.0 - r), epsilon)
 
 
 def sample_stationary_backward_batch(model: ModelSpec, trunc: int, rng: RngState, size: int) -> np.ndarray:

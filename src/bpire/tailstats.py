@@ -118,25 +118,30 @@ def tail_ratio(values, ref_survival, x_grid, counts=None) -> TailReport:
     return ratio_from_counts(exceedances(v, x_grid, c), int(c.sum()), ref_survival, x_grid)
 
 
-def threshold_for_level(surv, level: float) -> int:
-    """Smallest integer x >= 0 with surv(x) <= level (surv non-increasing)."""
-    if not (0.0 < level < 1.0):
-        raise ValueError("level must lie in (0, 1)")
-    if float(surv(0)) <= level:
-        return 0
-    hi = 1
-    while float(surv(hi)) > level:
-        hi *= 2
-        if hi > 1 << 62:
-            raise OverflowError(f"survival level {level:g} unreachable below 2^62")
-    lo = hi // 2
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if float(surv(mid)) <= level:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+def threshold_for_level(surv, level):
+    """Smallest integer x >= 0 with surv(x) <= level for a non-increasing
+    surv, elementwise over levels in (0, 1]: an int for a scalar level.
+
+    surv is called on int64 arrays shaped like `level` (0-d for a scalar,
+    so a scalar-only surv serves scalar levels).  The levels above surv at
+    x double x from 1 in step, then bisect between its last two values; one
+    above surv(2^62) raises OverflowError.
+    """
+    u = np.asarray(level, dtype=float)
+    if not np.all((u > 0.0) & (u <= 1.0)):
+        raise ValueError("levels must lie in (0, 1]")
+    lo = hi = np.zeros(u.shape, dtype=np.int64)
+    grow, step = surv(hi) > u, 1
+    while np.any(grow):
+        if step > 1 << 62:
+            raise OverflowError(f"survival level {np.max(u[grow]):g} unreachable below 2^62")
+        lo, hi = np.where(grow, hi, lo), np.where(grow, step, hi)
+        grow, step = grow & (surv(hi) > u), 2 * step
+    while np.any(hi - lo > 1):  # surv(lo) > u >= surv(hi) wherever hi > lo + 1
+        span, mid = hi - lo > 1, (lo + hi) // 2
+        below = surv(mid) <= u
+        lo, hi = np.where(span & ~below, mid, lo), np.where(span & below, mid, hi)
+    return int(hi) if hi.ndim == 0 else hi
 
 
 def grid_from_levels(surv, levels) -> np.ndarray:

@@ -82,13 +82,32 @@ def test_offspring_moment_of_the_point_mass_is_exactly_zero():
 
 
 def test_offspring_moment_cap_names_the_family(monkeypatch):
-    # Poisson(10^4) (sd 100) and geometric0(10^-4) (sd about 10^4) each take
-    # more than one block of 256 terms on their upper side before the tail
+    # Poisson(10^6) (sd 1000) and geometric0(10^-4) (sd about 10^4) each take
+    # more than one block of 4096 terms on their upper side before the tail
     # bound is met
     monkeypatch.setattr(env_model, "_SERIES_CAP", 100)
-    for law in (OffspringFamily.poisson(1e4), OffspringFamily.geometric0(1e-4)):
+    for law in (OffspringFamily.poisson(1e6), OffspringFamily.geometric0(1e-4)):
         with pytest.raises(SeriesDivergence, match=f"^{law.kind} moment series exceeded iteration cap$"):
             offspring_moment(law, 2.0)
+
+
+def test_a_moment_refused_at_the_cap_costs_a_bounded_number_of_blocks(monkeypatch):
+    # geometric0:1e-7 (sd 10^7) runs its upper side to the cap of 10^7
+    # terms; blocks of 256 took about 39 000 pmf calls to get there
+    calls = []
+
+    def counting(law, x, ks):
+        calls.append(np.size(ks))
+        return thinned_offspring_pmf(law, x, ks)
+
+    monkeypatch.setattr(env_model, "thinned_offspring_pmf", counting)
+    env = EnvSpec.from_atoms([
+        EnvAtom(0.1, OffspringFamily.geometric0(1e-7), ImmigrationFamily.discrete_pareto(2.0, 1.0)),
+        EnvAtom(0.9, OffspringFamily.poisson(0.0), ImmigrationFamily.discrete_pareto(2.0, 1.0)),
+    ])
+    with pytest.raises(SeriesDivergence, match="^geometric0 moment series exceeded iteration cap$"):
+        check_conditions(ModelSpec(env=env, kappa=0.01))
+    assert len(calls) <= 2500
 
 
 def test_offspring_moment_takes_large_powers_in_logs():
@@ -448,6 +467,21 @@ def test_env_pareto_prefactor_rejects_mismatched_exponents():
     )
     with pytest.raises(ValueError):
         env_pareto_prefactor(env)
+
+
+def test_binomial_trial_counts_stay_below_2_to_the_62():
+    # n itself is refused at 2^62; an x-fold sum whose x n reaches 2^62
+    # raises OverflowError where int64 would wrap it
+    assert OffspringFamily.binomial(2**62 - 1, 0.5).n == 2**62 - 1
+    with pytest.raises(ValueError, match=r"binomial n must be an integer in \[1, 2\^62\)"):
+        OffspringFamily.binomial(2**62, 0.5)
+    law = OffspringFamily.binomial(2**61, 1.3e-19)
+    assert thinned_offspring_mode(law, 1) == 0.0
+    for x in (2, np.arange(64)):
+        with pytest.raises(OverflowError, match="^binomial trial count"):
+            thinned_offspring_mode(law, x)
+        with pytest.raises(OverflowError, match="^binomial trial count"):
+            thinned_offspring_pmf(law, x, np.arange(4))
 
 
 def test_atom_weights_must_sum_to_one():

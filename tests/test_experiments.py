@@ -359,7 +359,7 @@ def test_check_sums_a_moment_whose_head_underflows(tmp_path, capsys):
 
 def test_check_passes_a_poisson_atom_whose_mean_is_past_the_cap(tmp_path, capsys):
     # E[m^2] = 0.45; poisson:6000000 has an sd of 2449, so a sum from its
-    # mode needs about 70 blocks a side.  40-digit mpmath gives moment_A =
+    # mode needs 5 blocks of 4096 a side.  40-digit mpmath gives moment_A =
     # 882.28828691552623
     atoms = "    0.99999999999999 poisson:0.3 dpareto:2,1,0\n    0.00000000000001 poisson:6000000 dpareto:2,1,0\n"
     path = _cfg_file(tmp_path, f"[model]\nkappa = 2\n\n[env]\natoms =\n{atoms}")
@@ -370,13 +370,32 @@ def test_check_passes_a_poisson_atom_whose_mean_is_past_the_cap(tmp_path, capsys
 
 
 def test_a_mode_past_int64_exits_three_at_the_cap(tmp_path, capsys):
-    # binomial:10^30,0.5 has its mode past int64 and an sd of 5 * 10^14: no
-    # sum from its mode fits, so check names the cap (exit 3) in one line
-    atoms = "    1.0 poisson:0.3 dpareto:2,1,0\n    1e-70 binomial:1000000000000000000000000000000,0.5 dpareto:2,1,0\n"
+    # poisson:10^20 has its mode past int64 and an sd of 10^10: no sum from
+    # its mode fits, so check names the cap (exit 3) in one line
+    atoms = "    1.0 poisson:0.3 dpareto:2,1,0\n    1e-70 poisson:100000000000000000000 dpareto:2,1,0\n"
     path = _cfg_file(tmp_path, f"[model]\nkappa = 2\n\n[env]\natoms =\n{atoms}")
     assert cli.main(["check", "--config", path, "--out", str(tmp_path / "o")]) == 3
     captured = capsys.readouterr()
-    assert captured.err == "error: binomial moment series exceeded iteration cap\n"
+    assert captured.err == "error: poisson moment series exceeded iteration cap\n"
+
+
+def test_a_binomial_trial_count_past_int64_is_a_config_error(tmp_path, capsys):
+    n = 10**30
+    path = _cfg_file(tmp_path, f"[model]\nkappa = 2\n\n[env]\natoms =\n    1.0 binomial:{n},3e-31 dpareto:2,1,0\n")
+    assert cli.main(["check", "--config", path, "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.endswith(f"binomial n must be an integer in [1, 2^62), got {n}\n")
+    assert err.count("\n") == 1
+
+
+def test_a_kernel_row_whose_trial_count_reaches_2_to_the_62_exits_four(tmp_path, capsys):
+    # n = 2^61 passes check (mean 0.3), but row x = 2 of the kernel has
+    # 2^62 trials, which int64 products would wrap into a negative index
+    path = _cfg_file(tmp_path, "[model]\nkappa = 2\n\n[env]\natoms =\n    1.0 binomial:2305843009213693952,1.3e-19 dpareto:2,1,0\n")
+    assert cli.main(["oracle", "--config", path, "--out", str(tmp_path / "o")]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: binomial trial count ") and err.endswith(" reaches 2^62\n")
+    assert err.count("\n") == 1
 
 
 def test_a_huge_binomial_trial_count_runs_in_bounded_memory(tmp_path, capsys):

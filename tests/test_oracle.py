@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.stats as st
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
@@ -227,6 +228,14 @@ def test_brute_force_tail_agrees_with_the_thinning_sampler(off, b_law):
         emp = float((draws > x).mean())
         se = math.sqrt(max(exact * (1 - exact), 1e-12) / draws.size)
         assert abs(emp - exact) <= 4 * se, f"x={x}: emp={emp:.5g} exact={exact:.5g}"
+
+
+def test_brute_force_tail_reads_the_single_draw_pmf_up_to_x_only():
+    # binomial:10^12,5e-13 has 10^12 + 1 support points; two draws of it sum
+    # to Binomial(2 * 10^12, 5e-13)
+    env = _single_atom(OffspringFamily.binomial(10**12, 5e-13), ImmigrationFamily.constant(0))
+    got = brute_force_random_sum_tail(env, ImmigrationFamily.constant(2), 3, cap=2)
+    assert got == pytest.approx(st.binom.sf(3, 2 * 10**12, 5e-13), rel=1e-12)
 
 
 def test_brute_force_tail_rejects_heavy_b_over_a_low_cap():

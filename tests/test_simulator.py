@@ -38,7 +38,6 @@ from bpire.env_model import (
 from bpire.errors import NotSubcritical
 from bpire.rng import RngState
 from bpire.simulator import (
-    _invert_by_bisection,
     choose_truncation,
     composed_thinning_batch,
     imm_for_batch,
@@ -51,6 +50,7 @@ from bpire.simulator import (
     unit_progeny_batch,
     write_samples_text,
 )
+from bpire.tailstats import threshold_for_level
 
 from conftest import backward_terms, chi_square_pvalue, ks_distance, ks_threshold, two_atom_model
 
@@ -274,6 +274,10 @@ def test_thinning_past_2_62_raises_overflow(kind, x, scale):
         law = OffspringFamily.poisson(target / x)
     elif kind == "geometric0":
         law = OffspringFamily.geometric0(x / (x + target))
+    elif x == 1:  # the trial count is n itself, which the law refuses
+        with pytest.raises(ValueError, match=r"binomial n must be an integer in \[1, 2\^62\)"):
+            OffspringFamily.binomial(math.ceil(target), 0.5)
+        return
     else:
         law = OffspringFamily.binomial(math.ceil(target / x), 0.5)
     with pytest.raises(OverflowError):
@@ -333,7 +337,8 @@ def test_immigration_inversion_generic_points():
 )
 def test_immigration_closed_form_matches_bisection_at_boundaries(law):
     # u = S(k) and one ulp either side, where the closed form is nearest an
-    # integer: the draws that skip the survival check must still be exact
+    # integer: the draws that skip the survival check must still be exact,
+    # against the doubling-then-bisection search of threshold_for_level
     pows = 2 ** np.arange(41)
     ks = np.unique(np.concatenate([
         np.arange(4097), pows - 1, pows, pows + 1,
@@ -343,7 +348,7 @@ def test_immigration_closed_form_matches_bisection_at_boundaries(law):
     u = np.concatenate([s, np.nextafter(s, 0.0), np.nextafter(s, 2.0)])
     u = u[(u >= 2.0**-53) & (u <= 1.0)]
     got = sample_immigration_batch(law, _FixedU(u), u.size)
-    assert np.array_equal(got, _invert_by_bisection(law, u))
+    assert np.array_equal(got, threshold_for_level(lambda x: immigration_survival(law, x), u))
 
 
 def test_immigration_checks_survival_only_near_integers(monkeypatch):

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as hst
 
-from bpire.env_model import ImmigrationFamily, immigration_survival
+from bpire.env_model import ImmigrationFamily, env_immigration_survival, immigration_survival
 from bpire.errors import DegenerateOrderStats, ReferenceVanishes
 from bpire.experiments import RunReport, emit_report
 from bpire.rng import RngState
@@ -35,7 +35,7 @@ from bpire.tailstats import (
     threshold_for_level,
 )
 
-from conftest import hill_functional, ks_distance, ks_threshold
+from conftest import hill_functional, ks_distance, ks_threshold, two_atom_env
 
 
 def _empirical_tail(samples, grid):
@@ -137,9 +137,28 @@ def test_threshold_for_level_boundaries():
     assert threshold_for_level(surv, 1e-3) == 31
     assert threshold_for_level(surv, 1e-4) == 99
     assert threshold_for_level(surv, 0.5) == 1
+    assert threshold_for_level(surv, 1.0) == 0
     assert threshold_for_level(lambda x: 0.0, 0.5) == 0
     with pytest.raises(ValueError):
         threshold_for_level(surv, 1.5)
+
+
+def test_threshold_for_level_is_elementwise_over_an_array_of_levels():
+    # config_a's survival, called on int64 arrays shaped like the levels
+    surv = lambda x: env_immigration_survival(two_atom_env(), x)
+    levels = np.geomspace(0.5, 1e-6, 24).reshape(4, 6)
+    got = threshold_for_level(surv, levels)
+    assert got.shape == levels.shape and got.dtype == np.int64
+    want = [threshold_for_level(lambda x: float(surv(x)), float(lv)) for lv in levels.ravel()]
+    assert got.ravel().tolist() == want
+    assert want[0] == 1 and want[-1] == 999
+
+
+@pytest.mark.parametrize("level", [0.0, -0.1, 1.0 + 1e-12, math.nan, [0.5, 0.0]])
+def test_threshold_for_level_refuses_levels_outside_the_unit_interval(level):
+    law = ImmigrationFamily.discrete_pareto(2.0, 1.0)
+    with pytest.raises(ValueError):
+        threshold_for_level(lambda x: immigration_survival(law, x), level)
 
 
 def test_grid_from_levels_is_monotone_and_validated():
