@@ -65,10 +65,11 @@ class RngState:
         )
         return RngState(seq=seq, gen=np.random.Generator(np.random.SFC64(seq)))
 
-    def uniform_open(self, size: int | None = None):
-        """Uniform draws on (0, 1]: 1 - U with U in [0, 1).
+    def uniform_open(self, size: int) -> np.ndarray:
+        """`size` uniform draws on (0, 1]: 1 - U, U in [0, 1), in U's array.
 
         Inversion samplers need the open-at-zero side: survival functions
         stay positive, so the search for S(x) <= u would never stop at u == 0.
         """
-        return 1.0 - self.gen.random(size)
+        u = self.gen.random(size)
+        return np.subtract(1.0, u, out=u)

@@ -159,25 +159,30 @@ def _alias_table(law: OffspringFamily) -> tuple[np.ndarray, np.ndarray]:
 
 
 @functools.lru_cache(maxsize=16)
-def _batch_tables(laws: tuple[OffspringFamily, ...]) -> tuple[np.ndarray, np.ndarray]:
+def _batch_tables(laws: tuple[OffspringFamily, ...]) -> tuple[np.ndarray, np.ndarray, tuple]:
     """The alias tables of a batch's groups stacked in group order and
-    flattened, with j + q[x, j] in place of q.  Both terms sit on the grid of
-    2^-46 below 2^7, so the sum is exact and 128 v < j + q holds exactly
-    where 128 v - j < q does."""
+    flattened, with j + q[x, j] in place of q, and the groups' columns for
+    `_thin_past_table`.  Both terms sit on the grid of 2^-46 below 2^7, so
+    the sum is exact and 128 v < j + q holds exactly where 128 v - j < q
+    does."""
     tables = [_alias_table(law) for law in laws]
     threshold = np.concatenate([(q + np.arange(ALIAS_COLS)).ravel() for q, _ in tables])
-    return threshold, np.concatenate([alias.ravel() for _, alias in tables])
+    draw, n, p = (np.array(col) for col in zip(*(law.x_fold() for law in laws)))
+    return threshold, np.concatenate([alias.ravel() for _, alias in tables]), (np.all(draw == draw[0]), draw, n, p)
 
 
-def _thin_past_table(batch: EnvBatch, x: np.ndarray, group: np.ndarray, rng: RngState) -> np.ndarray:
+def _thin_past_table(columns: tuple, x: np.ndarray, group: np.ndarray, rng: RngState) -> np.ndarray:
     """numpy's draw of each entry's x-fold sum: one draw per kind of
     `OffspringFamily.x_fold`, in numbering order, with parameters gathered
-    per entry from its group."""
-    draw, n, p = (np.array(col) for col in zip(*(law.x_fold() for law, _ in batch.laws)))
-    out = np.empty_like(x)
+    per entry from its group.  `columns`, cached with the alias tables,
+    holds whether every group has one kind and each group's (draw, n, p);
+    where the entries have one kind, its draw takes them all, unmasked."""
+    one_kind, draw, n, p = columns
     entry_draw = draw[group]
-    for d in np.unique(entry_draw):
-        sel = entry_draw == d
+    kinds = entry_draw[:1] if one_kind else np.unique(entry_draw)
+    out = np.empty_like(x)
+    for d in kinds:
+        sel = slice(None) if kinds.size == 1 else np.flatnonzero(entry_draw == d)
         xd, nd, pd = x[sel], n[group[sel]], p[group[sel]]
         if d == 0:
             out[sel] = rng.gen.poisson(_guard(pd * xd))
@@ -203,7 +208,8 @@ def thin_for_batch(batch: EnvBatch, values: np.ndarray, rng: RngState) -> np.nda
     their law's last tabulated row then take numpy's draw, one per kind of
     `OffspringFamily.x_fold` in numbering order, with each guarded against
     2^62.  The continuous group has no table and draws Poisson at each
-    entry's own mean over all entries.
+    entry's own mean over all entries.  A call makes only batch-size arrays,
+    reused in place, and finds the entries past the tables once, as indices.
 
     The bound on a tabulated row.  With v on the grid of 2^-53, 128 v - j
     takes each multiple of 2^-46 in [0, 1) once, so a cell keeps j with
@@ -221,18 +227,20 @@ def thin_for_batch(batch: EnvBatch, values: np.ndarray, rng: RngState) -> np.nda
         raise ValueError("population sizes must be >= 0")
     if batch.rates is not None:
         return rng.gen.poisson(_guard(batch.means * values))
-    threshold, alias = _batch_tables(tuple(law for law, _ in batch.laws))
-    t = rng.gen.random(values.shape) * ALIAS_COLS
+    threshold, alias, columns = _batch_tables(tuple(law for law, _ in batch.laws))
+    t = rng.gen.random(values.shape)
+    t *= ALIAS_COLS
     j = t.astype(np.int64)
     cell = np.minimum(values, ALIAS_ROWS)
     if len(batch.laws) > 1:
         cell += batch.group * (ALIAS_ROWS + 1)
     cell *= ALIAS_COLS
     cell += j
-    out = np.where(t < threshold.take(cell), j, alias.take(cell))
-    past = out < 0
-    if past.any():
-        out[past] = _thin_past_table(batch, values[past], batch.group[past], rng)
+    out = alias.take(cell).astype(np.int64)
+    np.copyto(out, j, where=t < threshold.take(cell))
+    past = np.flatnonzero(out < 0)
+    if past.size:
+        out[past] = _thin_past_table(columns, values[past], batch.group[past], rng)
     return out
 
 
@@ -250,7 +258,8 @@ def _survival_adjust(law: ImmigrationFamily, cand: np.ndarray, u: np.ndarray, t:
     t >= 2^52 is an integer and so is checked.  A NaN t is checked too.  A
     checked candidate outside its bracket is drawn again by
     `tailstats.threshold_for_level`, whose search also finds the bracket
-    where S rounds to one value over many x.
+    where S rounds to one value over many x.  With no entry checked, S is
+    evaluated nowhere.
 
     The bound, for u >= 2^-53 (the least `uniform_open` returns) and unit
     roundoff e = 2^-53.  dpareto: c/u is off by a relative e, which the
@@ -267,6 +276,8 @@ def _survival_adjust(law: ImmigrationFamily, cand: np.ndarray, u: np.ndarray, t:
     away from log u, far above those errors.
     """
     near = np.flatnonzero(~(np.abs(t - np.rint(t)) > tol * (1.0 + np.abs(t))))
+    if not near.size:
+        return cand
     x, v = cand[near], u[near]
     off = (immigration_survival(law, x) > v) | ((x > 0) & (immigration_survival(law, x - 1) <= v))
     if off.any():
@@ -301,10 +312,15 @@ def sample_immigration_batch(law: ImmigrationFamily, rng: RngState, size: int) -
         return _survival_adjust(law, cand, u, t, 2.0**-32 * (1.0 - 1.0 / math.log1p(-law.p)))
     # dpareto
     if law.beta == 0.0:
-        # a small kappa overflows the power to inf, which _guard_draw refuses
+        # computed in place; a small kappa overflows the power to inf, which
+        # _guard_draw refuses
+        t = law.c / u
         with np.errstate(over="ignore"):
-            t = _guard_draw((law.c / u) ** (1.0 / law.kappa) - 1.0)
-        cand = np.ceil(np.maximum(t, 0.0)).astype(np.int64)
+            t **= 1.0 / law.kappa
+        t -= 1.0
+        _guard_draw(t)
+        cand = np.maximum(t, 0.0)
+        cand = np.ceil(cand, out=cand).astype(np.int64)
         return _survival_adjust(law, cand, u, t, 2.0**-32 * (1.0 + 1.0 / law.kappa))
     return threshold_for_level(functools.partial(immigration_survival, law), u)
 
@@ -329,7 +345,9 @@ def imm_for_batch(batch: EnvBatch, rng: RngState) -> np.ndarray:
 def step_batch(values: np.ndarray, env: EnvSpec, rng: RngState) -> np.ndarray:
     """One generation for a vector of replicas under fresh environments."""
     batch = draw_env_batch(env, rng, np.asarray(values).size)
-    return thin_for_batch(batch, values, rng) + imm_for_batch(batch, rng)
+    out = thin_for_batch(batch, values, rng)
+    out += imm_for_batch(batch, rng)
+    return out
 
 
 def simulate_forward_batch(x0: int, steps: int, env: EnvSpec, rng: RngState, size: int) -> np.ndarray:
@@ -436,4 +454,4 @@ def write_samples_text(path, samples) -> None:
     if not np.issubdtype(arr.dtype, np.integer) or (arr.size and arr.min() < 0):
         raise ValueError("sample dumps hold integers >= 0")
     with open(path, "w") as fh:
-        fh.writelines(f"{int(v)}\n" for v in arr)
+        fh.write("".join(f"{v}\n" for v in arr.tolist()))

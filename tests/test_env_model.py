@@ -549,6 +549,27 @@ def test_draw_env_batch_groups_match_a_right_sided_search(weights, seed):
     assert np.array_equal(draw_env_batch(env, _FixedGen(u), u.size).group, want)
 
 
+def test_draw_env_batch_cut_points_belong_to_their_spec():
+    # two specs with the same laws and different weights, and an equal but
+    # distinct copy of one, drawn in turn: each batch's groups follow its
+    # own spec's cumulative weights, whatever spec was drawn before
+    laws = [
+        (OffspringFamily.poisson(0.3), ImmigrationFamily.constant(1)),
+        (OffspringFamily.poisson(0.9), ImmigrationFamily.constant(1)),
+        (OffspringFamily.geometric0(0.6), ImmigrationFamily.constant(2)),
+    ]
+    specs = [EnvSpec.from_atoms([EnvAtom(w, *law) for w, law in zip(weights, laws)])
+             for weights in ([0.2, 0.3, 0.5], [0.6, 0.3, 0.1], [0.2, 0.3, 0.5])]
+    assert specs[0] == specs[2] and specs[0] is not specs[2]
+    u = np.random.default_rng(8).random(4096)
+    for spec in specs + specs[::-1] + specs:
+        cw = np.cumsum([a.weight for a in spec.atoms])
+        want = np.clip(np.searchsorted(cw, u, side="right"), 0, len(cw) - 1)
+        batch = draw_env_batch(spec, _FixedGen(u), u.size)
+        assert np.array_equal(batch.group, want)
+        assert batch.laws == tuple(laws)
+
+
 def test_batch_offspring_means_lookup():
     env = two_atom_env()
     batch = draw_env_batch(env, RngState.from_seed(3), 1000)

@@ -8,6 +8,7 @@ single-draw pmf, and (b) chi-square the sampler against that pmf.  Together
 these catch a wrong closure, a wrong pmf, or a biased sampler.
 """
 
+import copy
 import math
 import warnings
 
@@ -172,6 +173,51 @@ def test_mixed_thinning_follows_each_groups_law():
             cell = draws[(batch.group == j) & (values == x)]
             p = chi_square_pvalue(cell, lambda ks: thinned_offspring_pmf(atom.offspring, x, ks))
             assert p > 1e-3, f"group {j} ({atom.offspring.kind}) x={x}: chi-square p={p:.4g}"
+
+
+PAST_TABLE_ENV = EnvSpec.from_atoms(
+    [
+        EnvAtom(0.2, OffspringFamily.binomial(3, 0.3), ImmigrationFamily.constant(0)),
+        EnvAtom(0.2, OffspringFamily.poisson(0.7), ImmigrationFamily.constant(0)),
+        EnvAtom(0.2, OffspringFamily.geometric0(0.6), ImmigrationFamily.constant(0)),
+        EnvAtom(0.2, OffspringFamily.bernoulli(0.4), ImmigrationFamily.constant(0)),
+        EnvAtom(0.2, OffspringFamily.poisson(0.2), ImmigrationFamily.constant(0)),
+    ]
+)
+
+
+@pytest.mark.parametrize("only_poisson", [False, True], ids=["all-kinds", "poisson-only"])
+def test_thinning_past_the_tables_draws_once_per_kind_in_numbering_order(only_poisson):
+    # populations of 64 or more are past every table, so each entry takes
+    # numpy's draw after the batch's alias uniforms: Poisson, then binomial
+    # (bernoulli with n = 1), then negative binomial, each over its entries
+    # in index order; with the other groups at population 0, the Poisson
+    # groups alone are past the tables
+    n = 4096
+    rng = RngState.from_seed(64)
+    batch = draw_env_batch(PAST_TABLE_ENV, rng, n)
+    values = np.random.default_rng(64).integers(64, 400, n)
+    kind = np.array([atom.offspring.x_fold()[0] for atom in PAST_TABLE_ENV.atoms])[batch.group]
+    if only_poisson:
+        values[kind != 0] = 0
+    assert all(np.count_nonzero(batch.group[values > 0] == j) >= 64 for j in np.unique(batch.group[values > 0]))
+    ref = copy.deepcopy(rng)
+    got = thin_for_batch(batch, values, rng)
+    ref.gen.random(n)
+    want = np.zeros(n, dtype=np.int64)
+    for d in (0, 1, 2):
+        idx = np.flatnonzero((kind == d) & (values > 0))
+        x, laws = values[idx], [PAST_TABLE_ENV.atoms[g].offspring for g in batch.group[idx]]
+        each = np.array([law.x_fold()[1] for law in laws], dtype=np.int64)
+        p = np.array([law.x_fold()[2] for law in laws])
+        if d == 0:
+            want[idx] = ref.gen.poisson(p * x)
+        elif d == 1:
+            want[idx] = ref.gen.binomial(each * x, p)
+        else:
+            want[idx] = ref.gen.negative_binomial(x, p)
+    assert np.array_equal(got, want)
+    assert rng.gen.random(4).tolist() == ref.gen.random(4).tolist()
 
 
 # ---- alias tables -------------------------------------------------------------
@@ -352,16 +398,22 @@ def test_immigration_closed_form_matches_bisection_at_boundaries(law):
 
 
 def test_immigration_checks_survival_only_near_integers(monkeypatch):
-    # the full check would evaluate S at 2 * 8192 points
-    seen = []
+    # the full check would evaluate S at 2 * 8192 points; no seeded closed
+    # form here lands near an integer, so S is evaluated nowhere, not even
+    # on empty arrays.  u = 0.25 puts the dpareto t exactly on 1: checked
+    calls = []
 
     def counting(law, x):
-        seen.append(np.size(x))
+        calls.append(np.size(x))
         return immigration_survival(law, x)
 
     monkeypatch.setattr(simulator, "immigration_survival", counting)
-    sample_immigration_batch(ImmigrationFamily.discrete_pareto(2.0, 1.0), RngState.from_seed(3), 8192)
-    assert sum(seen) <= 8
+    dpareto = ImmigrationFamily.discrete_pareto(2.0, 1.0)
+    for law in (dpareto, ImmigrationFamily.geometric0(0.05)):
+        sample_immigration_batch(law, RngState.from_seed(3), 8192)
+    assert calls == []
+    assert sample_immigration_batch(dpareto, _FixedU(0.25), 1).tolist() == [1]
+    assert calls
 
 
 def test_immigration_geometric0_overflow_guard():
@@ -641,6 +693,20 @@ def test_text_dump_round_trip(tmp_path):
     assert np.array_equal(np.loadtxt(path, dtype=np.int64), data)
     with pytest.raises(ValueError):
         write_samples_text(path, np.array([0.5]))
+
+
+@pytest.mark.parametrize(
+    "data",
+    [[], [0], [2**62 - 1], np.random.default_rng(9).integers(0, 2**62, 1000)],
+    ids=["empty", "zero", "2^62-1", "random"],
+)
+def test_text_dump_matches_a_line_by_line_writer(tmp_path, data):
+    arr = np.asarray(data, dtype=np.int64)
+    write_samples_text(tmp_path / "dump.txt", arr)
+    with open(tmp_path / "lines.txt", "w") as fh:
+        for v in arr:
+            fh.write(f"{int(v)}\n")
+    assert (tmp_path / "dump.txt").read_bytes() == (tmp_path / "lines.txt").read_bytes()
 
 
 # ---- stream determinism ----------------------------------------------------------
