@@ -7,13 +7,13 @@ chunk c of a job draws from the stream (seed, purpose, ..., c), so the merged
 output is a pure function of (config, seed) no matter how chunks land on
 workers.  Inside a chunk the sampler runs in blocks of at most 8192
 replicas, in order on the chunk's one stream, which keeps its temporaries
-small enough for the heap to reuse.  A chunk reduces its draws, the blocks
-concatenated, to a sufficient statistic: per-threshold
-exceedance counts or moment sums, which merge by summing, or, where order
-statistics are needed (theorem, hill, oracle), a value histogram, which
-merges by adding counts on the union of values.  Memory therefore does not
-grow with the replica count.  Only a sample dump (`dump_samples`) keeps the
-raw draws, concatenated in chunk order, and builds its histogram from them.
+small enough for the heap to reuse.  Each block reduces its draws to a
+statistic, and one merge folds a chunk's blocks, then a job's chunks, in
+order: per-threshold exceedance counts or moment sums merge by summing, and
+value histograms, where order statistics are needed (theorem, hill, oracle),
+by adding counts on the union of values.  Memory therefore does not grow
+with the replica count.  A sample dump (`dump_samples`) is one more such
+statistic: raw draws, merged by concatenation, whose histogram it builds.
 """
 
 from __future__ import annotations
@@ -76,8 +76,8 @@ _P_SRE = 6
 @dataclass(frozen=True)
 class _Task:
     """One worker unit: a chunk sampler `sampler(model, arg, rng, count)`, the
-    path of its RNG stream, and the statistic it reduces to (None keeps the
-    raw samples, for dumps)."""
+    path of its RNG stream, the statistic each block of draws reduces to, and
+    the merge that folds a list of such results into one."""
 
     sampler: Callable
     model: ModelSpec
@@ -85,7 +85,8 @@ class _Task:
     seed: int
     path: tuple[int, ...]
     count: int
-    stat: Callable | None
+    stat: Callable
+    merge: Callable
 
 
 def _stream(seed: int, path: tuple[int, ...]) -> RngState:
@@ -100,7 +101,9 @@ def _count_exceed(values: np.ndarray, thresholds: tuple[float, ...]) -> np.ndarr
 
 
 def _moment_sums(values: np.ndarray) -> np.ndarray:
-    """Sums of v and v^2; values stay below 2^62, so neither overflows."""
+    """Sums of v and v^2; values stay below 2^62, so neither overflows.  Summed
+    per block, then across blocks and chunks, the bits match one sum while
+    every partial sum is an integer below 2^53, as on every bundled config."""
     v = values.astype(np.float64)
     return np.array([v.sum(), (v * v).sum()])
 
@@ -109,7 +112,7 @@ _value_histogram = partial(np.unique, return_counts=True)
 
 
 def _merge_histograms(parts) -> tuple[np.ndarray, np.ndarray]:
-    """Chunk histograms merged by adding counts on the union of values."""
+    """Block or chunk histograms merged by adding counts on the union of values."""
     union, where = np.unique(np.concatenate([v for v, _ in parts]), return_inverse=True)
     counts = np.zeros(union.size, dtype=np.int64)
     np.add.at(counts, where, np.concatenate([c for _, c in parts]))
@@ -117,23 +120,20 @@ def _merge_histograms(parts) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _run_chunk(task: _Task):
-    """The chunk's draws, sampled in blocks of at most _BLOCK replicas in
-    order on the chunk's one stream, then reduced to its statistic."""
+    """The chunk's blocks of at most _BLOCK replicas, drawn in order on its one
+    stream, each reduced to the statistic and folded in order by the merge."""
     rng = _stream(task.seed, task.path)
-    blocks = [
-        task.sampler(task.model, task.arg, rng, min(_BLOCK, task.count - lo)) for lo in range(0, task.count, _BLOCK)
-    ]
-    values = np.concatenate(blocks)
-    return values if task.stat is None else task.stat(values)
+    sizes = (min(_BLOCK, task.count - lo) for lo in range(0, task.count, _BLOCK))
+    return task.merge([task.stat(task.sampler(task.model, task.arg, rng, n)) for n in sizes])
 
 
-def _gather(cfg: ExperimentConfig, sampler, jobs, stat=None, merge=partial(np.sum, axis=0)) -> list:
+def _gather(cfg: ExperimentConfig, sampler, jobs, stat, merge=partial(np.sum, axis=0)) -> list:
     """One merged result per job `(stream path prefix, sampler argument)`.
 
     Each job's cfg.replicas are cut into chunks of CHUNK_REPLICAS, the last
     one partial, and chunk c draws from the stream (seed, *prefix, c); the
-    chunks of every job map over one pool.  `merge` folds a job's chunk
-    results, in chunk order, into one.
+    chunks of every job map over one pool.  `merge` folds a chunk's block
+    statistics and then a job's chunk results, each in order, into one.
     """
     tasks: list[_Task] = []
     bounds = []
@@ -141,7 +141,7 @@ def _gather(cfg: ExperimentConfig, sampler, jobs, stat=None, merge=partial(np.su
         start = len(tasks)
         for index, offset in enumerate(range(0, cfg.replicas, CHUNK_REPLICAS)):
             count = min(CHUNK_REPLICAS, cfg.replicas - offset)
-            tasks.append(_Task(sampler, cfg.model, arg, cfg.seed, prefix + (index,), count, stat))
+            tasks.append(_Task(sampler, cfg.model, arg, cfg.seed, prefix + (index,), count, stat, merge))
         bounds.append((start, len(tasks)))
     if cfg.workers <= 1 or len(tasks) <= 1:
         parts = [_run_chunk(t) for t in tasks]
@@ -160,7 +160,7 @@ def _stationary_histogram(cfg: ExperimentConfig, keep_samples: bool):
     histogram is built from the dumped draws, which gives the same arrays."""
     job = ((_P_STATIONARY,), choose_truncation(cfg.model, cfg.epsilon_trunc))
     if keep_samples:
-        [samples] = _gather(cfg, sample_stationary_backward_batch, [job], merge=np.concatenate)
+        [samples] = _gather(cfg, sample_stationary_backward_batch, [job], np.asarray, np.concatenate)
         return _value_histogram(samples), samples
     [hist] = _gather(cfg, sample_stationary_backward_batch, [job], _value_histogram, _merge_histograms)
     return hist, None

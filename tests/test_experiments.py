@@ -8,6 +8,7 @@ import multiprocessing
 import os
 import pathlib
 import re
+from functools import partial
 
 import numpy as np
 import pytest
@@ -601,10 +602,48 @@ def test_chunks_sample_in_blocks_on_one_stream():
     # two full blocks and a partial one, drawn in order from the chunk's stream
     block = experiments._BLOCK
     model = two_atom_model()
-    task = experiments._Task(sample_stationary_backward_batch, model, 4, 7, (1, 3), 2 * block + 5, None)
+    task = experiments._Task(
+        sample_stationary_backward_batch, model, 4, 7, (1, 3), 2 * block + 5, np.asarray, np.concatenate
+    )
     rng = experiments._stream(7, (1, 3))
     want = np.concatenate([sample_stationary_backward_batch(model, 4, rng, n) for n in (block, block, 5)])
     assert np.array_equal(experiments._run_chunk(task), want)
+
+
+# the merge `_gather` applies unless told otherwise
+_SUM = inspect.signature(experiments._gather).parameters["merge"].default
+
+
+@pytest.mark.parametrize(
+    "stat, merge",
+    [
+        (partial(experiments._count_exceed, thresholds=(0.0, 2.0, 9.0, 31.0)), _SUM),
+        (experiments._moment_sums, _SUM),
+        (_value_histogram, _merge_histograms),
+        (np.asarray, np.concatenate),
+    ],
+    ids=["exceedances", "moments", "histogram", "draws"],
+)
+def test_each_block_reduces_to_the_statistic_of_the_chunk(stat, merge):
+    # no statistic sees more than one block, and the merged block statistics
+    # equal the statistic of the blocks concatenated
+    block = experiments._BLOCK
+    model = two_atom_model()
+    sizes = []
+
+    def watched(values):
+        sizes.append(values.size)
+        return stat(values)
+
+    task = experiments._Task(sample_stationary_backward_batch, model, 4, 7, (1, 3), 2 * block + 5, watched, merge)
+    got = experiments._run_chunk(task)
+    assert sizes == [block, block, 5]
+    rng = experiments._stream(7, (1, 3))
+    want = stat(np.concatenate([sample_stationary_backward_batch(model, 4, rng, n) for n in (block, block, 5)]))
+    got, want = (r if isinstance(r, tuple) else (r,) for r in (got, want))
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and np.array_equal(g, w)
 
 
 # ---- value histograms ------------------------------------------------------------
@@ -628,12 +667,13 @@ def test_merged_chunk_histograms_are_the_histogram_of_the_concatenation(chunks):
     assert counts.tolist() == want_counts.tolist()
 
 
-def _stationary_run(tmp_path, experiment, dump, workers) -> dict:
-    """Artifacts of a 2500-replica config_a run at seed 7, by file name;
-    report.json without the lines that echo run settings."""
+def _stationary_run(tmp_path, experiment, dump, workers, replicas=2500) -> dict:
+    """Artifacts of a config_a run at seed 7, by file name; report.json
+    without the lines that echo run settings."""
     tag = f"{experiment}_d{int(dump)}_w{workers}"
     path = tmp_path / f"{tag}.cfg"
-    path.write_text((CONFIGS / "config_a.cfg").read_text() + f"\nreplicas = 2500\ndump_samples = {str(dump).lower()}\n")
+    text = (CONFIGS / "config_a.cfg").read_text()
+    path.write_text(text + f"\nreplicas = {replicas}\ndump_samples = {str(dump).lower()}\n")
     cfg = load_config(str(path), experiment=experiment, seed=7, workers=workers, out_dir=str(tmp_path / tag))
     out = {}
     for file in emit_report(run_experiment(cfg), cfg.out_dir):
@@ -644,18 +684,28 @@ def _stationary_run(tmp_path, experiment, dump, workers) -> dict:
     return out
 
 
-@pytest.mark.parametrize("experiment", ["theorem", "hill", "oracle"])
-def test_stationary_outputs_do_not_depend_on_dumps_or_workers(tmp_path, monkeypatch, experiment):
+_BLOCKS_RUN = 2 * experiments._BLOCK + 5
+
+
+@pytest.mark.parametrize(
+    "experiment, chunk, replicas",
+    [
+        *(pytest.param(e, PIN_CHUNK, 2500, id=e) for e in ("theorem", "hill", "oracle")),
+        *(pytest.param(e, CHUNK_REPLICAS, _BLOCKS_RUN, id=f"{e}-blocks") for e in ("theorem", "hill", "oracle")),
+    ],
+)
+def test_stationary_outputs_do_not_depend_on_dumps_or_workers(tmp_path, monkeypatch, experiment, chunk, replicas):
     # A dump builds its histogram from the dumped draws, every other run from
-    # merged chunk histograms; 2500 replicas on 1000-replica chunks end in a
-    # partial chunk.
-    monkeypatch.setattr(experiments, "CHUNK_REPLICAS", PIN_CHUNK)
-    dumped = _stationary_run(tmp_path, experiment, True, 1)
-    plain = _stationary_run(tmp_path, experiment, False, 1)
+    # merged block and chunk histograms.  2500 replicas on 1000-replica chunks
+    # end in a partial chunk, each chunk one block; at the default chunk size,
+    # 2 * _BLOCK + 5 replicas make one chunk of three blocks, the last partial.
+    monkeypatch.setattr(experiments, "CHUNK_REPLICAS", chunk)
+    dumped = _stationary_run(tmp_path, experiment, True, 1, replicas)
+    plain = _stationary_run(tmp_path, experiment, False, 1, replicas)
     assert ("samples.txt" in dumped) == (experiment != "oracle")
     dumped.pop("samples.txt", None)
     assert dumped == plain
-    assert _stationary_run(tmp_path, experiment, False, 2) == plain
+    assert _stationary_run(tmp_path, experiment, False, 2, replicas) == plain
 
 
 def test_stationary_statistics_never_see_per_replica_arrays(tmp_path, monkeypatch):
