@@ -19,11 +19,9 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-# BrokenProcessPool's base: importing it skips multiprocessing
-from concurrent.futures import BrokenExecutor
 
 from .config import EXPERIMENTS, load_config
-from .errors import BpireError, NotSubcritical, ParseError, ValidationError
+from .errors import BpireError, NotSubcritical, ParseError, ValidationError, WorkerDied
 from .experiments import emit_report, run_experiment
 
 
@@ -66,6 +64,9 @@ def main(argv=None) -> int:
     except NotSubcritical as exc:
         print(f"hypothesis failure: {exc}", file=sys.stderr)
         return 2
+    except WorkerDied as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 5
     except BpireError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
@@ -74,9 +75,6 @@ def main(argv=None) -> int:
         return 4
     except MemoryError:
         print("error: out of memory; lower replicas or workers", file=sys.stderr)
-        return 5
-    except BrokenExecutor as exc:
-        print(f"error: a worker process died: {exc}", file=sys.stderr)
         return 5
 
     try:

@@ -8,10 +8,16 @@ is what keeps thinning O(1) per generation in the simulator.  Moment
 functionals here are the exact/deterministic side of every dual-route check:
 Monte Carlo estimates elsewhere are compared against these numbers.
 
-The samplers see environments as one `EnvBatch` per generation: the laws of
-each group of draws, every draw's group, and every draw's offspring mean on
-request.  An atom is a group; the continuous mode is a single group whose
-offspring law is Poisson at the draw's own mean.
+A generation reads its environment only through two laws, the offspring law
+and the immigration law, so the samplers see environments as one `EnvBatch`
+per generation, drawn as coarsely as that allows.  The atoms of an EnvSpec
+fall into `EnvGroup`s, one per immigration law, in order of first
+appearance; a draw picks a group, and a uniform only where there are two or
+more.  Thinning under a group of several atoms draws from their offspring
+mixture.  The readers that need the atom itself, thinning past the
+simulator's tables and the perpetuity's offspring mean, resolve it
+(`atom_index`, `resolve_atoms`).  The continuous mode is a single group
+whose offspring law is Poisson at the draw's own mean.
 """
 
 from __future__ import annotations
@@ -29,6 +35,7 @@ __all__ = [
     "OffspringFamily",
     "ImmigrationFamily",
     "EnvAtom",
+    "EnvGroup",
     "EnvSpec",
     "ModelSpec",
     "ConditionReport",
@@ -38,6 +45,8 @@ __all__ = [
     "moment_A",
     "check_conditions",
     "draw_env_batch",
+    "atom_index",
+    "resolve_atoms",
     "offspring_pmf",
     "thinned_offspring_pmf",
     "thinned_offspring_mode",
@@ -197,6 +206,19 @@ class EnvAtom:
 
 
 @dataclass(frozen=True)
+class EnvGroup:
+    """The atoms of an EnvSpec that share one immigration law, in declaration
+    order: their total `weight`, their `offspring` laws and `weights`, each
+    atom's share of the total.  The continuous mode's one group has no
+    offspring laws."""
+
+    weight: float
+    immigration: ImmigrationFamily
+    offspring: tuple[OffspringFamily, ...]
+    weights: tuple[float, ...]
+
+
+@dataclass(frozen=True)
 class EnvSpec:
     """Law of the environment: finitely many atoms, or a uniform Poisson rate.
 
@@ -225,9 +247,24 @@ class EnvSpec:
         return bool(self.atoms)
 
     @functools.cached_property
-    def _atom_draw(self) -> tuple[np.ndarray, tuple]:
-        """`draw_env_batch`'s cut points (cumulative weights but the last) and laws."""
-        return np.cumsum([a.weight for a in self.atoms])[:-1], tuple((a.offspring, a.immigration) for a in self.atoms)
+    def groups(self) -> tuple[EnvGroup, ...]:
+        """The atoms grouped by immigration law, in order of first appearance,
+        built on first use."""
+        if not self.atoms:
+            return (EnvGroup(1.0, self.rate_immigration, (), ()),)
+        members: dict[ImmigrationFamily, list[EnvAtom]] = {}
+        for atom in self.atoms:
+            members.setdefault(atom.immigration, []).append(atom)
+        out = []
+        for law, atoms in members.items():
+            total = math.fsum(a.weight for a in atoms)
+            out.append(EnvGroup(total, law, tuple(a.offspring for a in atoms), tuple(a.weight / total for a in atoms)))
+        return tuple(out)
+
+    @functools.cached_property
+    def _group_cuts(self) -> np.ndarray:
+        """`draw_env_batch`'s cut points: the groups' cumulative weights but the last."""
+        return np.cumsum([g.weight for g in self.groups])[:-1]
 
     @classmethod
     def from_atoms(cls, atoms) -> "EnvSpec":
@@ -275,21 +312,18 @@ class ConditionReport:
 
 @dataclass(frozen=True)
 class EnvBatch:
-    """Environments of a batch of draws, in groups that share their laws.
-
-    `laws[j]` is group j's (offspring, immigration) pair and `group` holds
-    each draw's group index.  Each atom of an atomic EnvSpec is one group, in
-    declaration order.  A continuous EnvSpec is one group whose offspring law
-    is None: Poisson at each draw's own rate, held in `rates`.
+    """Environments of a batch of draws: `groups[j]` is group j and `group`
+    holds each draw's group index.  A continuous EnvSpec is one group whose
+    offspring law is Poisson at each draw's own rate, held in `rates`.
     """
 
-    laws: tuple[tuple[OffspringFamily | None, ImmigrationFamily], ...]
+    groups: tuple[EnvGroup, ...]
     group: np.ndarray
     rates: np.ndarray | None = None
 
     @property
     def means(self) -> np.ndarray:
-        """Offspring mean m(xi) of each draw.
+        """Offspring mean m(xi) of each draw, where every group is one atom.
 
         Atomic batches `take` it from the group means only when asked: held
         eagerly, an array per generation that thinning never reads cost the
@@ -297,30 +331,85 @@ class EnvBatch:
         """
         if self.rates is not None:
             return self.rates
-        return np.array([mean_offspring(offspring) for offspring, _ in self.laws]).take(self.group)
+        _require(all(len(g.offspring) == 1 for g in self.groups), "resolve the atoms of a batch before its means")
+        return np.array([mean_offspring(g.offspring[0]) for g in self.groups]).take(self.group)
+
+
+def _cut_count(u: np.ndarray, cuts) -> np.ndarray:
+    """Number of cut points at or below each uniform: one comparison pass per
+    cut point, far less than a search at the few cut points of every bundled
+    config.  The cut points are cumulative weights, all but the last, so the
+    count is the index a right-sided search of the cumulative weights gives,
+    and the last index where their float sum ends below 1.  `cuts` holds
+    scalars, or arrays shaped like `u`."""
+    count = (u >= cuts[0]).astype(np.int64)
+    for c in cuts[1:]:
+        count += u >= c
+    return count
 
 
 def draw_env_batch(env: EnvSpec, rng: RngState, size: int) -> EnvBatch:
-    """Draw `size` environments at once; one uniform consumed per draw.
+    """Draw `size` environments at once: each draw's group of atoms.
 
-    A draw's atom is the number of cumulative weights, all but the last, at
-    or below its uniform: the atom a right-sided search of the cumulative
-    weights picks, and the last atom where their float sum ends below 1.
-    Counting costs one comparison pass per atom, far less than a search at
-    the one or two atoms of every bundled config; the first comparison makes
-    the group array.  The cut points and the laws are cached on the EnvSpec.
+    An atomic spec spends one uniform per draw when it has two or more
+    groups, and none when it has one: config_a, grey.cfg and every one-atom
+    spec draw nothing here.  The continuous mode spends one uniform per draw
+    on its rate.  The groups and their cut points are cached on the EnvSpec.
     """
-    u = rng.gen.random(size)
     if env.is_atomic:
-        cuts, laws = env._atom_draw
-        group = (u >= cuts[0]).astype(np.int64) if cuts.size else np.zeros(size, dtype=np.int64)
-        for c in cuts[1:]:
-            group += u >= c
-        return EnvBatch(laws=laws, group=group)
-    rates = env.rate_lo + (env.rate_hi - env.rate_lo) * u
-    return EnvBatch(
-        laws=((None, env.rate_immigration),), group=np.zeros(size, dtype=np.int64), rates=rates
+        cuts = env._group_cuts
+        if not cuts.size:
+            return EnvBatch(groups=env.groups, group=np.zeros(size, dtype=np.int64))
+        return EnvBatch(groups=env.groups, group=_cut_count(rng.gen.random(size), cuts))
+    rates = env.rate_lo + (env.rate_hi - env.rate_lo) * rng.gen.random(size)
+    return EnvBatch(groups=env.groups, group=np.zeros(size, dtype=np.int64), rates=rates)
+
+
+@functools.lru_cache(maxsize=16)
+def _atom_table(groups: tuple[EnvGroup, ...]) -> tuple[tuple[EnvGroup, ...], np.ndarray, np.ndarray, np.ndarray]:
+    """What resolving the atoms of a batch with these groups reads: every
+    atom as a one-atom group, group by group; each group's index of its
+    first atom there; whether each group has several atoms; and each group's
+    cut points (within-group cumulative weights but the last) as columns,
+    padded with 2, above every uniform."""
+    atoms = tuple(
+        EnvGroup(g.weight * w, g.immigration, (law,), (1.0,)) for g in groups for law, w in zip(g.offspring, g.weights)
     )
+    sizes = np.array([len(g.offspring) for g in groups])
+    first = np.concatenate([[0], np.cumsum(sizes)[:-1]]).astype(np.int64)
+    cuts = np.full((len(groups), max(sizes.max() - 1, 0)), 2.0)
+    for j, g in enumerate(groups):
+        cuts[j, : sizes[j] - 1] = np.cumsum(g.weights)[:-1]
+    return atoms, first, sizes > 1, cuts
+
+
+def atom_index(groups: tuple[EnvGroup, ...], group: np.ndarray, rng: RngState) -> np.ndarray:
+    """Each draw's index among the atoms of `groups`, numbered group by
+    group, given its group: one uniform per draw in a group of several
+    atoms, in index order, and none for the others.  The atom within the
+    group is the count of the group's cut points at or below the uniform,
+    as in `draw_env_batch`.  Where every group is one atom, `group` is the
+    index.  Where there is one group, `group` says nothing, so its draws
+    skip the gathers by group: the perpetuity resolves every draw of every
+    generation, and 8192 of them took 25 us this way against 80 us through
+    the gathers (2 vCPUs)."""
+    _, first, several, cuts = _atom_table(groups)
+    if not cuts.shape[1]:
+        return group
+    if len(groups) == 1:
+        return _cut_count(rng.gen.random(group.size), cuts[0])
+    sel = np.flatnonzero(several.take(group))
+    atom = first.take(group)
+    atom[sel] += _cut_count(rng.gen.random(sel.size), cuts.take(group[sel], axis=0).T)
+    return atom
+
+
+def resolve_atoms(batch: EnvBatch, rng: RngState) -> EnvBatch:
+    """Each draw's atom (`atom_index`), as a batch whose groups are single
+    atoms.  A continuous batch is its own resolution."""
+    if batch.rates is not None:
+        return batch
+    return EnvBatch(groups=_atom_table(batch.groups)[0], group=atom_index(batch.groups, batch.group, rng))
 
 
 # ---- moments -------------------------------------------------------------

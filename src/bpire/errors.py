@@ -29,6 +29,11 @@ class NotSubcritical(BpireError):
     """Model fails the standing moment condition; long-run sampling refused."""
 
 
+class WorkerDied(BpireError):
+    """A worker process of the chunk pool died, as when the system killed
+    it for memory."""
+
+
 class PmfUnavailable(BpireError):
     """Exact kernel construction requested for a law without tractable pmf."""
 

@@ -39,7 +39,7 @@ from .env_model import (
     kappa_moment,
     pareto_tail_params,
 )
-from .errors import NotSubcritical, ValidationError
+from .errors import NotSubcritical, ValidationError, WorkerDied
 from .oracle import build_kernel, empirical_pmf, stationary_power_iteration, tv_distance
 from .rng import STREAM_VERSION, RngState
 from .simulator import (
@@ -97,7 +97,7 @@ def _stream(seed: int, path: tuple[int, ...]) -> RngState:
 
 
 def _count_exceed(values: np.ndarray, thresholds: tuple[float, ...]) -> np.ndarray:
-    return np.array([(values > t).sum() for t in thresholds], dtype=np.int64)
+    return np.array([np.count_nonzero(values > t) for t in thresholds], dtype=np.int64)
 
 
 def _moment_sums(values: np.ndarray) -> np.ndarray:
@@ -147,10 +147,13 @@ def _gather(cfg: ExperimentConfig, sampler, jobs, stat, merge=partial(np.sum, ax
         parts = [_run_chunk(t) for t in tasks]
     else:
         # imported here: 1-worker runs and `import bpire` skip multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=min(cfg.workers, len(tasks))) as pool:
-            parts = list(pool.map(_run_chunk, tasks))
+        try:
+            with ProcessPoolExecutor(max_workers=min(cfg.workers, len(tasks))) as pool:
+                parts = list(pool.map(_run_chunk, tasks))
+        except BrokenExecutor as exc:  # BrokenProcessPool's base
+            raise WorkerDied(f"a worker process died: {exc}") from exc
     return [merge(parts[a:b]) for a, b in bounds]
 
 

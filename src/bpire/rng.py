@@ -22,6 +22,18 @@ never used; SFC64 draws uniforms and Poisson variates faster.  Version 5
 thins atomic environments through alias tables, one uniform per entry, zeros
 included, with numpy's draw only for populations past a law's tables; and a
 dpareto survival with a log power multiplies by c last.
+
+Version 6 draws each environment only as finely as the step reads it.  The
+atoms that share an immigration law form one group; a generation step draws,
+in order: one uniform per replica for its group, only where the spec has two
+or more groups; one alias uniform per replica for thinning, from the tables
+of the group's offspring mixture; one uniform per entry past the tables whose
+group has several atoms, in index order, to resolve its atom, then numpy's
+draw per offspring family as before; and one inversion per distinct
+immigration law.  The perpetuity resolves every draw's atom, one uniform per
+draw in a group of several atoms, after its immigration.  A binomial law with
+p > 1/2 builds its table rows down from p^N, so more of its rows are
+tabulated.  The continuous mode draws as in version 5.
 """
 
 from __future__ import annotations
@@ -30,7 +42,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-STREAM_VERSION = 5
+STREAM_VERSION = 6
 
 
 @dataclass

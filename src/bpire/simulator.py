@@ -1,14 +1,16 @@
 """Monte Carlo engine for the branching-with-immigration chain.
 
 Every sampler is vectorized over replicas; a single draw is a batch of one.
-A generation's environments arrive as one EnvBatch.  Thinning exploits the
-offspring families' summation closure, so one generation costs one draw per
-replica no matter how large the population is.  Under an atomic
-environment that draw comes from alias tables of each law's x-fold sums for
-x < 64 (Walker's method in Vose's construction, 1991): one uniform per
-entry, zeros included, in index order.  Populations past a law's tables then
-take a numpy parametric draw, one per offspring family over its entries in
-numbering order, with parameters gathered per entry from its group; the
+A generation's environments arrive as one EnvBatch of immigration groups.
+Thinning exploits the offspring families' summation closure, so one
+generation costs one draw per replica no matter how large the population
+is.  Under an atomic environment that draw comes from alias tables of each
+group's x-fold sums for x < 64 (Walker's method in Vose's construction,
+1991), of its atoms' offspring mixture where it has several: one uniform per
+entry, zeros included, in index order.  Populations past a group's tables
+then resolve their atom, one uniform per entry in a group of several atoms,
+and take a numpy parametric draw, one per offspring family over its entries
+in numbering order, with parameters gathered per entry from its atom; the
 continuous environment thins every entry that way, at its own Poisson rate.
 Immigration makes one inversion per distinct law.  That order is part of
 the stream contract; which entries reach numpy's draw is a deterministic
@@ -28,10 +30,12 @@ import numpy as np
 
 from .env_model import (
     EnvBatch,
+    EnvGroup,
     EnvSpec,
     ImmigrationFamily,
     ModelSpec,
     OffspringFamily,
+    atom_index,
     draw_env_batch,
     immigration_survival,
     kappa_moment,
@@ -82,8 +86,12 @@ def _recurrence_rows(law: OffspringFamily) -> np.ndarray:
     .. ALIAS_ROWS - 1, from each family's own recurrence: p_0 in closed form,
     then p_k = p_(k-1) times mu/k (Poisson, mu = x rate), (N - k + 1) p /
     (k (1 - p)) (binomial, N = x n trials) or (x + k - 1)(1 - p)/k (negative
-    binomial).  A row whose p_0 underflows reads 0, and one whose mean
-    overflows reads NaN; neither is tabulated."""
+    binomial).  A binomial with p > 1/2 runs down instead, from p_N = p^N by
+    p_(k-1) = p_k k (1 - p) / ((N - k + 1) p), so that a p near 1 cannot
+    underflow p_0 = (1 - p)^N; its rows past N < 2 ALIAS_COLS read NaN, and
+    hold at least half their mass past ALIAS_COLS anyway.  A row whose head
+    underflows reads 0, and one whose mean overflows reads NaN; neither is
+    tabulated."""
     x = np.arange(ALIAS_ROWS, dtype=float)[:, None]
     k = np.arange(1, 2 * ALIAS_COLS, dtype=float)
     draw, each, p = law.x_fold()
@@ -96,6 +104,10 @@ def _recurrence_rows(law: OffspringFamily) -> np.ndarray:
         trials = x * each
         if p == 1.0:
             return (np.arange(2 * ALIAS_COLS) == trials).astype(float)
+        if p > 0.5:
+            down = np.where(k <= trials, k * ((1.0 - p) / p) / np.maximum(trials - k + 1.0, 1.0), 1.0)
+            rows = np.cumprod(np.hstack([p**trials, down[:, ::-1]]), axis=1)[:, ::-1]
+            return np.where(trials < 2 * ALIAS_COLS, np.where(np.append(0.0, k) <= trials, rows, 0.0), np.nan)
         head, ratio = (1.0 - p) ** trials, np.maximum(trials - k + 1.0, 0.0) * (p / (1.0 - p)) / k
     return np.cumprod(np.hstack([head, ratio]), axis=1)
 
@@ -133,57 +145,72 @@ def _vose(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 @functools.lru_cache(maxsize=64)
-def _alias_table(law: OffspringFamily) -> tuple[np.ndarray, np.ndarray]:
-    """(q, alias) of `law`, each (ALIAS_ROWS + 1, ALIAS_COLS): the rows up to
-    the first whose mass past column ALIAS_COLS - 1 is at least ALIAS_CUT,
-    then rows with alias -1 and q 0, which no draw keeps.
+def _alias_table(offspring: tuple[OffspringFamily, ...], weights: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """(q, alias) of the mixture of the laws `offspring` with `weights`
+    (summing to 1), each (ALIAS_ROWS + 1, ALIAS_COLS): the rows up to the
+    first where some law's mass past column ALIAS_COLS - 1 is at least
+    ALIAS_CUT, then rows with alias -1 and q 0, which no draw keeps.
 
-    The recurrence runs over 2 ALIAS_COLS columns and a row's in-width mass
-    is taken as its share of them, so the rounding of p_0, which scales a
-    whole row, cancels.  Every x-fold law here is log-concave, so P(X >= 256)
-    <= P(X >= 128)^2 and the second window holds all but a negligible part
-    of the mass past the width.  A kept row is scaled to integer weights
-    summing to 2^53, floored, with the remainder given to its largest cell.
+    Each law's recurrence runs over 2 ALIAS_COLS columns and a row's in-width
+    mass is taken as its share of them, so the rounding of p_0, which scales
+    a whole row, cancels.  Every x-fold law here is log-concave, so P(X >=
+    256) <= P(X >= 128)^2 and the second window holds all but a negligible
+    part of the mass past the width.  A mixture row is each law's in-width
+    row, divided by its in-width mass, weighted and summed; it is kept only
+    where every law's own row would be, since a law's row that underflows
+    to 0, reads NaN or spills past the width would lose that law's mass in
+    the sum unseen.  So a mixture tabulates only as many rows as its widest
+    law allows, and its populations past them take numpy's draw of their
+    own atom.  A kept row is scaled to integer weights summing to 2^53,
+    floored, with the remainder given to its largest cell.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        rows = _recurrence_rows(law)
-        inside = rows[:, :ALIAS_COLS].sum(axis=1)
-        kept = (inside >= (1.0 - ALIAS_CUT) * rows.sum(axis=1)) & (inside > 0.0)
+        rows = [_recurrence_rows(law) for law in offspring]
+        inside = [r[:, :ALIAS_COLS].sum(axis=1) for r in rows]
+        kept = np.logical_and.reduce([(i >= (1.0 - ALIAS_CUT) * r.sum(axis=1)) & (i > 0.0) for r, i in zip(rows, inside)])
     n = ALIAS_ROWS if kept.all() else int(np.argmin(kept))
-    weights = np.floor(rows[:n, :ALIAS_COLS] / inside[:n, None] * 2.0**53).astype(np.int64)
-    weights[np.arange(n), weights.argmax(axis=1)] += (ALIAS_COLS * _CELL) - weights.sum(axis=1)
+    mixture = sum(w * (r[:n, :ALIAS_COLS] / i[:n, None]) for w, r, i in zip(weights, rows, inside))
+    cells = np.floor(mixture * 2.0**53).astype(np.int64)
+    cells[np.arange(n), cells.argmax(axis=1)] += (ALIAS_COLS * _CELL) - cells.sum(axis=1)
     q = np.zeros((ALIAS_ROWS + 1, ALIAS_COLS))
     alias = np.full((ALIAS_ROWS + 1, ALIAS_COLS), -1, dtype=np.int8)
-    q[:n], alias[:n] = _vose(weights)
+    q[:n], alias[:n] = _vose(cells)
     return q, alias
 
 
 @functools.lru_cache(maxsize=16)
-def _batch_tables(laws: tuple[OffspringFamily, ...]) -> tuple[np.ndarray, np.ndarray, tuple]:
+def _batch_tables(groups: tuple[EnvGroup, ...]) -> tuple[np.ndarray, np.ndarray, tuple]:
     """The alias tables of a batch's groups stacked in group order and
-    flattened, with j + q[x, j] in place of q, and the groups' columns for
-    `_thin_past_table`.  Both terms sit on the grid of 2^-46 below 2^7, so
-    the sum is exact and 128 v < j + q holds exactly where 128 v - j < q
-    does."""
-    tables = [_alias_table(law) for law in laws]
+    flattened, with j + q[x, j] in place of q and the aliases widened to
+    int64, which a draw's gather then needs no cast for, and the columns for
+    `_thin_past_table`: whether every atom has one kind and each atom's
+    (draw, n, p), in `atom_index` order.  Both terms sit on the grid of
+    2^-46 below 2^7, so the sum is exact and 128 v < j + q holds exactly
+    where 128 v - j < q does."""
+    tables = [_alias_table(g.offspring, g.weights) for g in groups]
     threshold = np.concatenate([(q + np.arange(ALIAS_COLS)).ravel() for q, _ in tables])
-    draw, n, p = (np.array(col) for col in zip(*(law.x_fold() for law in laws)))
-    return threshold, np.concatenate([alias.ravel() for _, alias in tables]), (np.all(draw == draw[0]), draw, n, p)
+    draw, n, p = (np.array(col) for col in zip(*(law.x_fold() for g in groups for law in g.offspring)))
+    columns = (np.all(draw == draw[0]), draw, n, p)
+    return threshold, np.concatenate([alias.ravel() for _, alias in tables]).astype(np.int64), columns
 
 
-def _thin_past_table(columns: tuple, x: np.ndarray, group: np.ndarray, rng: RngState) -> np.ndarray:
-    """numpy's draw of each entry's x-fold sum: one draw per kind of
+def _thin_past_table(
+    groups: tuple[EnvGroup, ...], columns: tuple, x: np.ndarray, group: np.ndarray, rng: RngState
+) -> np.ndarray:
+    """numpy's draw of each entry's x-fold sum, after its atom among
+    `groups` is resolved (`atom_index`): one draw per kind of
     `OffspringFamily.x_fold`, in numbering order, with parameters gathered
-    per entry from its group.  `columns`, cached with the alias tables,
-    holds whether every group has one kind and each group's (draw, n, p);
-    where the entries have one kind, its draw takes them all, unmasked."""
+    per entry from its atom.  `columns`, cached with the alias tables, holds
+    whether every atom has one kind and each atom's (draw, n, p); where the
+    entries have one kind, its draw takes them all, unmasked."""
     one_kind, draw, n, p = columns
-    entry_draw = draw[group]
+    atom = atom_index(groups, group, rng)
+    entry_draw = draw[atom]
     kinds = entry_draw[:1] if one_kind else np.unique(entry_draw)
     out = np.empty_like(x)
     for d in kinds:
         sel = slice(None) if kinds.size == 1 else np.flatnonzero(entry_draw == d)
-        xd, nd, pd = x[sel], n[group[sel]], p[group[sel]]
+        xd, nd, pd = x[sel], n[atom[sel]], p[atom[sel]]
         if d == 0:
             out[sel] = rng.gen.poisson(_guard(pd * xd))
         elif d == 1:
@@ -202,14 +229,16 @@ def _thin_past_table(columns: tuple, x: np.ndarray, group: np.ndarray, rng: RngS
 def thin_for_batch(batch: EnvBatch, values: np.ndarray, rng: RngState) -> np.ndarray:
     """One thinning stage under per-replica environments.
 
-    Atomic groups draw from their laws' alias tables: one uniform v per
-    entry, zeros included, in index order; the cell is j = floor(128 v), and
-    the draw is j if 128 v - j < q[x, j], else alias[x, j].  Entries past
-    their law's last tabulated row then take numpy's draw, one per kind of
-    `OffspringFamily.x_fold` in numbering order, with each guarded against
-    2^62.  The continuous group has no table and draws Poisson at each
-    entry's own mean over all entries.  A call makes only batch-size arrays,
-    reused in place, and finds the entries past the tables once, as indices.
+    Atomic groups draw from their alias tables, of their atoms' offspring
+    mixture where they have several: one uniform v per entry, zeros
+    included, in index order; the cell is j = floor(128 v), and the draw is
+    j if 128 v - j < q[x, j], else alias[x, j].  Entries past their group's
+    last tabulated row then resolve their atom (`atom_index`) and take
+    numpy's draw, one per kind of `OffspringFamily.x_fold` in numbering
+    order, with each guarded against 2^62.  The continuous group has no
+    table and draws Poisson at each entry's own mean over all entries.  A
+    call makes only batch-size arrays, reused in place, and finds the
+    entries past the tables once, as indices.
 
     The bound on a tabulated row.  With v on the grid of 2^-53, 128 v - j
     takes each multiple of 2^-46 in [0, 1) once, so a cell keeps j with
@@ -217,36 +246,38 @@ def thin_for_batch(batch: EnvBatch, values: np.ndarray, rng: RngState) -> np.nda
     exactly.  Flooring them moves less than 2^-46 of mass in total.  The
     recurrence adds at most 5 e (e = 2^-53) of relative error per step to
     p_k, and the rescaling, a pairwise sum and a division, at most 9 e more,
-    so the rows carry a relative error below 127 * 5 e + 9 e < 2^-43.  The
-    share cut leaves out under 2^-50.  A tabulated row is thus within
-    2^-43 + 2^-46 + 2^-50 < 1.3e-13 in total variation of the exact x-fold
-    law.
+    and a mixture's weighting and sum at most 3 e more, so the rows carry a
+    relative error below 127 * 5 e + 12 e < 2^-43.  The share cut leaves out
+    under 2^-50 of each law.  A tabulated row is thus within 2^-43 + 2^-46 +
+    2^-50 < 1.3e-13 in total variation of the exact x-fold law, or mixture.
     """
     values = np.asarray(values, dtype=np.int64)
     if values.size and values.min() < 0:
         raise ValueError("population sizes must be >= 0")
     if batch.rates is not None:
         return rng.gen.poisson(_guard(batch.means * values))
-    threshold, alias, columns = _batch_tables(tuple(law for law, _ in batch.laws))
+    threshold, alias, columns = _batch_tables(batch.groups)
     t = rng.gen.random(values.shape)
     t *= ALIAS_COLS
     j = t.astype(np.int64)
     cell = np.minimum(values, ALIAS_ROWS)
-    if len(batch.laws) > 1:
+    if len(batch.groups) > 1:
         cell += batch.group * (ALIAS_ROWS + 1)
     cell *= ALIAS_COLS
     cell += j
-    out = alias.take(cell).astype(np.int64)
+    out = alias.take(cell)
     np.copyto(out, j, where=t < threshold.take(cell))
     past = np.flatnonzero(out < 0)
     if past.size:
-        out[past] = _thin_past_table(columns, values[past], batch.group[past], rng)
+        out[past] = _thin_past_table(batch.groups, columns, values[past], batch.group[past], rng)
     return out
 
 
 # ---- immigration -----------------------------------------------------------
 
-def _survival_adjust(law: ImmigrationFamily, cand: np.ndarray, u: np.ndarray, t: np.ndarray, tol: float) -> np.ndarray:
+def _survival_adjust(
+    law: ImmigrationFamily, cand: np.ndarray, u: np.ndarray, t: np.ndarray, tol: float, top: float
+) -> np.ndarray:
     """Closed-form candidates `cand` corrected, in place, to the x >= 0 with
     S(x) <= u and, past x = 0, u < S(x - 1), S as `immigration_survival`
     evaluates it.
@@ -260,6 +291,13 @@ def _survival_adjust(law: ImmigrationFamily, cand: np.ndarray, u: np.ndarray, t:
     `tailstats.threshold_for_level`, whose search also finds the bracket
     where S rounds to one value over many x.  With no entry checked, S is
     evaluated nowhere.
+
+    The entries to check are found in two stages.  `top` is `_guard_draw`'s
+    largest t; every t > -1, so no |t| exceeds max(top, 1), and the entries
+    with |t - rint(t)| <= tol (1 + max(top, 1)), found in five array passes,
+    hold every entry the per-entry test keeps.  That test then runs on them
+    alone, so the checked set is the one the test alone gives.  A NaN t
+    makes `top` NaN, and every entry goes on to the per-entry test.
 
     The bound, for u >= 2^-53 (the least `uniform_open` returns) and unit
     roundoff e = 2^-53.  dpareto: c/u is off by a relative e, which the
@@ -275,7 +313,15 @@ def _survival_adjust(law: ImmigrationFamily, cand: np.ndarray, u: np.ndarray, t:
     tol = 2^-32 (1 + 1/|L|), puts log S at least 2^-32 (|L| + 1) (1 + |t|)
     away from log u, far above those errors.
     """
-    near = np.flatnonzero(~(np.abs(t - np.rint(t)) > tol * (1.0 + np.abs(t))))
+    if math.isnan(top):
+        near = np.arange(t.size)
+    else:
+        gap = np.rint(t)
+        np.subtract(t, gap, out=gap)
+        near = np.flatnonzero(np.abs(gap, out=gap) <= tol * (1.0 + max(top, 1.0)))
+    if near.size:
+        tn = t[near]
+        near = near[~(np.abs(tn - np.rint(tn)) > tol * (1.0 + np.abs(tn)))]
     if not near.size:
         return cand
     x, v = cand[near], u[near]
@@ -285,11 +331,13 @@ def _survival_adjust(law: ImmigrationFamily, cand: np.ndarray, u: np.ndarray, t:
     return cand
 
 
-def _guard_draw(t: np.ndarray) -> np.ndarray:
-    """A closed form's real draws, refused before the int64 cast if past 2^62."""
-    if t.max(initial=0.0) > OVERFLOW_LIMIT:
+def _guard_draw(t: np.ndarray) -> float:
+    """The largest of a closed form's real draws, or 0, NaN where one is NaN;
+    the draws are refused before the int64 cast if past 2^62."""
+    top = float(t.max(initial=0.0))
+    if top > OVERFLOW_LIMIT:
         raise OverflowError("immigration draw exceeds 2^62")
-    return t
+    return top
 
 
 def sample_immigration_batch(law: ImmigrationFamily, rng: RngState, size: int) -> np.ndarray:
@@ -306,10 +354,11 @@ def sample_immigration_batch(law: ImmigrationFamily, rng: RngState, size: int) -
     if law.kind == "geometric0":
         if law.p == 1.0:
             return np.zeros(size, dtype=np.int64)
-        t = _guard_draw(np.log(u) / math.log1p(-law.p))
+        t = np.log(u) / math.log1p(-law.p)
+        top = _guard_draw(t)
         cand = np.floor(t).astype(np.int64)
         np.clip(cand, 0, None, out=cand)
-        return _survival_adjust(law, cand, u, t, 2.0**-32 * (1.0 - 1.0 / math.log1p(-law.p)))
+        return _survival_adjust(law, cand, u, t, 2.0**-32 * (1.0 - 1.0 / math.log1p(-law.p)), top)
     # dpareto
     if law.beta == 0.0:
         # computed in place; a small kappa overflows the power to inf, which
@@ -318,25 +367,24 @@ def sample_immigration_batch(law: ImmigrationFamily, rng: RngState, size: int) -
         with np.errstate(over="ignore"):
             t **= 1.0 / law.kappa
         t -= 1.0
-        _guard_draw(t)
+        top = _guard_draw(t)
         cand = np.maximum(t, 0.0)
         cand = np.ceil(cand, out=cand).astype(np.int64)
-        return _survival_adjust(law, cand, u, t, 2.0**-32 * (1.0 + 1.0 / law.kappa))
+        return _survival_adjust(law, cand, u, t, 2.0**-32 * (1.0 + 1.0 / law.kappa), top)
     return threshold_for_level(functools.partial(immigration_survival, law), u)
 
 
 def imm_for_batch(batch: EnvBatch, rng: RngState) -> np.ndarray:
     """Immigration per draw under per-replica environments: one inversion
-    per distinct immigration law, over the draws of every group that has
-    it, in order of first appearance among the groups."""
-    laws = [immigration for _, immigration in batch.laws]
-    distinct = list(dict.fromkeys(laws))
-    if len(distinct) == 1:
-        return sample_immigration_batch(distinct[0], rng, batch.group.size)
+    per group, over its draws, in group order.  The groups of a drawn batch
+    have distinct immigration laws, so that is one inversion per distinct
+    law."""
+    if len(batch.groups) == 1:
+        return sample_immigration_batch(batch.groups[0].immigration, rng, batch.group.size)
     out = np.zeros(batch.group.shape, dtype=np.int64)
-    for law in distinct:
-        sel = np.isin(batch.group, [j for j, other in enumerate(laws) if other == law])
-        out[sel] = sample_immigration_batch(law, rng, int(np.count_nonzero(sel)))
+    for j, g in enumerate(batch.groups):
+        sel = batch.group == j
+        out[sel] = sample_immigration_batch(g.immigration, rng, int(np.count_nonzero(sel)))
     return out
 
 

@@ -17,6 +17,7 @@ from bpire.env_model import (
     OffspringFamily,
     draw_env_batch,
     immigration_pmf,
+    resolve_atoms,
     thinned_offspring_pmf,
 )
 from bpire.oracle import _BAND_FLOOR, _KERNEL_BLOCK
@@ -58,10 +59,13 @@ def backward_terms(model: ModelSpec, trunc: int, rng, size: int) -> np.ndarray:
     `sample_stationary_backward_batch`."""
     if trunc < 0:
         raise ValueError("truncation must be >= 0")
-    # environments for generations 0..K drawn first and shared by every term;
-    # term i is the immigration of generation i pushed through generations
-    # i-1 down to 0, innermost first
+    # environments for generations 0..K drawn first, each resolved to its
+    # atoms once and shared by every term, since independent mixture draws
+    # per term would not share the environment; term i is the immigration
+    # of generation i pushed through generations i-1 down to 0, innermost
+    # first
     gens = [draw_env_batch(model.env, rng, size) for _ in range(trunc + 1)]
+    atoms = [resolve_atoms(batch, rng) for batch in gens]
     terms = np.zeros((trunc + 1, size), dtype=np.int64)
     total = np.zeros(size, dtype=np.int64)
     for i in range(trunc + 1):
@@ -69,7 +73,7 @@ def backward_terms(model: ModelSpec, trunc: int, rng, size: int) -> np.ndarray:
         for j in range(i - 1, -1, -1):
             if not v.any():
                 break
-            v = thin_for_batch(gens[j], v, rng)
+            v = thin_for_batch(atoms[j], v, rng)
         terms[i] = v
         total += v
         if total.max(initial=0) > OVERFLOW_LIMIT:

@@ -20,12 +20,14 @@ from bpire import env_model
 from bpire.env_model import (
     DPARETO_BETA_PER_KAPPA,
     EnvAtom,
+    EnvGroup,
     EnvSpec,
     ImmigrationFamily,
     ModelSpec,
     OffspringFamily,
     check_conditions,
     draw_env_batch,
+    resolve_atoms,
     env_immigration_survival,
     env_pareto_prefactor,
     immigration_pmf,
@@ -502,14 +504,64 @@ def test_sample_environment_single_atom_is_deterministic():
         assert atom.immigration == ImmigrationFamily.constant(2)
 
 
-def test_draw_env_batch_frequencies_and_determinism():
-    env = two_atom_env()
-    batch = draw_env_batch(env, RngState.from_seed(42), 200_000)
+def _two_group_env() -> EnvSpec:
+    """config_a's atoms under two immigration laws, so each atom is a group."""
+    return EnvSpec.from_atoms(
+        [
+            EnvAtom(0.5, OffspringFamily.poisson(0.3), ImmigrationFamily.discrete_pareto(2.0, 1.0)),
+            EnvAtom(0.5, OffspringFamily.poisson(0.9), ImmigrationFamily.discrete_pareto(2.0, 0.5)),
+        ]
+    )
+
+
+@pytest.mark.parametrize("which", ["groups", "atoms"])
+def test_draw_env_batch_frequencies_and_determinism(which):
+    # two groups draw one each half the time; config_a's one group resolves
+    # to each atom half the time
+    rng = RngState.from_seed(42)
+    if which == "groups":
+        batch = draw_env_batch(_two_group_env(), rng, 200_000)
+    else:
+        batch = resolve_atoms(draw_env_batch(two_atom_env(), rng, 200_000), rng)
     freq = float((batch.group == 0).mean())
     se = math.sqrt(0.25 / 200_000)
     assert abs(freq - 0.5) <= 4 * se
-    again = draw_env_batch(env, RngState.from_seed(42), 200_000)
-    assert np.array_equal(batch.group, again.group)
+    again = RngState.from_seed(42)
+    if which == "groups":
+        assert np.array_equal(draw_env_batch(_two_group_env(), again, 200_000).group, batch.group)
+    else:
+        assert np.array_equal(resolve_atoms(draw_env_batch(two_atom_env(), again, 200_000), again).group, batch.group)
+
+
+def test_groups_gather_atoms_by_immigration_law_on_first_use(tmp_path):
+    # groups in order of first appearance, each with its total weight and
+    # its atoms' offspring laws and shares; built on first use, and neither
+    # by load_config nor by check_conditions
+    from bpire.config import load_config
+
+    heavy, coin = ImmigrationFamily.discrete_pareto(2.0, 1.0), ImmigrationFamily.bernoulli(0.5)
+    laws = [OffspringFamily.poisson(r) for r in (0.1, 0.2, 0.3, 0.4)]
+    env = EnvSpec.from_atoms([EnvAtom(w, law, imm) for w, law, imm in zip((0.1, 0.2, 0.3, 0.4), laws, (coin, heavy, coin, heavy))])
+    assert "groups" not in env.__dict__
+    assert env.groups == (
+        EnvGroup(0.1 + 0.3, coin, (laws[0], laws[2]), (0.1 / (0.1 + 0.3), 0.3 / (0.1 + 0.3))),
+        EnvGroup(0.2 + 0.4, heavy, (laws[1], laws[3]), (0.2 / (0.2 + 0.4), 0.4 / (0.2 + 0.4))),
+    )
+    assert env.groups is env.groups
+    cfg_path = tmp_path / "a.cfg"
+    cfg_path.write_text("[model]\nkappa = 2\n\n[env]\natoms =\n    0.5 poisson:0.3 dpareto:2,1,0\n    0.5 poisson:0.9 dpareto:2,1,0\n")
+    cfg = load_config(str(cfg_path), "check")
+    check_conditions(cfg.model)
+    assert "groups" not in cfg.model.env.__dict__
+    assert [len(g.offspring) for g in cfg.model.env.groups] == [2]
+
+
+@pytest.mark.parametrize("env", [two_atom_env(), EnvSpec.from_atoms([EnvAtom(1.0, OffspringFamily.poisson(0.7), ImmigrationFamily.constant(2))])], ids=["config_a", "one-atom"])
+def test_one_group_draw_leaves_the_generator_alone(env):
+    rng = RngState.from_seed(5)
+    batch = draw_env_batch(env, rng, 4096)
+    assert not batch.group.any() and batch.group.size == 4096
+    assert rng.gen.random(4).tolist() == RngState.from_seed(5).gen.random(4).tolist()
 
 
 class _FixedGen:
@@ -532,27 +584,55 @@ ATOM_WEIGHTS = hst.one_of(
 )
 
 
+def _pinned_uniforms(cw, seed):
+    """Uniforms at, just below and just above each cumulative weight, plus
+    seeded ones."""
+    return np.concatenate([
+        [0.0, np.nextafter(1.0, 0.0)], cw, np.nextafter(cw, 0.0), np.nextafter(cw, 2.0),
+        np.random.default_rng(seed).random(256),
+    ])
+
+
 @given(weights=ATOM_WEIGHTS, seed=hst.integers(0, 2**32 - 1))
 @example(weights=[0.1] * 10, seed=0)
 @settings(max_examples=40, deadline=None)
 def test_draw_env_batch_groups_match_a_right_sided_search(weights, seed):
-    # the group of every uniform, at and beside each cumulative weight too,
-    # is the one a right-sided search of the cumulative weights gives
-    law = (OffspringFamily.poisson(0.5), ImmigrationFamily.constant(1))
-    env = EnvSpec.from_atoms([EnvAtom(w, *law) for w in weights])
-    cw = np.cumsum(weights)
-    u = np.concatenate([
-        [0.0, np.nextafter(1.0, 0.0)], cw, np.nextafter(cw, 0.0), np.nextafter(cw, 2.0),
-        np.random.default_rng(seed).random(256),
-    ])
+    # atoms with distinct immigration laws are groups of one: the group of
+    # every uniform, at and beside each cumulative weight too, is the one a
+    # right-sided search of the cumulative group weights gives
+    env = EnvSpec.from_atoms([EnvAtom(w, OffspringFamily.poisson(0.5), ImmigrationFamily.constant(i)) for i, w in enumerate(weights)])
+    cw = np.cumsum([g.weight for g in env.groups])
+    u = _pinned_uniforms(cw, seed)
     want = np.clip(np.searchsorted(cw, u, side="right"), 0, len(weights) - 1)
-    assert np.array_equal(draw_env_batch(env, _FixedGen(u), u.size).group, want)
+    if len(weights) == 1:
+        u = np.empty(0)  # one group spends no uniform
+    assert np.array_equal(draw_env_batch(env, _FixedGen(u), want.size).group, want)
+
+
+@given(weights=ATOM_WEIGHTS, seed=hst.integers(0, 2**32 - 1))
+@example(weights=[0.1] * 10, seed=0)
+@settings(max_examples=40, deadline=None)
+def test_resolve_atoms_matches_a_right_sided_search(weights, seed):
+    # atoms sharing one immigration law are one group: the atom each uniform
+    # resolves to is the one a right-sided search of the group's cumulative
+    # weights gives, and a group of one atom resolves with no uniform
+    laws = [OffspringFamily.poisson(0.1 * (i + 1)) for i in range(len(weights))]
+    env = EnvSpec.from_atoms([EnvAtom(w, law, ImmigrationFamily.constant(1)) for w, law in zip(weights, laws)])
+    (group,) = env.groups
+    cw = np.cumsum(group.weights)
+    u = _pinned_uniforms(cw, seed)
+    batch = draw_env_batch(env, _FixedGen(np.empty(0)), u.size)
+    resolved = resolve_atoms(batch, _FixedGen(u if len(weights) > 1 else np.empty(0)))
+    want = np.clip(np.searchsorted(cw, u, side="right"), 0, len(weights) - 1)
+    assert np.array_equal(resolved.group, want)
+    assert [g.offspring for g in resolved.groups] == [(law,) for law in laws]
 
 
 def test_draw_env_batch_cut_points_belong_to_their_spec():
     # two specs with the same laws and different weights, and an equal but
-    # distinct copy of one, drawn in turn: each batch's groups follow its
-    # own spec's cumulative weights, whatever spec was drawn before
+    # distinct copy of one, drawn in turn: each batch's groups, and the atoms
+    # they resolve to, follow its own spec's cumulative weights, whatever
+    # spec was drawn before.  The first two atoms share one immigration law.
     laws = [
         (OffspringFamily.poisson(0.3), ImmigrationFamily.constant(1)),
         (OffspringFamily.poisson(0.9), ImmigrationFamily.constant(1)),
@@ -563,23 +643,37 @@ def test_draw_env_batch_cut_points_belong_to_their_spec():
     assert specs[0] == specs[2] and specs[0] is not specs[2]
     u = np.random.default_rng(8).random(4096)
     for spec in specs + specs[::-1] + specs:
-        cw = np.cumsum([a.weight for a in spec.atoms])
-        want = np.clip(np.searchsorted(cw, u, side="right"), 0, len(cw) - 1)
+        w = [a.weight for a in spec.atoms]
+        want = np.searchsorted([w[0] + w[1]], u, side="right")
         batch = draw_env_batch(spec, _FixedGen(u), u.size)
         assert np.array_equal(batch.group, want)
-        assert batch.laws == tuple(laws)
+        assert batch.groups == spec.groups
+        assert [(g.offspring, g.immigration) for g in batch.groups] == [
+            ((laws[0][0], laws[1][0]), laws[0][1]), ((laws[2][0],), laws[2][1])
+        ]
+        v = u[: np.count_nonzero(want == 0)]
+        atoms = np.full(u.size, 2)
+        atoms[want == 0] = np.searchsorted([w[0] / (w[0] + w[1])], v, side="right")
+        assert np.array_equal(resolve_atoms(batch, _FixedGen(v)).group, atoms)
 
 
 def test_batch_offspring_means_lookup():
     env = two_atom_env()
-    batch = draw_env_batch(env, RngState.from_seed(3), 1000)
-    assert batch.laws == tuple((a.offspring, a.immigration) for a in env.atoms)
-    assert np.allclose(batch.means, np.where(batch.group == 0, 0.3, 0.9))
+    rng = RngState.from_seed(3)
+    batch = draw_env_batch(env, rng, 1000)
+    assert batch.groups == env.groups
+    # a group of two atoms has no one mean: the atoms are resolved first
+    with pytest.raises(ValueError, match="resolve the atoms"):
+        batch.means
+    resolved = resolve_atoms(batch, rng)
+    assert resolved.groups == tuple(EnvGroup(0.5, a.immigration, (a.offspring,), (1.0,)) for a in env.atoms)
+    assert np.allclose(resolved.means, np.where(resolved.group == 0, 0.3, 0.9))
     # the continuous mode is one group, Poisson at each draw's uniform rate
     imm = ImmigrationFamily.constant(1)
     cont = EnvSpec.uniform_poisson_rate(0.2, 0.8, imm)
     cbatch = draw_env_batch(cont, RngState.from_seed(3), 1000)
-    assert cbatch.laws == ((None, imm),)
+    assert cbatch.groups == (EnvGroup(1.0, imm, (), ()),)
     assert not cbatch.group.any()
+    assert resolve_atoms(cbatch, None) is cbatch
     assert np.array_equal(cbatch.means, 0.2 + (0.8 - 0.2) * RngState.from_seed(3).gen.random(1000))
     assert cbatch.means.min() >= 0.2 and cbatch.means.max() <= 0.8

@@ -443,13 +443,15 @@ PIN_CHUNK = 1000
 # at all, or the log-linear fit has nothing to fit: decay_poisson.cfg's
 # tenth generation keeps a unit alive with probability 6.4e-4, so 15 500
 # replicas expect 10 survivors there (3 500 expected 2.2, and a stream could
-# give none); lemma1 on the inline environments needs enough for their tail
-# counts to differ.
+# give none); config_a's depth-4 exceedance of x0 = 31 has probability
+# 5.1e-5, so 200 500 replicas expect 10 (30 500 expected 1.6, and stream
+# version 6 gave none); lemma1 on the inline environments needs enough for
+# their tail counts to differ.
 PIN_RUNS = (
     ("check", "config_a.cfg", 2_500),
     ("theorem", "config_a.cfg", 2_500),
     ("lemma1", "config_a.cfg", 2_500),
-    ("corollary", "config_a.cfg", 30_500),
+    ("corollary", "config_a.cfg", 200_500),
     ("grey", "grey.cfg", 2_500),
     ("decay", "decay_poisson.cfg", 15_500),
     ("sre", "config_a.cfg", 2_500),
@@ -500,66 +502,66 @@ i_max = 2
 n_gens = 5
 """,
 }
-# sha256 of each artifact under STREAM_VERSION 5; report.json without its
+# sha256 of each artifact under STREAM_VERSION 6; report.json without its
 # wall_ms and out_dir lines.  oracle/stationary.csv and oracle/report.json
 # also hold the exact kernel route (build_kernel, stationary_power_iteration),
 # which draws nothing: a change there moves only these two.  Likewise
 # check/condition.json and check/report.json hold the offspring-moment series.
 PIN_DIGESTS = {
     "check/condition.json": "198fa30ffb71773ca5e63fd61a25a993d876bf2356d8b69efb8ba01f25013326",
-    "check/report.json": "1b2969ab42178110487d942ff164e48d557f5c32410f273136b3d9782be26efc",
-    "theorem/ratio.csv": "d926b5a715ce511aa19f44c7023645739db9a66d0d8e9aaebd751fbe99a7d9c7",
-    "theorem/summary.json": "367299ed112e8c632e8bc77d6d2385c170b9fff61ee89702a5b57976bed6c2b6",
-    "theorem/hill.csv": "683f93b77abe5d22aed351caaaeafd9882ffcc81a34bbe9a89c66d9d502de6ee",
-    "theorem/samples.txt": "5cb00b429c02cbdc3856f695e607a11ff736e95f5f96a4f3d93a691792d32525",
-    "theorem/report.json": "c3f680c8db6c5a70a26bc8bd738226462525e9e28ec2778b51c85bfc18392754",
-    "lemma1/ratio.csv": "d34cdce4116de2c85fa1b615b47189671da73e51a88ea86481f3aaf618e89fa2",
+    "check/report.json": "74bb4fd71d0034479db2a2cb9d91614f6c86db4acc1430b6f0b7997215d22d8f",
+    "theorem/ratio.csv": "0a758897b6b74440d0a31844dbd2a31e7108b18a654ff0debb982632a5c6c764",
+    "theorem/summary.json": "845f52b2a9e3cae971d1ebd6ef29f97c702fae94f578f0fced8f0aef3d3b1311",
+    "theorem/hill.csv": "4c16e1d32f93d0f1103538dfd0482d0d743af507989d92f605e66cbc77478074",
+    "theorem/samples.txt": "31294e3cf1fc63ab97cb3c52f21e0d7eea142993837f979aeffe56db35cb2233",
+    "theorem/report.json": "7bda53d4764ca10efe2bf0ba2803b4f54e66e4e1fedde4ad15fd7d0ee2dacce6",
+    "lemma1/ratio.csv": "dfcb574c30524fe95bf89d3df3a3d43164af0e943e96c95a0ac7f69b1bfcebe5",
     "lemma1/summary.json": "2f7c64be63843876f1792b18b233a4d962a75c3c0a27335fafeea04dbcbe7518",
-    "lemma1/report.json": "c809255dbb9f4284cc5f699793c571a0e6a191c97981ff0a41838372aa715ccd",
-    "corollary/depth_ratio.csv": "4df0dfa803ec5031d8fe8d30f0d07d68df91070000a03aaaf573b74a43468f79",
-    "corollary/report.json": "478a1322f14bcabfe70635426ebbb24b7ff079bad834b321ec0675d92b30488d",
-    "grey/ratio.csv": "167008516468b3612ea41841b59d70217d816a6d87ac4edd3551c1bff3995be3",
-    "grey/summary.json": "f718dd9d19cb712cd53ef86c86baa620cb493f72bca700df4be4c03ff2e733a8",
-    "grey/report.json": "8d1397d2d60c5eecaf510c6dd6bac4f5d384cef589adf95f6e21472070c5125e",
-    "decay/decay.csv": "babc296c7a14d8e14b45c4f29ec667cc68e9ab8aa28856e19ff84affcb8be13d",
-    "decay/report.json": "6ddf4279339bb568458fa053637f4da0bad13b569eca77f9bd534a914afd4020",
-    "sre/ratio.csv": "c8810fb48c3eb69e9b008e3a6479a404be6e0a3759e9b5121973bd40d22c9d09",
-    "sre/summary.json": "a27f723e939b8613cea672f6d544fcf398ae45992c3bc0c8498d576f84a0fdd7",
-    "sre/report.json": "bb98210675d351f7740bd610c1b5a922abe58d47a324f3c8d4dd2708fa1fd140",
+    "lemma1/report.json": "0c0f87c21f8a80843c5c217d0cc6924ea15dff7d235cf0dad2bf3a74ce3e1d54",
+    "corollary/depth_ratio.csv": "69cd8e9395823c3a9559d4622613cc21c0b3fcc0c107ea43beb566f9891482f6",
+    "corollary/report.json": "5fe82b5dc53b970de1cf891e1562324d2a673e72ceccd8572900a1e5a2f1c1f1",
+    "grey/ratio.csv": "34c1d91241775213f6449555377330725a882baa4d5672d11cb6f5dd953df58b",
+    "grey/summary.json": "0e0240e67098ad6ae6ad0d51eb367e5c45ee6ca8a72c8799d53723280e619b33",
+    "grey/report.json": "302d3c379cce996b57b22ef3fdf3b72995bc1715c311237c8e25918a672be3ad",
+    "decay/decay.csv": "cb010d5d36e0600f23b98337efc637f2dfd78034245518460eb6f95826ca15bb",
+    "decay/report.json": "8bea02f0751f64ce099cdc74e5861f8d426b3ef9a546721ff7fb0fd02b77ef29",
+    "sre/ratio.csv": "24668b2bdf2e6b1eaf17829ee175a2ad5e69d725606aaff4029b596c55c109b1",
+    "sre/summary.json": "a0bad560eefba2996ffbd28fb612319b888224238f0bacb6420a1bd4fea616b3",
+    "sre/report.json": "542fc82b8bc37bd98bf2ab57c44696f898d75e5faadac73983d4ae405c043f0b",
     "oracle/stationary.csv": "9e68edb082e4e35b1526458305854b60c6e65a04b6adddfc6f88864d8ad0ae74",
-    "oracle/empirical.csv": "5c171de30fa6c0e50e565118f5c56e9a5639043c159b38391bfd9f6ab1e4bd2e",
-    "oracle/report.json": "6e9fd89946ade40267661d05ab8d4a98bbc0d8de75fc292e36fedd285d292ca1",
-    "hill/hill.csv": "683f93b77abe5d22aed351caaaeafd9882ffcc81a34bbe9a89c66d9d502de6ee",
-    "hill/samples.txt": "5cb00b429c02cbdc3856f695e607a11ff736e95f5f96a4f3d93a691792d32525",
-    "hill/report.json": "eb2c22050e799d2bf29b5230903db6b22076bb17a2e4076e3b81aa014b6248d0",
+    "oracle/empirical.csv": "eac18945705e9dd5609210e07c945ad1c5ab2e3189a16a72fe69f1058099642a",
+    "oracle/report.json": "c1bea8f4a1c739493968c1b53460159003e32f7b1a4df01a915e86b562932cfc",
+    "hill/hill.csv": "4c16e1d32f93d0f1103538dfd0482d0d743af507989d92f605e66cbc77478074",
+    "hill/samples.txt": "31294e3cf1fc63ab97cb3c52f21e0d7eea142993837f979aeffe56db35cb2233",
+    "hill/report.json": "49d8e077f5ac58eadd05dcb006090dd58ddb459dce61f30ebdd1e7fe902271ef",
     "continuous/theorem/ratio.csv": "6a3195e729a7300496486b9976c9bb27b649efd90b3de7cb366b7e0aa9191db5",
     "continuous/theorem/summary.json": "99ad08a02fbee78af8867dd5406fe3c63471a05929bd686879b0ce313621e340",
     "continuous/theorem/hill.csv": "fe2ea93de706b9630d9ab86e2e449921a05c55368d209bb99572fc115601fa29",
     "continuous/theorem/samples.txt": "617cd275652168425258b52a3dd0656e22f7b9fe3ae12f756553b9f3e76633e4",
-    "continuous/theorem/report.json": "dda13e45592515c20a2d13a715bf8bf6d815eec4b1d8da14d6bdefce377eef2b",
+    "continuous/theorem/report.json": "1c37389a6bc34d287de3bf4c564b2fee4a2d6f946c41d4482e91c62fdb545948",
     "continuous/lemma1/ratio.csv": "5107532def3f2f68f2d38ea0436838d749a7b186fca7a681ce333611598e880e",
     "continuous/lemma1/summary.json": "d5e1eda9d9fde33fe2dc037c32b486a8dd72b5788b46b8618fc80913c6a1d1c7",
-    "continuous/lemma1/report.json": "fed084e9fae077814defa842c6c47bfc7e13e6b4494a797f2140df6a94bcbb30",
+    "continuous/lemma1/report.json": "ad3b5480b07c7cf87c4909a1ed257a1387216e46e591a8e598a11d04a9c14a16",
     "continuous/sre/ratio.csv": "5c6b0c8898b4e479404b6f755405ad694a561d48f9498b6abf1c3f3b6bbdd800",
     "continuous/sre/summary.json": "fe05a28ad2a8b66f0096c2580a4f6261a581081afef682da2df2664eccc89877",
-    "continuous/sre/report.json": "c12bf328e578fc3fea06c42408e1ac56868c6838607c4dff6de4884533daf07b",
+    "continuous/sre/report.json": "f8979ced7e2825be362b8c050e9a6b7e91435c60a164deaf10cb2e36c9e1dd01",
     "continuous/decay/decay.csv": "7db49b9bb7f057719073e988c2084756684e50b45e2aa98cba1c9df98a7d93f3",
-    "continuous/decay/report.json": "83b588673a83cb905925cdc629efe8ee849f008960187681b95bd5fdc800670e",
-    "mixed/theorem/ratio.csv": "27beb72bcbd96ec44d9ccba53fc4c3351136171f97b7fed418101535b8f505a9",
-    "mixed/theorem/summary.json": "c902f65287485923b45494a3221b70cee550740c6d2c6ae8bfd59bfd06bd20a7",
-    "mixed/theorem/hill.csv": "72c53169d98a77231297de709b8f2f832a4adda935c047e38ba76558bf5188b2",
-    "mixed/theorem/samples.txt": "07502b6a272de893e641254162741eee66e1bee3ab25a086194ed5b3213fd821",
-    "mixed/theorem/report.json": "ed7ef77895ae7b981c2f951bac6d2126d460b4348c578c0c3083e4f06f8d52d6",
-    "mixed/lemma1/ratio.csv": "cecefd3fba1d1e13e140b613d2fbef6717d920209322ba02e7e468e6c9af2605",
+    "continuous/decay/report.json": "36f6a17105c970ad4aff67d85b1c7d65e7be046c20603568b0bb70808a23826f",
+    "mixed/theorem/ratio.csv": "5a49500845d6fe3e179f5db47119813d94e1c53b4848605086ae4342dfaef747",
+    "mixed/theorem/summary.json": "7b880cf353643a41b2eeff6fb01959ca0c5cdc03cf425886c0f7447f5f1cdb48",
+    "mixed/theorem/hill.csv": "dc02cd2daecf4bf1c5d9018d586085905a0ecf2e1014a38982742da9f67c461c",
+    "mixed/theorem/samples.txt": "8a12fba0e46aa6cdae73c9c9ee61c07fabaa9c731ee1b6b1b2fa228d63341215",
+    "mixed/theorem/report.json": "60c6c5eb220720ded0f1506bec522b6eab41d6f512259f4ef9a864ed186aca5f",
+    "mixed/lemma1/ratio.csv": "76763bc62549723077e07bf861aa253ad3d06b6222f3afa64632483dd682da68",
     "mixed/lemma1/summary.json": "7c7a3f88645b91df97603640614358f9291f8ea536ddd16c40d960028467667d",
-    "mixed/lemma1/report.json": "467943d3cde3533c0b032a8fda77849007be91749e195101fc27dc7b0bca8472",
-    "mixed/corollary/depth_ratio.csv": "229d7fd82a0b0fb263b4a70f4e3f074cf3fb6c668172a8c415f5f9fa4b1cd545",
-    "mixed/corollary/report.json": "94c7ad14f2de3582efc0c2012ab05723d9d1bcb66c7645160307afba22abf82c",
-    "mixed/sre/ratio.csv": "a3e650131e7064e86762fb3b30748a9b9dd550c8e5f00bbbad3cae44ebff2926",
+    "mixed/lemma1/report.json": "e466da9eee4a599966d9ff3c9bf0380bf626619f1d52af7f90b496e5ca89dadb",
+    "mixed/corollary/depth_ratio.csv": "fea2b2db84e3fbc95795df3498e8fb2c9b8de08df8267267b7daf06f76f6ef9d",
+    "mixed/corollary/report.json": "50e2898cc3d9d9d7ff6b084df1801b5baabd95910cb8eae6b671f2e0b1996478",
+    "mixed/sre/ratio.csv": "a09e8c99d47dfcdbfd0d103dda89a70a7e81ee1d12d7094c24d8d04b0cfa733b",
     "mixed/sre/summary.json": "82204e55f927feb0590f7f0428c009f0b11a4abdca6000cfa9fc2636ad1a8215",
-    "mixed/sre/report.json": "d554ef5d806ecb3193a9893b018404bb48727738ad7ac4eb4024286130dfd28b",
-    "mixed/decay/decay.csv": "750de87a98f1432304e99026e80c5b46737b38eb62971195cb664a7be37e1d81",
-    "mixed/decay/report.json": "13ec29dfa6fbc2057f2ae4e1440e8063c97fb52a4dce98aee1ef0f1130443b93",
+    "mixed/sre/report.json": "484170fa26590ee0aebe3e37878f123262c9c01b63f6b89cf8503df2ce1eb761",
+    "mixed/decay/decay.csv": "336deabe0d0d6d8a30ebc0208ed5e958a38d4175870229dbe915eb775adecc0c",
+    "mixed/decay/report.json": "504e217f99ed3dbe590a29244600986efea092f98f68482e5e668904957de178",
 }
 
 
@@ -588,9 +590,9 @@ def test_bundled_experiments_keep_their_streams(tmp_path, monkeypatch):
     monkeypatch.setattr(experiments, "CHUNK_REPLICAS", PIN_CHUNK)
     got = _pin_digests(tmp_path)
     changed = sorted(k for k in got.keys() | PIN_DIGESTS.keys() if got.get(k) != PIN_DIGESTS.get(k))
-    assert STREAM_VERSION == 5, "STREAM_VERSION moved: re-record PIN_DIGESTS under the new version"
+    assert STREAM_VERSION == 6, "STREAM_VERSION moved: re-record PIN_DIGESTS under the new version"
     assert not changed, (
-        f"outputs changed under STREAM_VERSION 5: {changed}. A sampler change must bump STREAM_VERSION and "
+        f"outputs changed under STREAM_VERSION 6: {changed}. A sampler change must bump STREAM_VERSION and "
         "re-record PIN_DIGESTS; an exact-route change (build_kernel, stationary_power_iteration) keeps the "
         "version and re-records only oracle/stationary.csv and oracle/report.json; an offspring-moment change "
         "(offspring_moment, moment_A) keeps the version and re-records only check/condition.json and "
@@ -973,7 +975,7 @@ def test_report_records_stream_version(tmp_path):
     cfg = load_config(_cfg_file(tmp_path, SUBCRITICAL), experiment="check")
     emit_report(run_experiment(cfg), tmp_path / "o")
     with open(tmp_path / "o" / "report.json") as fh:
-        assert json.load(fh)["stream_version"] == 5
+        assert json.load(fh)["stream_version"] == 6
 
 
 def test_cli_seed_override_lands_in_report(tmp_path, capsys):

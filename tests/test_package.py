@@ -1,6 +1,7 @@
 """Package surface: every exported name resolves, the benchmark's tracer
 still finds what it wraps, the CLI starts without the slow scipy.stats
-import, and the exact routes run without scipy at all."""
+and concurrent.futures imports, and the exact routes run without scipy at
+all."""
 
 import importlib
 import importlib.util
@@ -33,6 +34,13 @@ def _run_fresh(code: str) -> str:
 
 def test_cli_import_leaves_scipy_stats_out():
     assert _run_fresh("import sys, bpire.cli; print('scipy.stats' in sys.modules)") == "False"
+
+
+def test_cli_import_leaves_concurrent_futures_out():
+    # concurrent.futures and the logging it imports cost 5-8 ms a run; only
+    # a pool of two or more workers needs them
+    code = "import sys, bpire.cli; print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)))"
+    assert _run_fresh(code) == "[]"
 
 
 def test_exact_routes_import_no_scipy():

@@ -9,6 +9,7 @@ these catch a wrong closure, a wrong pmf, or a biased sampler.
 """
 
 import copy
+import dataclasses
 import math
 import warnings
 
@@ -22,6 +23,7 @@ from bpire.env_model import (
     DPARETO_BETA_PER_KAPPA,
     EnvAtom,
     EnvBatch,
+    EnvGroup,
     EnvSpec,
     ImmigrationFamily,
     ModelSpec,
@@ -68,7 +70,8 @@ FAMILIES = [
 def thin_batch(law, xs, rng):
     """One thinning stage with every entry under the one law `law`."""
     xs = np.asarray(xs)
-    batch = EnvBatch(laws=((law, ImmigrationFamily.constant(0)),), group=np.zeros(xs.shape, dtype=np.int64))
+    group = EnvGroup(1.0, ImmigrationFamily.constant(0), (law,), (1.0,))
+    batch = EnvBatch(groups=(group,), group=np.zeros(xs.shape, dtype=np.int64))
     return thin_for_batch(batch, xs, rng)
 
 
@@ -159,63 +162,93 @@ MIXED_ENV = EnvSpec.from_atoms(
 )
 
 
+def _group_thinned_pmf(group, x, ks):
+    """The thinned law of a group: its atoms' x-fold sums, mixed by weight."""
+    return sum(w * thinned_offspring_pmf(law, x, ks) for law, w in zip(group.offspring, group.weights))
+
+
 def test_mixed_thinning_follows_each_groups_law():
-    # every group's alias tables stacked into one lookup: the draws of each
-    # (group, population) cell must follow that group's thinned law
+    # every group's alias tables stacked into one lookup, the group of atoms
+    # 0 and 3 as their offspring mixture: the draws of each (group,
+    # population) cell must follow that group's thinned law
     n = 400_000
     rng = RngState.from_seed(61)
     batch = draw_env_batch(MIXED_ENV, rng, n)
+    assert [len(g.offspring) for g in batch.groups] == [2, 1, 1]
     values = np.resize(np.array([0, 2, 7], dtype=np.int64), n)
     draws = thin_for_batch(batch, values, rng)
     assert not draws[values == 0].any()
-    for j, atom in enumerate(MIXED_ENV.atoms):
+    for j, group in enumerate(MIXED_ENV.groups):
         for x in (2, 7):
             cell = draws[(batch.group == j) & (values == x)]
-            p = chi_square_pvalue(cell, lambda ks: thinned_offspring_pmf(atom.offspring, x, ks))
-            assert p > 1e-3, f"group {j} ({atom.offspring.kind}) x={x}: chi-square p={p:.4g}"
+            p = chi_square_pvalue(cell, lambda ks: _group_thinned_pmf(group, x, ks))
+            assert p > 1e-3, f"group {j} x={x}: chi-square p={p:.4g}"
 
 
-PAST_TABLE_ENV = EnvSpec.from_atoms(
-    [
-        EnvAtom(0.2, OffspringFamily.binomial(3, 0.3), ImmigrationFamily.constant(0)),
-        EnvAtom(0.2, OffspringFamily.poisson(0.7), ImmigrationFamily.constant(0)),
-        EnvAtom(0.2, OffspringFamily.geometric0(0.6), ImmigrationFamily.constant(0)),
-        EnvAtom(0.2, OffspringFamily.bernoulli(0.4), ImmigrationFamily.constant(0)),
-        EnvAtom(0.2, OffspringFamily.poisson(0.2), ImmigrationFamily.constant(0)),
-    ]
+PAST_TABLE_LAWS = (
+    OffspringFamily.binomial(3, 0.3),
+    OffspringFamily.poisson(0.7),
+    OffspringFamily.geometric0(0.6),
+    OffspringFamily.bernoulli(0.4),
+    OffspringFamily.poisson(0.2),
 )
+# immigration constants per atom: one group of all five atoms, one group per
+# atom, and a group of four atoms beside a one-atom group
+PAST_TABLE_GROUPINGS = {
+    "one-group": (0, 0, 0, 0, 0),
+    "per-atom": (0, 1, 2, 3, 4),
+    "mixed-groups": (0, 0, 0, 1, 0),
+}
 
 
-@pytest.mark.parametrize("only_poisson", [False, True], ids=["all-kinds", "poisson-only"])
-def test_thinning_past_the_tables_draws_once_per_kind_in_numbering_order(only_poisson):
-    # populations of 64 or more are past every table, so each entry takes
-    # numpy's draw after the batch's alias uniforms: Poisson, then binomial
-    # (bernoulli with n = 1), then negative binomial, each over its entries
-    # in index order; with the other groups at population 0, the Poisson
-    # groups alone are past the tables
+@pytest.mark.parametrize(
+    "grouping, only_poisson",
+    [("one-group", False), ("per-atom", False), ("per-atom", True), ("mixed-groups", False)],
+    ids=["one-group", "per-atom", "per-atom-poisson-only", "mixed-groups"],
+)
+def test_thinning_past_the_tables_draws_once_per_kind_in_numbering_order(grouping, only_poisson):
+    # populations of 64 or more are past every table, so after the batch's
+    # alias uniforms each entry in a group of several atoms resolves its atom
+    # with one uniform, in index order (a right-sided search of the group's
+    # cumulative weights), and then takes numpy's draw: Poisson, then
+    # binomial (bernoulli with n = 1), then negative binomial, each over its
+    # entries in index order; with the other groups at population 0, the
+    # Poisson groups alone are past the tables
+    env = EnvSpec.from_atoms(
+        [EnvAtom(0.2, law, ImmigrationFamily.constant(b)) for law, b in zip(PAST_TABLE_LAWS, PAST_TABLE_GROUPINGS[grouping])]
+    )
     n = 4096
     rng = RngState.from_seed(64)
-    batch = draw_env_batch(PAST_TABLE_ENV, rng, n)
+    batch = draw_env_batch(env, rng, n)
     values = np.random.default_rng(64).integers(64, 400, n)
-    kind = np.array([atom.offspring.x_fold()[0] for atom in PAST_TABLE_ENV.atoms])[batch.group]
     if only_poisson:
-        values[kind != 0] = 0
-    assert all(np.count_nonzero(batch.group[values > 0] == j) >= 64 for j in np.unique(batch.group[values > 0]))
+        values[np.array([law.kind != "poisson" for law in PAST_TABLE_LAWS])[batch.group]] = 0
     ref = copy.deepcopy(rng)
     got = thin_for_batch(batch, values, rng)
     ref.gen.random(n)
+    past = np.flatnonzero(values > 0)
+    sizes = np.array([len(g.offspring) for g in env.groups])
+    several = past[sizes[batch.group[past]] > 1]
+    u = dict(zip(several.tolist(), ref.gen.random(several.size)))
+    laws = []
+    for i in past.tolist():
+        g = env.groups[batch.group[i]]
+        k = np.searchsorted(np.cumsum(g.weights), u[i], side="right") if i in u else 0
+        laws.append(g.offspring[min(k, len(g.offspring) - 1)])
+    assert all(sum(law == other for other in laws) >= 64 for law in set(laws))
+    kind = np.array([law.x_fold()[0] for law in laws])
     want = np.zeros(n, dtype=np.int64)
     for d in (0, 1, 2):
-        idx = np.flatnonzero((kind == d) & (values > 0))
-        x, laws = values[idx], [PAST_TABLE_ENV.atoms[g].offspring for g in batch.group[idx]]
-        each = np.array([law.x_fold()[1] for law in laws], dtype=np.int64)
-        p = np.array([law.x_fold()[2] for law in laws])
+        idx = np.flatnonzero(kind == d)
+        x = values[past[idx]]
+        each = np.array([laws[i].x_fold()[1] for i in idx], dtype=np.int64)
+        p = np.array([laws[i].x_fold()[2] for i in idx])
         if d == 0:
-            want[idx] = ref.gen.poisson(p * x)
+            want[past[idx]] = ref.gen.poisson(p * x)
         elif d == 1:
-            want[idx] = ref.gen.binomial(each * x, p)
+            want[past[idx]] = ref.gen.binomial(each * x, p)
         else:
-            want[idx] = ref.gen.negative_binomial(x, p)
+            want[past[idx]] = ref.gen.negative_binomial(x, p)
     assert np.array_equal(got, want)
     assert rng.gen.random(4).tolist() == ref.gen.random(4).tolist()
 
@@ -225,7 +258,7 @@ def test_thinning_past_the_tables_draws_once_per_kind_in_numbering_order(only_po
 def _tabulated_rows(law) -> int:
     """Rows of `law`'s alias table that a draw can keep; the rest send every
     cell to numpy's draw."""
-    return int(np.count_nonzero(simulator._alias_table(law)[1][:, 0] >= 0))
+    return int(np.count_nonzero(simulator._alias_table((law,), (1.0,))[1][:, 0] >= 0))
 
 
 def _tail_past_width(law, x) -> float:
@@ -239,6 +272,8 @@ TABLE_LAWS = list(dict.fromkeys(FAMILIES + [atom.offspring for atom in MIXED_ENV
     OffspringFamily.poisson(5.0),
     OffspringFamily.binomial(1000, 0.001),
     OffspringFamily.geometric0(0.1),
+    OffspringFamily.bernoulli(0.999999),
+    OffspringFamily.binomial(3, 0.7),
 ]
 
 
@@ -247,7 +282,7 @@ def test_alias_tables_imply_the_thinned_pmf(law):
     # cell j keeps j with probability q[j] and hands the rest to alias[j];
     # the pmf that implies is checked against the oracle's closed-form pmf,
     # a route independent of the recurrence the tables are built from
-    q, alias = simulator._alias_table(law)
+    q, alias = simulator._alias_table((law,), (1.0,))
     cols = simulator.ALIAS_COLS
     rows = _tabulated_rows(law)
     assert (alias[rows:] == -1).all() and (q[rows:] == 0.0).all()
@@ -260,6 +295,91 @@ def test_alias_tables_imply_the_thinned_pmf(law):
     if rows < simulator.ALIAS_ROWS:
         assert _tail_past_width(law, rows) >= simulator.ALIAS_CUT
     assert _tail_past_width(law, rows - 1) < simulator.ALIAS_CUT
+
+
+# offspring mixtures of groups of atoms: config_a's, a three-way mix of
+# every kind, and two whose wide atom spills past the width at x = 3; at
+# weight 0.001 its spill there, 1.7e-14, is below ALIAS_CUT in the sum
+MIXTURES = [
+    ((OffspringFamily.poisson(0.3), OffspringFamily.poisson(0.9)), (0.5, 0.5)),
+    ((OffspringFamily.binomial(2, 0.2), OffspringFamily.geometric0(0.6), OffspringFamily.bernoulli(0.999999)), (0.5, 0.3, 0.2)),
+    ((OffspringFamily.poisson(0.3), OffspringFamily.poisson(20.0)), (0.9, 0.1)),
+    ((OffspringFamily.poisson(0.3), OffspringFamily.poisson(20.0)), (0.999, 0.001)),
+]
+
+
+@pytest.mark.parametrize("laws, weights", MIXTURES, ids=["config_a", "three-kinds", "wide-atom", "diluted-wide-atom"])
+def test_mixture_tables_imply_the_weighted_thinned_pmf(laws, weights):
+    # a mixture row within the alias tables' TV bound of the exact weighted
+    # pmf of its atoms, and tabulated only as far as every atom's own rows
+    q, alias = simulator._alias_table(laws, weights)
+    cols = simulator.ALIAS_COLS
+    rows = int(np.count_nonzero(alias[:, 0] >= 0))
+    assert rows == min(_tabulated_rows(law) for law in laws)
+    assert (alias[rows:] == -1).all() and (q[rows:] == 0.0).all()
+    for x in range(rows):
+        implied = (q[x] + np.bincount(alias[x], weights=1.0 - q[x], minlength=cols)) / cols
+        exact = sum(w * thinned_offspring_pmf(law, x, np.arange(cols)) for law, w in zip(laws, weights))
+        past = sum(w * _tail_past_width(law, x) for law, w in zip(laws, weights))
+        tv = 0.5 * (np.abs(implied - exact).sum() + past)
+        assert tv <= 1.3e-13, f"{laws} x={x}: TV {tv:.3g}"
+
+
+def test_mixture_sends_rows_past_its_widest_atom_to_numpy():
+    # poisson:20 spills past the width from x = 3 on, so the mixture with
+    # poisson:0.3 stops there too, though poisson:0.3 fills all 64 rows; an
+    # entry at x = 3 or 40 resolves its atom and takes numpy's Poisson draw
+    laws, weights = MIXTURES[2]
+    assert _tabulated_rows(laws[0]) == simulator.ALIAS_ROWS and _tabulated_rows(laws[1]) == 3
+    env = EnvSpec.from_atoms([EnvAtom(w, law, ImmigrationFamily.constant(0)) for law, w in zip(laws, weights)])
+    n = 4096
+    values = np.resize(np.array([2, 3, 40], dtype=np.int64), n)
+    rng = RngState.from_seed(20)
+    batch = draw_env_batch(env, rng, n)
+    ref = copy.deepcopy(rng)
+    got = thin_for_batch(batch, values, rng)
+    # the reference: alias uniforms for all, then the table at x = 2 and one
+    # resolution uniform and one Poisson draw per entry past it
+    t = ref.gen.random(n) * simulator.ALIAS_COLS
+    q, alias = simulator._alias_table(laws, weights)
+    j = t.astype(np.int64)
+    tabled = np.where(t - j < q[2, j], j, alias[2, j])
+    past = np.flatnonzero(values > 2)
+    atom = np.searchsorted(np.cumsum(weights), ref.gen.random(past.size), side="right")
+    want = np.where(values == 2, tabled, 0)
+    want[past] = ref.gen.poisson(np.array([law.rate for law in laws])[atom] * values[past])
+    assert np.array_equal(got, want)
+    # and the draws past the table follow the mixture's law at x = 40
+    draws = thin_for_batch(batch, np.full(n, 40), rng)
+    assert chi_square_pvalue(draws, lambda ks: _group_thinned_pmf(env.groups[0], 40, ks)) > 1e-3
+
+
+def _upward_binomial_rows(law):
+    """The binomial x-fold rows as stream version 5 built them, up from
+    p_0 = (1 - p)^N at every p."""
+    x = np.arange(simulator.ALIAS_ROWS, dtype=float)[:, None]
+    k = np.arange(1, 2 * simulator.ALIAS_COLS, dtype=float)
+    _, each, p = law.x_fold()
+    trials = x * each
+    head, ratio = (1.0 - p) ** trials, np.maximum(trials - k + 1.0, 0.0) * (p / (1.0 - p)) / k
+    return np.cumprod(np.hstack([head, ratio]), axis=1)
+
+
+@pytest.mark.parametrize("law", [OffspringFamily.bernoulli(p) for p in (1e-5, 0.1, 0.35, 0.5)] + [
+    OffspringFamily.binomial(n, p) for n, p in ((2, 0.2), (3, 0.5), (1000, 0.001))
+], ids=lambda l: f"{l.kind}-{l.p}-{l.n}")
+def test_binomial_rows_at_p_at_most_half_run_up_as_before(law):
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert np.array_equal(simulator._recurrence_rows(law), _upward_binomial_rows(law))
+
+
+def test_binomial_near_one_fills_its_table():
+    # run up from (1 - p)^N, p_0 underflows past row 53; run down from p^N,
+    # every row of 64 is tabulated, within the TV bound (TABLE_LAWS)
+    law = OffspringFamily.bernoulli(0.999999)
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        assert int(np.argmin(_upward_binomial_rows(law)[:, 0] > 0)) == 54
+    assert _tabulated_rows(law) == simulator.ALIAS_ROWS
 
 
 def test_config_a_laws_fill_their_tables():
@@ -278,7 +398,7 @@ def test_bernoulli_is_a_one_trial_binomial_to_the_bit(p):
     assert np.array_equal(thinned_offspring_mode(coin, xs), thinned_offspring_mode(one_trial, xs))
     assert mean_offspring(coin) == mean_offspring(one_trial) == p
     assert offspring_moment(coin, 2.5) == offspring_moment(one_trial, 2.5) == p
-    for table, other in zip(simulator._alias_table(coin), simulator._alias_table(one_trial)):
+    for table, other in zip(simulator._alias_table((coin,), (1.0,)), simulator._alias_table((one_trial,), (1.0,))):
         assert np.array_equal(table, other)
     # rows 0 .. 63 draw from the tables, 64 and 1000 from numpy's binomial
     xs = np.repeat(np.array([0, 1, 63, 64, 1000]), 500)
@@ -331,14 +451,14 @@ def test_thinning_past_2_62_raises_overflow(kind, x, scale):
 
 
 def test_mixed_immigration_follows_each_groups_law():
-    # groups 0 and 3 share one law and one inversion
+    # atoms 0 and 3 share one law, one group and one inversion
     n = 400_000
     rng = RngState.from_seed(62)
     batch = draw_env_batch(MIXED_ENV, rng, n)
     draws = imm_for_batch(batch, rng)
-    for j, atom in enumerate(MIXED_ENV.atoms):
-        p = chi_square_pvalue(draws[batch.group == j], lambda ks: immigration_pmf(atom.immigration, ks))
-        assert p > 1e-3, f"group {j} ({atom.immigration.kind}): chi-square p={p:.4g}"
+    for j, group in enumerate(batch.groups):
+        p = chi_square_pvalue(draws[batch.group == j], lambda ks: immigration_pmf(group.immigration, ks))
+        assert p > 1e-3, f"group {j} ({group.immigration.kind}): chi-square p={p:.4g}"
 
 
 # ---- immigration ------------------------------------------------------------
@@ -414,6 +534,86 @@ def test_immigration_checks_survival_only_near_integers(monkeypatch):
     assert calls == []
     assert sample_immigration_batch(dpareto, _FixedU(0.25), 1).tolist() == [1]
     assert calls
+
+
+def _survival_adjust_one_stage(law, cand, u, t, tol, survival):
+    """`_survival_adjust` as stream version 5 had it, the per-entry
+    near-integer test on every entry, with S evaluated by `survival`."""
+    near = np.flatnonzero(~(np.abs(t - np.rint(t)) > tol * (1.0 + np.abs(t))))
+    if not near.size:
+        return cand
+    x, v = cand[near], u[near]
+    off = (survival(law, x) > v) | ((x > 0) & (survival(law, x - 1) <= v))
+    if off.any():
+        cand[near[off]] = threshold_for_level(lambda y: survival(law, y), v[off])
+    return cand
+
+
+def _both_adjustments(monkeypatch, law, cand, u, t, tol):
+    """The two-stage and one-stage adjustments of the same candidates, each
+    with the points at which it evaluated S."""
+    new_seen, old_seen = [], []
+
+    def counting(seen):
+        def survival(law_, x):
+            seen.append(np.array(x, copy=True))
+            return immigration_survival(law_, x)
+
+        return survival
+
+    monkeypatch.setattr(simulator, "immigration_survival", counting(new_seen))
+    got = simulator._survival_adjust(law, cand.copy(), u, t, tol, simulator._guard_draw(t))
+    monkeypatch.undo()
+    want = _survival_adjust_one_stage(law, cand.copy(), u, t, tol, counting(old_seen))
+    return (got, new_seen), (want, old_seen)
+
+
+def test_two_stage_near_integer_check_matches_one_stage_on_crafted_t(monkeypatch):
+    # exact integers, one ulp either side, a NaN, t past 2^52 and the
+    # negative t of a dpareto with c < 1: the same draws, and S evaluated at
+    # the same points, as the per-entry test alone
+    law = ImmigrationFamily.discrete_pareto(2.0, 0.5)
+    tol = 2.0**-32 * 1.5
+    ints = np.array([0.0, 1.0, 2.0, 7.0, 1000.0, 2.0**40])
+    for t in (
+        np.concatenate([ints, np.nextafter(ints, -np.inf), np.nextafter(ints, np.inf), [0.5, 3.25]]),
+        np.array([2.0**52, 2.0**52 + 2.0, 3.0 * 2.0**53, 0.3]),
+        np.array([-0.29, -0.5, 0.0, -0.0, np.nextafter(0.0, -1.0), 0.7]),
+        np.array([0.4, np.nan, 2.0, 5.5]),
+        # near -1, |t - rint(t)| exceeds tol (1 + max t) but not tol (1 + |t|)
+        np.array([-0.2, -0.9, np.nextafter(-0.0, -1.0), -1.0 + 1.5 * tol]),
+    ):
+        u = np.clip(immigration_survival(law, np.nan_to_num(t, nan=0.0)), 2.0**-53, 1.0)
+        cand = np.ceil(np.maximum(np.nan_to_num(t, nan=0.0), 0.0)).astype(np.int64)
+        (got, seen), (want, seen_want) = _both_adjustments(monkeypatch, law, cand, u, t, tol)
+        assert np.array_equal(got, want)
+        assert len(seen) == len(seen_want) and all(map(np.array_equal, seen, seen_want))
+
+
+@pytest.mark.parametrize(
+    "law",
+    [ImmigrationFamily.discrete_pareto(2.0, 1.0), ImmigrationFamily.discrete_pareto(2.0, 0.5), ImmigrationFamily.geometric0(0.05)],
+    ids=["dpareto:2,1,0", "dpareto:2,0.5,0", "geometric0:0.05"],
+)
+def test_two_stage_near_integer_check_matches_one_stage_on_seeded_blocks(monkeypatch, law):
+    # the closed forms of seeded 8192-draw blocks, built as
+    # sample_immigration_batch builds them, with every fourth u moved onto
+    # S(k) so that some t land on integers
+    for seed in range(20):
+        u = RngState.from_seed(seed).uniform_open(8192)
+        u[::4] = immigration_survival(law, np.arange(2048) % 40)
+        if law.kind == "geometric0":
+            t = np.log(u) / math.log1p(-law.p)
+            cand = np.clip(np.floor(t).astype(np.int64), 0, None)
+            tol = 2.0**-32 * (1.0 - 1.0 / math.log1p(-law.p))
+        else:
+            t = (law.c / u) ** (1.0 / law.kappa) - 1.0
+            cand = np.ceil(np.maximum(t, 0.0)).astype(np.int64)
+            tol = 2.0**-32 * (1.0 + 1.0 / law.kappa)
+        (got, seen), (want, seen_want) = _both_adjustments(monkeypatch, law, cand, u, t, tol)
+        assert np.array_equal(got, want)
+        assert len(seen) == len(seen_want) and all(map(np.array_equal, seen, seen_want))
+        assert seen
 
 
 def test_immigration_geometric0_overflow_guard():
@@ -518,6 +718,49 @@ def test_step_from_zero_is_pure_immigration():
     env = one_atom_env(OffspringFamily.poisson(0.9), ImmigrationFamily.constant(2))
     got = step_batch(np.array([0]), env, RngState.from_seed(0))
     assert got.tolist() == [2]
+
+
+# an uneven offspring mixture under one immigration law, so that swapping
+# the weights within its group moves the law
+UNEVEN_ENV = EnvSpec.from_atoms(
+    [
+        EnvAtom(0.8, OffspringFamily.poisson(0.3), ImmigrationFamily.discrete_pareto(2.0, 1.0)),
+        EnvAtom(0.2, OffspringFamily.poisson(0.9), ImmigrationFamily.discrete_pareto(2.0, 1.0)),
+    ]
+)
+
+
+def _step_pvalues(env, exact_env, seed):
+    """Chi-square p-values of one step from x in {0, 7, 63, 64, 200} under
+    `env`, against the exact law of a step under `exact_env`: the atoms'
+    x-fold sums mixed by weight, plus the shared immigration."""
+    out = []
+    rng = RngState.from_seed(seed)
+    for x in (0, 7, 63, 64, 200):
+        draws = step_batch(np.full(100_000, x), env, rng)
+        ks = np.arange(int(draws.max()) + 1)
+        thinned = sum(a.weight * thinned_offspring_pmf(a.offspring, x, ks) for a in exact_env.atoms)
+        law = np.convolve(thinned, immigration_pmf(exact_env.atoms[0].immigration, ks))[: ks.size]
+        out.append(chi_square_pvalue(draws, lambda k: law[k]))
+    return out
+
+
+@pytest.mark.parametrize("env", [two_atom_model().env, UNEVEN_ENV], ids=["config_a", "uneven"])
+def test_step_follows_the_exact_mixture_law(env):
+    # x = 0 is immigration alone, 7 and 63 draw from the mixture tables, 64
+    # and 200 resolve their atoms past them
+    assert min(_step_pvalues(env, env, 71)) > 1e-3
+
+
+def test_step_chi_square_fails_with_weights_swapped_within_the_group(monkeypatch):
+    # a mutation: the group's tables and atom resolution read its weights
+    # reversed, while the exact law keeps them
+    (group,) = UNEVEN_ENV.groups
+    swapped = EnvSpec.from_atoms(UNEVEN_ENV.atoms)
+    monkeypatch.setitem(swapped.__dict__, "groups", (dataclasses.replace(group, weights=group.weights[::-1]),))
+    pvalues = _step_pvalues(swapped, UNEVEN_ENV, 71)
+    assert pvalues[0] > 1e-3  # immigration alone does not see it
+    assert max(pvalues[1:]) < 1e-12
 
 
 def test_simulate_forward_trajectory_shape():
