@@ -34,6 +34,18 @@ immigration law.  The perpetuity resolves every draw's atom, one uniform per
 draw in a group of several atoms, after its immigration.  A binomial law with
 p > 1/2 builds its table rows down from p^N, so more of its rows are
 tabulated.  The continuous mode draws as in version 5.
+
+Version 7 draws an atomic generation step T(x) + B from one table per
+immigration group, the x-fold offspring mixture convolved with the group's
+immigration pmf.  A step draws, in order: one uniform per replica for its
+group, only where the spec has two or more groups; one uniform per replica
+for the step table; then, for the entries left unfinished (populations past
+the group's rows, and draws in the tail cell B >= 128), in index order, the
+thinning stage of version 6 (alias uniforms, atom resolution and numpy's
+draws) and one immigration uniform each, inverted per group in group order.
+The grey sampler draws N first and then takes one step from it.  The
+continuous mode, the perpetuity, and the lemma1, corollary and decay
+samplers draw as in version 6.
 """
 
 from __future__ import annotations
@@ -42,7 +54,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-STREAM_VERSION = 6
+STREAM_VERSION = 7
 
 
 @dataclass

@@ -12,8 +12,14 @@ then resolve their atom, one uniform per entry in a group of several atoms,
 and take a numpy parametric draw, one per offspring family over its entries
 in numbering order, with parameters gathered per entry from its atom; the
 continuous environment thins every entry that way, at its own Poisson rate.
-Immigration makes one inversion per distinct law.  That order is part of
-the stream contract; which entries reach numpy's draw is a deterministic
+Immigration makes one inversion per distinct law.
+
+A generation step under an atomic environment draws T(x) + B at once from a
+step table of each group, the same rows convolved with its immigration pmf
+plus one tail cell for B >= 128: one uniform per entry.  Only populations
+past the rows and draws in the tail cell then take the two stages above,
+thinning and one immigration uniform each.  That order is part of the
+stream contract; which entries reach the later stages is a deterministic
 function of earlier output, so fixed seeds still give fixed results.
 
 Values live in int64 and are guarded against exceeding 2^62: crossing that
@@ -64,15 +70,17 @@ OVERFLOW_LIMIT = 1 << 62
 
 # Alias tables hold rows x = 0 .. ALIAS_ROWS - 1 of each law's x-fold
 # offspring sum over columns 0 .. ALIAS_COLS - 1, plus one row past them
-# whose cells all send a draw to the numpy route.  Aliases are int8 columns,
-# so ALIAS_COLS stays at most 128.
+# whose cells all send a draw to the numpy route.  A group's step tables hold
+# the same rows over STEP_COLS outcomes: T(x) + B at 0 .. STEP_COLS - 2, and
+# the tail cell _TAIL for B >= ALIAS_COLS.
 ALIAS_ROWS = 64
 ALIAS_COLS = 128
+STEP_COLS = 2 * ALIAS_COLS
+_TAIL = STEP_COLS - 1
 # a row is tabulated while its mass past ALIAS_COLS stays below this share
 ALIAS_CUT = 2.0**-50
-# a row's weights sum to 2^53, so one cell holds 2^46: the resolution of
-# 128 v - j for a uniform v on the grid of 2^-53 that `Generator.random` draws
-_CELL = 1 << 46
+# a row's integer weights sum to 2^53, the grid of `Generator.random`
+_ROW_TOTAL = 1 << 53
 
 
 def _guard(param: np.ndarray) -> np.ndarray:
@@ -112,44 +120,60 @@ def _recurrence_rows(law: OffspringFamily) -> np.ndarray:
     return np.cumprod(np.hstack([head, ratio]), axis=1)
 
 
-def _vose(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Walker/Vose alias table (Vose 1991) of integer weight rows that each
-    sum to ALIAS_COLS * _CELL, built in exact integer arithmetic for all rows
-    at once: (q, alias), with cell j of a row keeping j with probability q.
+def _vose(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Walker/Vose alias table (Vose 1991) of probability rows over c
+    columns: (q, alias), with cell j of a row keeping j with probability q
+    and giving the rest to alias, a column of the same row.
 
-    Cells under one share (small) are filled from those at or above it
-    (large) in a single pass over the flattened rows.  Lay the smalls'
+    Each row is scaled to integer weights summing to 2^53, floored, with the
+    remainder given to its largest cell; one cell then holds 2^53 / c.  The
+    table is built from them in exact integer arithmetic for all rows at
+    once.  Cells under one share (small) are filled from those at or above
+    it (large) in a single pass over the flattened rows.  Lay the smalls'
     deficits end to end and the larges' surpluses likewise; each row's
     deficits and surpluses sum to the same integer, so the two lines meet
     at every row boundary.  A small takes its alias from the large whose
     surplus interval holds the small's start.  A large whose surplus a
-    small's deficit overruns by o keeps itself with probability 1 - o / _CELL
+    small's deficit overruns by o keeps itself with probability 1 - o / cell
     and gives the rest to the next large, which is in the same row.
     """
+    n, cols = rows.shape
+    cell = _ROW_TOTAL // cols
+    weights = np.floor(rows * float(_ROW_TOTAL)).astype(np.int64)
+    weights[np.arange(n), weights.argmax(axis=1)] += _ROW_TOTAL - weights.sum(axis=1)
     flat = weights.ravel()
-    small = flat < _CELL
+    small = flat < cell
     smalls, larges = np.flatnonzero(small), np.flatnonzero(~small)
-    deficit = _CELL - flat[smalls]
+    deficit = cell - flat[smalls]
     end = np.cumsum(deficit)
     start = end - deficit
-    top = np.cumsum(flat[larges] - _CELL)
+    top = np.cumsum(flat[larges] - cell)
     alias = np.empty(flat.size, dtype=np.int64)
     alias[smalls] = larges[np.searchsorted(top, start, side="right")]
     last = np.searchsorted(start, top, side="left")  # smalls starting before each top
     over = np.maximum(np.concatenate([[0], end])[last] - top, 0)
     alias[larges] = np.where(over > 0, np.append(larges[1:], larges[-1]), larges)
-    q = flat / _CELL
-    q[larges] = (_CELL - over) / _CELL
-    row_start = np.arange(flat.size) // ALIAS_COLS * ALIAS_COLS
-    return q.reshape(weights.shape), (alias - row_start).astype(np.int8).reshape(weights.shape)
+    q = flat / cell
+    q[larges] = (cell - over) / cell
+    alias -= np.arange(flat.size) // cols * cols
+    return q.reshape(n, cols), alias.reshape(n, cols)
 
 
-@functools.lru_cache(maxsize=64)
-def _alias_table(offspring: tuple[OffspringFamily, ...], weights: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """(q, alias) of the mixture of the laws `offspring` with `weights`
-    (summing to 1), each (ALIAS_ROWS + 1, ALIAS_COLS): the rows up to the
-    first where some law's mass past column ALIAS_COLS - 1 is at least
-    ALIAS_CUT, then rows with alias -1 and q 0, which no draw keeps.
+def _padded_table(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`_vose` of the probability rows, followed by rows of alias -1 and q 0,
+    which no draw keeps, up to ALIAS_ROWS + 1 rows."""
+    n, cols = rows.shape
+    q = np.zeros((ALIAS_ROWS + 1, cols))
+    alias = np.full((ALIAS_ROWS + 1, cols), -1, dtype=np.int64)
+    q[:n], alias[:n] = _vose(rows)
+    return q, alias
+
+
+def _mixture_rows(offspring: tuple[OffspringFamily, ...], weights: tuple[float, ...]) -> np.ndarray:
+    """pmf rows of the mixture of the laws `offspring` with `weights`
+    (summing to 1) over columns 0 .. ALIAS_COLS - 1, for x = 0 up to the
+    first row where some law's mass past column ALIAS_COLS - 1 is at least
+    ALIAS_CUT.
 
     Each law's recurrence runs over 2 ALIAS_COLS columns and a row's in-width
     mass is taken as its share of them, so the rounding of p_0, which scales
@@ -161,37 +185,99 @@ def _alias_table(offspring: tuple[OffspringFamily, ...], weights: tuple[float, .
     to 0, reads NaN or spills past the width would lose that law's mass in
     the sum unseen.  So a mixture tabulates only as many rows as its widest
     law allows, and its populations past them take numpy's draw of their
-    own atom.  A kept row is scaled to integer weights summing to 2^53,
-    floored, with the remainder given to its largest cell.
+    own atom.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         rows = [_recurrence_rows(law) for law in offspring]
         inside = [r[:, :ALIAS_COLS].sum(axis=1) for r in rows]
         kept = np.logical_and.reduce([(i >= (1.0 - ALIAS_CUT) * r.sum(axis=1)) & (i > 0.0) for r, i in zip(rows, inside)])
     n = ALIAS_ROWS if kept.all() else int(np.argmin(kept))
-    mixture = sum(w * (r[:n, :ALIAS_COLS] / i[:n, None]) for w, r, i in zip(weights, rows, inside))
-    cells = np.floor(mixture * 2.0**53).astype(np.int64)
-    cells[np.arange(n), cells.argmax(axis=1)] += (ALIAS_COLS * _CELL) - cells.sum(axis=1)
-    q = np.zeros((ALIAS_ROWS + 1, ALIAS_COLS))
-    alias = np.full((ALIAS_ROWS + 1, ALIAS_COLS), -1, dtype=np.int8)
-    q[:n], alias[:n] = _vose(cells)
-    return q, alias
+    return sum(w * (r[:n, :ALIAS_COLS] / i[:n, None]) for w, r, i in zip(weights, rows, inside))
+
+
+@functools.lru_cache(maxsize=64)
+def _alias_table(offspring: tuple[OffspringFamily, ...], weights: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """(q, alias) of the mixture's thinning rows (`_mixture_rows`), each
+    (ALIAS_ROWS + 1, ALIAS_COLS): the kept rows, then rows no draw keeps."""
+    return _padded_table(_mixture_rows(offspring, weights))
+
+
+def _step_table(group: EnvGroup) -> tuple[np.ndarray, np.ndarray]:
+    """(q, alias) of one generation step T(x) + B in an atomic `group`, each
+    (ALIAS_ROWS + 1, STEP_COLS): the rows x its thinning table keeps, then
+    rows no draw keeps.  Outcome k < _TAIL is the step's value k: the
+    mixture row over 0 .. ALIAS_COLS - 1 (`_mixture_rows`) convolved with the
+    immigration pmf S(k - 1) - S(k) at 0 .. ALIAS_COLS - 1.  The tail cell
+    _TAIL holds S(ALIAS_COLS - 1), the mass of B >= ALIAS_COLS; given x and
+    the group, T and B are independent, so a draw there takes the whole
+    x-fold mixture and B conditioned on B >= ALIAS_COLS.
+
+    The bound on a row, against the exact mixture convolved with the pmf
+    that `immigration_survival` evaluates, in total variation.  The mixture
+    row is within 2^-43 + 2^-50 of the exact mixture, mass past the width
+    included (`thin_for_batch`), and convolving both with one pmf does not
+    widen that gap.  Each convolved value sums at most 128 nonnegative
+    products, so its relative rounding is at most 128 e (e = 2^-53): 2^-46
+    in total.  Scaling to integer weights moves under 2^-45 (`_vose`), and
+    the draw then takes them exactly: with v on the grid of 2^-53, 256 v - j
+    takes each multiple of 2^-45 in [0, 1) once.  A row is thus within
+    2^-43 + 2^-45 + 2^-46 + 2^-50 < 1.6e-13 of the exact step law.
+    """
+    rows = _mixture_rows(group.offspring, group.weights)
+    s = immigration_survival(group.immigration, np.arange(-1, ALIAS_COLS))
+    step = np.empty((len(rows), STEP_COLS))
+    for x, row in enumerate(rows):
+        step[x, :_TAIL] = np.convolve(row, s[:-1] - s[1:])
+    step[:, _TAIL] = s[-1]
+    return _padded_table(step)
+
+
+def _stacked(tables: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
+    """Alias tables of c columns stacked in group order and flattened, with
+    j + q[x, j] in place of q.  q sits on the grid of c 2^-53 and j + q below
+    c, so the sum is exact and c v < j + q holds exactly where c v - j < q
+    does."""
+    cols = tables[0][0].shape[1]
+    threshold = np.concatenate([(q + np.arange(cols)).ravel() for q, _ in tables])
+    return threshold, np.concatenate([alias.ravel() for _, alias in tables])
 
 
 @functools.lru_cache(maxsize=16)
 def _batch_tables(groups: tuple[EnvGroup, ...]) -> tuple[np.ndarray, np.ndarray, tuple]:
-    """The alias tables of a batch's groups stacked in group order and
-    flattened, with j + q[x, j] in place of q and the aliases widened to
-    int64, which a draw's gather then needs no cast for, and the columns for
-    `_thin_past_table`: whether every atom has one kind and each atom's
-    (draw, n, p), in `atom_index` order.  Both terms sit on the grid of
-    2^-46 below 2^7, so the sum is exact and 128 v < j + q holds exactly
-    where 128 v - j < q does."""
-    tables = [_alias_table(g.offspring, g.weights) for g in groups]
-    threshold = np.concatenate([(q + np.arange(ALIAS_COLS)).ravel() for q, _ in tables])
+    """The thinning tables of a batch's groups, `_stacked`, and the columns
+    for `_thin_past_table`: whether every atom has one kind and each atom's
+    (draw, n, p), in `atom_index` order."""
+    threshold, alias = _stacked([_alias_table(g.offspring, g.weights) for g in groups])
     draw, n, p = (np.array(col) for col in zip(*(law.x_fold() for g in groups for law in g.offspring)))
-    columns = (np.all(draw == draw[0]), draw, n, p)
-    return threshold, np.concatenate([alias.ravel() for _, alias in tables]).astype(np.int64), columns
+    return threshold, alias, (np.all(draw == draw[0]), draw, n, p)
+
+
+@functools.lru_cache(maxsize=16)
+def _step_tables(groups: tuple[EnvGroup, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The step tables of a batch's groups, `_stacked`, and each group's tail
+    cell mass S(ALIAS_COLS - 1)."""
+    threshold, alias = _stacked([_step_table(g) for g in groups])
+    return threshold, alias, np.array([immigration_survival(g.immigration, ALIAS_COLS - 1) for g in groups])
+
+
+def _table_draw(
+    threshold: np.ndarray, alias: np.ndarray, cols: int, values: np.ndarray, batch: EnvBatch, rng: RngState
+) -> np.ndarray:
+    """One uniform v per entry, in index order, looked up in `_stacked`
+    tables of `cols` columns: the row is the entry's population, capped at
+    ALIAS_ROWS, in its group's table, the cell j = floor(cols v), and the
+    draw j if cols v < j + q[x, j], else alias[x, j]."""
+    t = rng.gen.random(values.shape)
+    t *= cols
+    j = t.astype(np.int64)
+    cell = np.minimum(values, ALIAS_ROWS)
+    if len(batch.groups) > 1:
+        cell += batch.group * (ALIAS_ROWS + 1)
+    cell *= cols
+    cell += j
+    out = alias.take(cell)
+    np.copyto(out, j, where=t < threshold.take(cell))
+    return out
 
 
 def _thin_past_table(
@@ -257,16 +343,7 @@ def thin_for_batch(batch: EnvBatch, values: np.ndarray, rng: RngState) -> np.nda
     if batch.rates is not None:
         return rng.gen.poisson(_guard(batch.means * values))
     threshold, alias, columns = _batch_tables(batch.groups)
-    t = rng.gen.random(values.shape)
-    t *= ALIAS_COLS
-    j = t.astype(np.int64)
-    cell = np.minimum(values, ALIAS_ROWS)
-    if len(batch.groups) > 1:
-        cell += batch.group * (ALIAS_ROWS + 1)
-    cell *= ALIAS_COLS
-    cell += j
-    out = alias.take(cell)
-    np.copyto(out, j, where=t < threshold.take(cell))
+    out = _table_draw(threshold, alias, ALIAS_COLS, values, batch, rng)
     past = np.flatnonzero(out < 0)
     if past.size:
         out[past] = _thin_past_table(batch.groups, columns, values[past], batch.group[past], rng)
@@ -299,10 +376,12 @@ def _survival_adjust(
     alone, so the checked set is the one the test alone gives.  A NaN t
     makes `top` NaN, and every entry goes on to the per-entry test.
 
-    The bound, for u >= 2^-53 (the least `uniform_open` returns) and unit
-    roundoff e = 2^-53.  dpareto: c/u is off by a relative e, which the
-    power 1/kappa turns into e/kappa; pow adds 2e and the subtraction of 1
-    adds e (1 + |t|), so t is off by at most (1/kappa + 3) e (1 + |t|).  An
+    The bound, for u >= 2^-106 and unit roundoff e = 2^-53: `uniform_open`
+    returns at least 2^-53, and a step's tail cell, drawn only where its
+    mass is at least 2^-53, scales it by that mass.  dpareto: c/u is off by
+    a relative e, which the power 1/kappa turns into e/kappa; pow adds 2e
+    and the subtraction of 1 adds e (1 + |t|), so t is off by at most
+    (1/kappa + 3) e (1 + |t|).  An
     x at least tol (1 + |t|) clear of t, with tol = 2^-32 (1 + 1/kappa),
     puts c (1 + x)^-kappa a relative kappa tol / 2 = 2^-33 (kappa + 1) or
     more away from u, far above the 3e that pow and the product leave in
@@ -341,12 +420,18 @@ def _guard_draw(t: np.ndarray) -> float:
 
 
 def sample_immigration_batch(law: ImmigrationFamily, rng: RngState, size: int) -> np.ndarray:
-    """Inversion sampling: B = min{x >= 0 : S(x) <= U}, U uniform on (0, 1].
+    """Inversion sampling (`_invert_immigration`) at U uniform on (0, 1].
 
     One uniform is consumed per draw for every family, so stream positions do
     not depend on which law is in force.
     """
-    u = rng.uniform_open(size)
+    return _invert_immigration(law, rng.uniform_open(size))
+
+
+def _invert_immigration(law: ImmigrationFamily, u: np.ndarray) -> np.ndarray:
+    """B = min{x >= 0 : S(x) <= u} at each u in (0, 1], S as
+    `immigration_survival` evaluates it; `u` is left as it is."""
+    size = u.size
     if law.kind == "constant":
         return np.full(size, law.b, dtype=np.int64)
     if law.kind == "bernoulli":
@@ -391,10 +476,43 @@ def imm_for_batch(batch: EnvBatch, rng: RngState) -> np.ndarray:
 # ---- chain steps ------------------------------------------------------------
 
 def step_batch(values: np.ndarray, env: EnvSpec, rng: RngState) -> np.ndarray:
-    """One generation for a vector of replicas under fresh environments."""
-    batch = draw_env_batch(env, rng, np.asarray(values).size)
-    out = thin_for_batch(batch, values, rng)
-    out += imm_for_batch(batch, rng)
+    """One generation T_xi(x) + B_xi for a vector of replicas under fresh
+    environments.
+
+    Atomic groups draw the step from their step tables (`_step_table`): one
+    uniform per entry, in index order, looked up as thinning looks up its
+    tables (`_table_draw`).  Two kinds of entries are left unfinished:
+    populations past their group's rows, and draws in the tail cell.  In
+    index order, they take `thin_for_batch`, then one immigration uniform u
+    each, inverted per group in group order: at u past the rows, and at u
+    S(ALIAS_COLS - 1) in the tail cell, whose draw is then raised to at least
+    ALIAS_COLS.  That inverse is the least x >= ALIAS_COLS with S(x) <= u
+    S(ALIAS_COLS - 1), B's law given B >= ALIAS_COLS; at u = 1 the search
+    from 0 stops at ALIAS_COLS - 1, or lower where S is flat, and the raise
+    mends it.  The continuous mode thins, then draws its immigration.
+    """
+    values = np.asarray(values, dtype=np.int64)
+    if values.size and values.min() < 0:
+        raise ValueError("population sizes must be >= 0")
+    batch = draw_env_batch(env, rng, values.size)
+    if batch.rates is not None:
+        out = thin_for_batch(batch, values, rng)
+        out += imm_for_batch(batch, rng)
+        return out
+    threshold, alias, tails = _step_tables(batch.groups)
+    out = _table_draw(threshold, alias, STEP_COLS, values, batch, rng)
+    # a row past the tables draws -1, which reads as 2^64 - 1 unsigned
+    left = np.flatnonzero(out.view(np.uint64) >= _TAIL)
+    if left.size:
+        tail = out[left] == _TAIL
+        group = batch.group[left]
+        out[left] = thin_for_batch(EnvBatch(groups=batch.groups, group=group), values[left], rng)
+        u = rng.uniform_open(left.size)
+        u[tail] *= tails.take(group[tail])
+        for k, g in enumerate(batch.groups):
+            sel = np.flatnonzero(group == k) if len(batch.groups) > 1 else slice(None)
+            b = _invert_immigration(g.immigration, u[sel])
+            out[left[sel]] += np.maximum(b, ALIAS_COLS, out=b, where=tail[sel])
     return out
 
 
@@ -487,11 +605,8 @@ def unit_progeny_batch(model: ModelSpec, depth: int, rng: RngState, size: int) -
 
 def grey_sum_batch(model: ModelSpec, n_law: ImmigrationFamily, rng: RngState, size: int) -> np.ndarray:
     """Draws of B + sum_{i<=N} A_i with B coupled to the environment and N
-    independent heavy-tailed."""
-    stage = draw_env_batch(model.env, rng, size)
-    b = imm_for_batch(stage, rng)
-    n = sample_immigration_batch(n_law, rng, size)
-    return b + thin_for_batch(stage, n, rng)
+    independent heavy-tailed: N, then one generation step from it."""
+    return step_batch(sample_immigration_batch(n_law, rng, size), model.env, rng)
 
 
 # ---- sample dumps --------------------------------------------------------------

@@ -502,66 +502,66 @@ i_max = 2
 n_gens = 5
 """,
 }
-# sha256 of each artifact under STREAM_VERSION 6; report.json without its
+# sha256 of each artifact under STREAM_VERSION 7; report.json without its
 # wall_ms and out_dir lines.  oracle/stationary.csv and oracle/report.json
 # also hold the exact kernel route (build_kernel, stationary_power_iteration),
 # which draws nothing: a change there moves only these two.  Likewise
 # check/condition.json and check/report.json hold the offspring-moment series.
 PIN_DIGESTS = {
     "check/condition.json": "198fa30ffb71773ca5e63fd61a25a993d876bf2356d8b69efb8ba01f25013326",
-    "check/report.json": "74bb4fd71d0034479db2a2cb9d91614f6c86db4acc1430b6f0b7997215d22d8f",
-    "theorem/ratio.csv": "0a758897b6b74440d0a31844dbd2a31e7108b18a654ff0debb982632a5c6c764",
-    "theorem/summary.json": "845f52b2a9e3cae971d1ebd6ef29f97c702fae94f578f0fced8f0aef3d3b1311",
-    "theorem/hill.csv": "4c16e1d32f93d0f1103538dfd0482d0d743af507989d92f605e66cbc77478074",
-    "theorem/samples.txt": "31294e3cf1fc63ab97cb3c52f21e0d7eea142993837f979aeffe56db35cb2233",
-    "theorem/report.json": "7bda53d4764ca10efe2bf0ba2803b4f54e66e4e1fedde4ad15fd7d0ee2dacce6",
+    "check/report.json": "d7325e462f468ba6eb2cd3b0a3f2ddd9096537ff752c62297a694da90ed4edcc",
+    "theorem/ratio.csv": "44f0cb7e2cc9f223b1a5d46b769a9a458b39aae5bfdd4e14795a35d6fbe84725",
+    "theorem/summary.json": "07d9e7a3705c6960b6c702e4e027a69385bf1ba3886e2359470f81aedf8333ad",
+    "theorem/hill.csv": "e573130b9c11f5d934b86bc80b47a0553fcbaa6da2160efbcea2ac270fe5fa85",
+    "theorem/samples.txt": "eb7ff845c93517ae0a814b44808332f01e5d2d8a03b07e8b472dfc05d2307428",
+    "theorem/report.json": "984a13a69cd607ab0c4734fc2aea2aaefa8428c59f4c877fb39364876aa58381",
     "lemma1/ratio.csv": "dfcb574c30524fe95bf89d3df3a3d43164af0e943e96c95a0ac7f69b1bfcebe5",
     "lemma1/summary.json": "2f7c64be63843876f1792b18b233a4d962a75c3c0a27335fafeea04dbcbe7518",
-    "lemma1/report.json": "0c0f87c21f8a80843c5c217d0cc6924ea15dff7d235cf0dad2bf3a74ce3e1d54",
+    "lemma1/report.json": "b137995ee192a2d83a2b77f104e459d9601c8c92d2763368a523e9de501604ac",
     "corollary/depth_ratio.csv": "69cd8e9395823c3a9559d4622613cc21c0b3fcc0c107ea43beb566f9891482f6",
-    "corollary/report.json": "5fe82b5dc53b970de1cf891e1562324d2a673e72ceccd8572900a1e5a2f1c1f1",
-    "grey/ratio.csv": "34c1d91241775213f6449555377330725a882baa4d5672d11cb6f5dd953df58b",
+    "corollary/report.json": "5b8a569be7ee2f14548b998a143b0971202962806b341610cb0493a4b9d01f89",
+    "grey/ratio.csv": "8e339752d5e0ef25b0c78aa4ff1a4f15d42b3027cc631984e2bfbbf047739088",
     "grey/summary.json": "0e0240e67098ad6ae6ad0d51eb367e5c45ee6ca8a72c8799d53723280e619b33",
-    "grey/report.json": "302d3c379cce996b57b22ef3fdf3b72995bc1715c311237c8e25918a672be3ad",
+    "grey/report.json": "f63e3ddf11aeb71d90748a121a574e8353cceeb829798a958bb6b76014dfa39c",
     "decay/decay.csv": "cb010d5d36e0600f23b98337efc637f2dfd78034245518460eb6f95826ca15bb",
-    "decay/report.json": "8bea02f0751f64ce099cdc74e5861f8d426b3ef9a546721ff7fb0fd02b77ef29",
+    "decay/report.json": "fd2c3e85ce2c19c80459d000a1609f655811bc1964af6d44e3889baf64cb183c",
     "sre/ratio.csv": "24668b2bdf2e6b1eaf17829ee175a2ad5e69d725606aaff4029b596c55c109b1",
     "sre/summary.json": "a0bad560eefba2996ffbd28fb612319b888224238f0bacb6420a1bd4fea616b3",
-    "sre/report.json": "542fc82b8bc37bd98bf2ab57c44696f898d75e5faadac73983d4ae405c043f0b",
+    "sre/report.json": "4d9674043c0286db0ed6bf47f5e837f30eacc5a1c26e10d4f5fd31f2c499f010",
     "oracle/stationary.csv": "9e68edb082e4e35b1526458305854b60c6e65a04b6adddfc6f88864d8ad0ae74",
-    "oracle/empirical.csv": "eac18945705e9dd5609210e07c945ad1c5ab2e3189a16a72fe69f1058099642a",
-    "oracle/report.json": "c1bea8f4a1c739493968c1b53460159003e32f7b1a4df01a915e86b562932cfc",
-    "hill/hill.csv": "4c16e1d32f93d0f1103538dfd0482d0d743af507989d92f605e66cbc77478074",
-    "hill/samples.txt": "31294e3cf1fc63ab97cb3c52f21e0d7eea142993837f979aeffe56db35cb2233",
-    "hill/report.json": "49d8e077f5ac58eadd05dcb006090dd58ddb459dce61f30ebdd1e7fe902271ef",
+    "oracle/empirical.csv": "d4104f1fc092db3112a183da952ca869bac80805702943024803e9bd2ee3565c",
+    "oracle/report.json": "5e46edc78b9ba8e0fd27de84bd0af642885e46da75c9295555c2071aa6756e01",
+    "hill/hill.csv": "e573130b9c11f5d934b86bc80b47a0553fcbaa6da2160efbcea2ac270fe5fa85",
+    "hill/samples.txt": "eb7ff845c93517ae0a814b44808332f01e5d2d8a03b07e8b472dfc05d2307428",
+    "hill/report.json": "dfcf0581e3ee8f223d2cf04a78fe46a3311b65cd70fdf5392ef2c908445258f2",
     "continuous/theorem/ratio.csv": "6a3195e729a7300496486b9976c9bb27b649efd90b3de7cb366b7e0aa9191db5",
     "continuous/theorem/summary.json": "99ad08a02fbee78af8867dd5406fe3c63471a05929bd686879b0ce313621e340",
     "continuous/theorem/hill.csv": "fe2ea93de706b9630d9ab86e2e449921a05c55368d209bb99572fc115601fa29",
     "continuous/theorem/samples.txt": "617cd275652168425258b52a3dd0656e22f7b9fe3ae12f756553b9f3e76633e4",
-    "continuous/theorem/report.json": "1c37389a6bc34d287de3bf4c564b2fee4a2d6f946c41d4482e91c62fdb545948",
+    "continuous/theorem/report.json": "e166ea05dcad97ddd130180e6b90e13ad003dda6b24b763cdf68af52c5d4a51b",
     "continuous/lemma1/ratio.csv": "5107532def3f2f68f2d38ea0436838d749a7b186fca7a681ce333611598e880e",
     "continuous/lemma1/summary.json": "d5e1eda9d9fde33fe2dc037c32b486a8dd72b5788b46b8618fc80913c6a1d1c7",
-    "continuous/lemma1/report.json": "ad3b5480b07c7cf87c4909a1ed257a1387216e46e591a8e598a11d04a9c14a16",
+    "continuous/lemma1/report.json": "341049d1629fece7910618887e3361e2a3d931284b9f485bd01b37987f656e45",
     "continuous/sre/ratio.csv": "5c6b0c8898b4e479404b6f755405ad694a561d48f9498b6abf1c3f3b6bbdd800",
     "continuous/sre/summary.json": "fe05a28ad2a8b66f0096c2580a4f6261a581081afef682da2df2664eccc89877",
-    "continuous/sre/report.json": "f8979ced7e2825be362b8c050e9a6b7e91435c60a164deaf10cb2e36c9e1dd01",
+    "continuous/sre/report.json": "09f2dc16834c4a3765861dd68f7e8c62be3e7a29cd29951bd6935ceac7b23cdc",
     "continuous/decay/decay.csv": "7db49b9bb7f057719073e988c2084756684e50b45e2aa98cba1c9df98a7d93f3",
-    "continuous/decay/report.json": "36f6a17105c970ad4aff67d85b1c7d65e7be046c20603568b0bb70808a23826f",
-    "mixed/theorem/ratio.csv": "5a49500845d6fe3e179f5db47119813d94e1c53b4848605086ae4342dfaef747",
-    "mixed/theorem/summary.json": "7b880cf353643a41b2eeff6fb01959ca0c5cdc03cf425886c0f7447f5f1cdb48",
-    "mixed/theorem/hill.csv": "dc02cd2daecf4bf1c5d9018d586085905a0ecf2e1014a38982742da9f67c461c",
-    "mixed/theorem/samples.txt": "8a12fba0e46aa6cdae73c9c9ee61c07fabaa9c731ee1b6b1b2fa228d63341215",
-    "mixed/theorem/report.json": "60c6c5eb220720ded0f1506bec522b6eab41d6f512259f4ef9a864ed186aca5f",
+    "continuous/decay/report.json": "6a2efd7eff88f6f251b12e2a2105b75514eae40174e8a55e313f2c67321c693b",
+    "mixed/theorem/ratio.csv": "251f351121be50ba072d8ab84ac0edf6e939831f79c35fd98f7d89d350822f3d",
+    "mixed/theorem/summary.json": "685d980fd2e2a3803963a426dd938b39b3585b4c7833f6c18263ca106353617e",
+    "mixed/theorem/hill.csv": "560c3a40fc3f363b3d75340e50437eba556dae1b159048c8c7233dd082375bf4",
+    "mixed/theorem/samples.txt": "1f7a5661e71f5c605a57a5ddf4ce3824e658172b5edd6a724419217f0f4d87c3",
+    "mixed/theorem/report.json": "7a12105abf578df4e1af694b0db9911a90ddf690bdfa2965f8ea4b6e9acabad6",
     "mixed/lemma1/ratio.csv": "76763bc62549723077e07bf861aa253ad3d06b6222f3afa64632483dd682da68",
     "mixed/lemma1/summary.json": "7c7a3f88645b91df97603640614358f9291f8ea536ddd16c40d960028467667d",
-    "mixed/lemma1/report.json": "e466da9eee4a599966d9ff3c9bf0380bf626619f1d52af7f90b496e5ca89dadb",
+    "mixed/lemma1/report.json": "02cd8497242761ed4df5e53e40938c167466b83c820fb5eb8ec8c20dcea98a1e",
     "mixed/corollary/depth_ratio.csv": "fea2b2db84e3fbc95795df3498e8fb2c9b8de08df8267267b7daf06f76f6ef9d",
-    "mixed/corollary/report.json": "50e2898cc3d9d9d7ff6b084df1801b5baabd95910cb8eae6b671f2e0b1996478",
+    "mixed/corollary/report.json": "b79991e7e8139e0ae602ce52140786f2edaacf905b0149374a78a0b4af076edf",
     "mixed/sre/ratio.csv": "a09e8c99d47dfcdbfd0d103dda89a70a7e81ee1d12d7094c24d8d04b0cfa733b",
     "mixed/sre/summary.json": "82204e55f927feb0590f7f0428c009f0b11a4abdca6000cfa9fc2636ad1a8215",
-    "mixed/sre/report.json": "484170fa26590ee0aebe3e37878f123262c9c01b63f6b89cf8503df2ce1eb761",
+    "mixed/sre/report.json": "8874d37f5dda7c92b929c4e772c270ad6d50fce12b07b6b3026cfaf91ac7f9c7",
     "mixed/decay/decay.csv": "336deabe0d0d6d8a30ebc0208ed5e958a38d4175870229dbe915eb775adecc0c",
-    "mixed/decay/report.json": "504e217f99ed3dbe590a29244600986efea092f98f68482e5e668904957de178",
+    "mixed/decay/report.json": "c8813563fe41e315fb6c6346d0f24bb09bc3bba864cb8f211cc01b4cddda95c9",
 }
 
 
@@ -590,9 +590,9 @@ def test_bundled_experiments_keep_their_streams(tmp_path, monkeypatch):
     monkeypatch.setattr(experiments, "CHUNK_REPLICAS", PIN_CHUNK)
     got = _pin_digests(tmp_path)
     changed = sorted(k for k in got.keys() | PIN_DIGESTS.keys() if got.get(k) != PIN_DIGESTS.get(k))
-    assert STREAM_VERSION == 6, "STREAM_VERSION moved: re-record PIN_DIGESTS under the new version"
+    assert STREAM_VERSION == 7, "STREAM_VERSION moved: re-record PIN_DIGESTS under the new version"
     assert not changed, (
-        f"outputs changed under STREAM_VERSION 6: {changed}. A sampler change must bump STREAM_VERSION and "
+        f"outputs changed under STREAM_VERSION 7: {changed}. A sampler change must bump STREAM_VERSION and "
         "re-record PIN_DIGESTS; an exact-route change (build_kernel, stationary_power_iteration) keeps the "
         "version and re-records only oracle/stationary.csv and oracle/report.json; an offspring-moment change "
         "(offspring_moment, moment_A) keeps the version and re-records only check/condition.json and "
@@ -975,7 +975,7 @@ def test_report_records_stream_version(tmp_path):
     cfg = load_config(_cfg_file(tmp_path, SUBCRITICAL), experiment="check")
     emit_report(run_experiment(cfg), tmp_path / "o")
     with open(tmp_path / "o" / "report.json") as fh:
-        assert json.load(fh)["stream_version"] == 6
+        assert json.load(fh)["stream_version"] == 7
 
 
 def test_cli_seed_override_lands_in_report(tmp_path, capsys):

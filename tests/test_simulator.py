@@ -39,6 +39,7 @@ from bpire.env_model import (
     thinned_offspring_pmf,
 )
 from bpire.errors import NotSubcritical
+from bpire.oracle import build_kernel
 from bpire.rng import RngState
 from bpire.simulator import (
     choose_truncation,
@@ -745,10 +746,21 @@ def _step_pvalues(env, exact_env, seed):
     return out
 
 
-@pytest.mark.parametrize("env", [two_atom_model().env, UNEVEN_ENV], ids=["config_a", "uneven"])
+# config_a's offspring under a dpareto law with kappa = 1.2: about 3 in 1000
+# steps land in the tail cell B >= 128
+HEAVY_ENV = EnvSpec.from_atoms(
+    [
+        EnvAtom(0.5, OffspringFamily.poisson(0.3), ImmigrationFamily.discrete_pareto(1.2, 1.0)),
+        EnvAtom(0.5, OffspringFamily.poisson(0.9), ImmigrationFamily.discrete_pareto(1.2, 1.0)),
+    ]
+)
+
+
+@pytest.mark.parametrize("env", [two_atom_model().env, UNEVEN_ENV, HEAVY_ENV], ids=["config_a", "uneven", "kappa-1.2"])
 def test_step_follows_the_exact_mixture_law(env):
-    # x = 0 is immigration alone, 7 and 63 draw from the mixture tables, 64
-    # and 200 resolve their atoms past them
+    # x = 0 is immigration alone, 7 and 63 draw from the step tables or thin
+    # from the mixture tables after a tail-cell draw, 64 and 200 resolve
+    # their atoms past them
     assert min(_step_pvalues(env, env, 71)) > 1e-3
 
 
@@ -761,6 +773,131 @@ def test_step_chi_square_fails_with_weights_swapped_within_the_group(monkeypatch
     pvalues = _step_pvalues(swapped, UNEVEN_ENV, 71)
     assert pvalues[0] > 1e-3  # immigration alone does not see it
     assert max(pvalues[1:]) < 1e-12
+
+
+# ---- step tables ---------------------------------------------------------------
+
+STEP_GROUPS = {
+    "config_a": two_atom_model().env.groups[0],
+    "uneven": UNEVEN_ENV.groups[0],
+    "three-kinds": EnvGroup(1.0, ImmigrationFamily.discrete_pareto(2.0, 0.7), *MIXTURES[1]),
+    "kappa-1.2": HEAVY_ENV.groups[0],
+    "constant-200": EnvGroup(1.0, ImmigrationFamily.constant(200), (OffspringFamily.poisson(0.3),), (1.0,)),
+    "bernoulli": EnvGroup(1.0, ImmigrationFamily.bernoulli(0.5), (OffspringFamily.geometric0(0.6),), (1.0,)),
+}
+
+
+@pytest.mark.parametrize("group", STEP_GROUPS.values(), ids=STEP_GROUPS.keys())
+def test_step_tables_imply_the_exact_step_law(group):
+    # each row within `_step_table`'s TV bound of the exact mixture of
+    # thinned_offspring_pmf over 0..127, convolved with immigration_pmf at
+    # 0..127, and the tail cell P(B >= 128); the rows are those the group's
+    # thinning table keeps
+    q, alias = simulator._step_table(group)
+    cols, width = simulator.STEP_COLS, simulator.ALIAS_COLS
+    rows = int(np.count_nonzero(alias[:, 0] >= 0))
+    assert rows == int(np.count_nonzero(simulator._alias_table(group.offspring, group.weights)[1][:, 0] >= 0))
+    assert (alias[rows:] == -1).all() and (q[rows:] == 0.0).all()
+    ks = np.arange(width)
+    pmf = immigration_pmf(group.immigration, ks)
+    tail = immigration_survival(group.immigration, width - 1)
+    for x in range(rows):
+        implied = (q[x] + np.bincount(alias[x], weights=1.0 - q[x], minlength=cols)) / cols
+        exact = np.append(np.convolve(_group_thinned_pmf(group, x, ks), pmf), tail)
+        past = sum(w * _tail_past_width(law, x) for law, w in zip(group.offspring, group.weights))
+        tv = 0.5 * (np.abs(implied - exact).sum() + past)
+        assert tv <= 1.6e-13, f"x={x}: TV {tv:.3g}"
+        if group.immigration.kind == "constant":
+            assert implied[simulator._TAIL] == 1.0
+        if group.immigration.kind == "bernoulli":
+            assert implied[simulator._TAIL] == 0.0
+
+
+def test_step_from_a_constant_past_the_width_adds_it_to_the_thinning():
+    # every draw lands in the tail cell (x = 0, 5) or past the rows (x = 70)
+    env = one_atom_env(OffspringFamily.bernoulli(1.0), ImmigrationFamily.constant(200))
+    assert step_batch(np.array([5, 0, 70, 5]), env, RngState.from_seed(0)).tolist() == [205, 200, 270, 205]
+
+
+def test_step_rejects_negative_population():
+    # the table's gather would wrap a negative cell around silently: -2
+    # would read row 63 of config_a's one table
+    with pytest.raises(ValueError):
+        step_batch(np.array([3, -2]), two_atom_model().env, RngState.from_seed(0))
+
+
+class _OpenAtOne(RngState):
+    """An rng whose `uniform_open` returns 1, the top of its range."""
+
+    def uniform_open(self, size):
+        return np.ones(size)
+
+
+def test_tail_cell_at_u_one_draws_at_least_the_width():
+    # at u = 1 a tail-cell draw inverts at S(127) itself, where the search
+    # from 0 stops at 127; the step raises it to 128.  T = 0, so every draw
+    # past 127 comes from the tail cell
+    env = one_atom_env(OffspringFamily.bernoulli(0.0), ImmigrationFamily.discrete_pareto(1.2, 1.0))
+    rng = RngState.from_seed(4)
+    draws = step_batch(np.zeros(20_000, dtype=np.int64), env, _OpenAtOne(seq=rng.seq, gen=rng.gen))
+    assert np.count_nonzero(draws >= 128) >= 30
+    assert set(draws[draws >= 127].tolist()) <= {127, 128}
+    assert np.count_nonzero(draws == 127) <= 3
+
+
+@pytest.fixture
+def fresh_step_tables():
+    """Step tables built under the test's patches, none cached across it."""
+    simulator._step_tables.cache_clear()
+    yield
+    simulator._step_tables.cache_clear()
+
+
+def test_step_chi_square_fails_with_the_tail_cell_inverted_at_unscaled_u(monkeypatch):
+    # a mutation: tail-cell draws invert at u, not u S(127), and so nearly
+    # all read 128 + T; populations past the rows invert at u either way.
+    # At x = 0 they all read 128, the sample maximum, and the chi-square's
+    # last pool, which takes the law's mass past the maximum, hides them
+    tables = simulator._step_tables
+
+    def unscaled(groups):
+        threshold, alias, tails = tables(groups)
+        return threshold, alias, np.ones_like(tails)
+
+    monkeypatch.setattr(simulator, "_step_tables", unscaled)
+    pvalues = _step_pvalues(HEAVY_ENV, HEAVY_ENV, 71)
+    assert max(pvalues[1:3]) < 1e-12
+    assert min(pvalues[3:]) > 1e-3
+
+
+def test_step_chi_square_fails_with_the_tail_cell_mass_dropped(monkeypatch, fresh_step_tables):
+    # a mutation: the step rows lose their tail cell before the integer
+    # weights, whose remainder then goes to each row's largest cell
+    vose = simulator._vose
+
+    def dropped(rows):
+        if rows.shape[1] == simulator.STEP_COLS:
+            rows = rows.copy()
+            rows[:, simulator._TAIL] = 0.0
+        return vose(rows)
+
+    monkeypatch.setattr(simulator, "_vose", dropped)
+    pvalues = _step_pvalues(HEAVY_ENV, HEAVY_ENV, 71)
+    assert max(pvalues[:3]) < 1e-12
+    assert min(pvalues[3:]) > 1e-3
+
+
+def test_term_by_term_route_and_kernel_do_not_read_the_step_tables(monkeypatch):
+    # the routes the step is checked against stay independent of it
+    def refuse(groups):
+        raise AssertionError("step tables read")
+
+    monkeypatch.setattr(simulator, "_step_tables", refuse)
+    model = two_atom_model()
+    assert backward_terms(model, 4, RngState.from_seed(2), 1000).shape == (5, 1000)
+    assert build_kernel(model.env, 64).matrix.shape == (65, 65)
+    with pytest.raises(AssertionError, match="step tables read"):
+        step_batch(np.zeros(4, dtype=np.int64), model.env, RngState.from_seed(2))
 
 
 def test_simulate_forward_trajectory_shape():
