@@ -14,8 +14,9 @@ operation counts; the src line count of both checkouts; and the host.  With
 `--trace`, five `--trace 1` runs per checkout and workload, paired and
 alternated like the untraced ones, add each per-layer metric and, per chunk
 sampler layer, the total time of its spans, with their median and quartiles:
-with chunks sampled in blocks, a sampler span times one block, so per-chunk
-figures are a total divided by the number of chunks.  The file goes to the
+a stationary sampler span times a whole chunk, while every other sampler
+span times one block of it, so their per-chunk figures are a total divided
+by the number of chunks.  The file goes to the
 root of the change checkout.
 """
 

@@ -5,15 +5,17 @@ Every experiment samples through one protocol.  A chunk sampler
 `sampler(model, arg, rng, size)` runs on fixed chunks of 131072 replicas;
 chunk c of a job draws from the stream (seed, purpose, ..., c), so the merged
 output is a pure function of (config, seed) no matter how chunks land on
-workers.  Inside a chunk the sampler runs in blocks of at most 8192
-replicas, in order on the chunk's one stream, which keeps its temporaries
-small enough for the heap to reuse.  Each block reduces its draws to a
-statistic, and one merge folds a chunk's blocks, then a job's chunks, in
-order: per-threshold exceedance counts or moment sums merge by summing, and
-value histograms, where order statistics are needed (theorem, hill, oracle),
-by adding counts on the union of values.  Memory therefore does not grow
-with the replica count.  A sample dump (`dump_samples`) is one more such
-statistic: raw draws, merged by concatenation, whose histogram it builds.
+workers.  Inside a chunk a sampler draws blocks of at most 8192 replicas,
+in order on the chunk's one stream, which keeps its temporaries small
+enough for the heap to reuse: one call per block, except the stationary
+sampler, which draws the whole chunk in one call and steps its blocks
+together.  Each block of draws reduces to a statistic, and one merge folds
+a chunk's blocks, then a job's chunks, in order: per-threshold exceedance
+counts or moment sums merge by summing, and value histograms, where order
+statistics are needed (theorem, hill, oracle), by adding counts on the
+union of values.  Memory therefore does not grow with the replica count.  A
+sample dump (`dump_samples`) is one more such statistic: raw draws, merged
+by concatenation, whose histogram it builds.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ from .errors import NotSubcritical, ValidationError, WorkerDied
 from .oracle import build_kernel, empirical_pmf, stationary_power_iteration, tv_distance
 from .rng import STREAM_VERSION, RngState
 from .simulator import (
+    _BLOCK,
     choose_truncation,
     composed_thinning_batch,
     grey_sum_batch,
@@ -56,10 +59,6 @@ from .sre_compare import sample_perpetuity_batch
 __all__ = ["RunReport", "run_experiment", "emit_report"]
 
 CHUNK_REPLICAS = 1 << 17
-# replicas per sampler call inside a chunk: a block's float64 temporaries
-# (64 KB) stay below glibc's 128 KB mmap threshold, so the heap reuses them
-# instead of mapping and faulting in fresh pages for every array
-_BLOCK = 8192
 
 # purpose ids anchor the RNG stream tree; renumbering changes what every
 # published seed means, so append only
@@ -120,11 +119,19 @@ def _merge_histograms(parts) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _run_chunk(task: _Task):
-    """The chunk's blocks of at most _BLOCK replicas, drawn in order on its one
-    stream, each reduced to the statistic and folded in order by the merge."""
+    """The chunk's draws on its one stream, each block of at most _BLOCK of
+    them reduced to the statistic, and the block statistics folded in order
+    by the merge.  The stationary sampler draws the whole chunk in one call,
+    its blocks stepping together (`simulator.step_batch`); every other
+    sampler draws one block per call, in order."""
     rng = _stream(task.seed, task.path)
-    sizes = (min(_BLOCK, task.count - lo) for lo in range(0, task.count, _BLOCK))
-    return task.merge([task.stat(task.sampler(task.model, task.arg, rng, n)) for n in sizes])
+    # the sampler's name is read at call time, where a tracer may swap it
+    call = task.count if task.sampler is sample_stationary_backward_batch else _BLOCK
+    stats = []
+    for lo in range(0, task.count, call):
+        draws = task.sampler(task.model, task.arg, rng, min(call, task.count - lo))
+        stats += [task.stat(draws[b : b + _BLOCK]) for b in range(0, draws.size, _BLOCK)]
+    return task.merge(stats)
 
 
 def _gather(cfg: ExperimentConfig, sampler, jobs, stat, merge=partial(np.sum, axis=0)) -> list:

@@ -46,6 +46,16 @@ draws) and one immigration uniform each, inverted per group in group order.
 The grey sampler draws N first and then takes one step from it.  The
 continuous mode, the perpetuity, and the lemma1, corollary and decay
 samplers draw as in version 6.
+
+Version 8 steps all the replicas of a stationary chunk together: its
+sampler draws the whole chunk in one call, not one call per block of 8192.
+A generation step over more than 8192 replicas draws, in order: for each
+slice of 8192 (the last partial), that slice's group uniforms, where the
+spec has two or more groups, and its step uniforms; then, for the entries
+left unfinished in the whole batch, in index order, the thinning stage and
+one immigration uniform each, as in version 7.  The continuous mode draws,
+thins and immigrates slice by slice.  A step over at most 8192 replicas, and
+so every sampler other than the stationary one, draws as in version 7.
 """
 
 from __future__ import annotations
@@ -54,7 +64,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-STREAM_VERSION = 7
+STREAM_VERSION = 8
 
 
 @dataclass

@@ -18,9 +18,13 @@ A generation step under an atomic environment draws T(x) + B at once from a
 step table of each group, the same rows convolved with its immigration pmf
 plus one tail cell for B >= 128: one uniform per entry.  Only populations
 past the rows and draws in the tail cell then take the two stages above,
-thinning and one immigration uniform each.  That order is part of the
-stream contract; which entries reach the later stages is a deterministic
-function of earlier output, so fixed seeds still give fixed results.
+thinning and one immigration uniform each.  A step draws its environments
+and table draws in slices of _BLOCK entries, which keeps its temporaries
+small, and finishes the unfinished entries of all slices in one pass, so
+the stationary sampler steps a whole chunk at once and pays numpy's fixed
+cost per call once per generation.  That order is part of the stream
+contract; which entries reach the later stages is a deterministic function
+of earlier output, so fixed seeds still give fixed results.
 
 Values live in int64 and are guarded against exceeding 2^62: crossing that
 limit signals a supercritical misconfiguration, not a sampling regime this
@@ -64,6 +68,11 @@ __all__ = [
 ]
 
 OVERFLOW_LIMIT = 1 << 62
+# replicas a chunk's sampler call, or a step's slice, draws at once: a
+# block's float64 temporaries (64 KB) stay below glibc's 128 KB mmap
+# threshold, so the heap reuses them instead of mapping and faulting in
+# fresh pages for every array
+_BLOCK = 8192
 
 
 # ---- thinning -------------------------------------------------------------
@@ -475,52 +484,71 @@ def imm_for_batch(batch: EnvBatch, rng: RngState) -> np.ndarray:
 
 # ---- chain steps ------------------------------------------------------------
 
-def step_batch(values: np.ndarray, env: EnvSpec, rng: RngState) -> np.ndarray:
+def step_batch(values: np.ndarray, env: EnvSpec, rng: RngState, out: np.ndarray | None = None) -> np.ndarray:
     """One generation T_xi(x) + B_xi for a vector of replicas under fresh
-    environments.
+    environments, written to `out` (a new array by default), which may be
+    `values` itself.
 
-    Atomic groups draw the step from their step tables (`_step_table`): one
-    uniform per entry, in index order, looked up as thinning looks up its
-    tables (`_table_draw`).  Two kinds of entries are left unfinished:
-    populations past their group's rows, and draws in the tail cell.  In
-    index order, they take `thin_for_batch`, then one immigration uniform u
-    each, inverted per group in group order: at u past the rows, and at u
-    S(ALIAS_COLS - 1) in the tail cell, whose draw is then raised to at least
-    ALIAS_COLS.  That inverse is the least x >= ALIAS_COLS with S(x) <= u
-    S(ALIAS_COLS - 1), B's law given B >= ALIAS_COLS; at u = 1 the search
-    from 0 stops at ALIAS_COLS - 1, or lower where S is flat, and the raise
-    mends it.  The continuous mode thins, then draws its immigration.
+    The entries step in slices of _BLOCK, in order.  Under an atomic
+    environment each slice draws its environments, then its step from the
+    step tables (`_step_table`): one uniform per entry, in index order,
+    looked up as thinning looks up its tables (`_table_draw`).  Two kinds of
+    entries are left unfinished: populations past their group's rows, and
+    draws in the tail cell.  Once every slice has drawn, the unfinished
+    entries of all of them, in index order, take `thin_for_batch` of their
+    old populations, saved before their slice was overwritten, then one
+    immigration uniform u each, inverted per group in group order: at u
+    past the rows, and at u S(ALIAS_COLS - 1) in the tail cell, whose draw
+    is then raised to at least ALIAS_COLS.  That inverse is the least x >=
+    ALIAS_COLS with S(x) <= u S(ALIAS_COLS - 1), B's law given B >=
+    ALIAS_COLS; at u = 1 the search from 0 stops at ALIAS_COLS - 1, or lower
+    where S is flat, and the raise mends it.  A step of at most _BLOCK
+    entries is one slice.  The continuous mode draws, thins and immigrates
+    slice by slice.
     """
     values = np.asarray(values, dtype=np.int64)
     if values.size and values.min() < 0:
         raise ValueError("population sizes must be >= 0")
-    batch = draw_env_batch(env, rng, values.size)
-    if batch.rates is not None:
-        out = thin_for_batch(batch, values, rng)
-        out += imm_for_batch(batch, rng)
+    if out is None:
+        out = np.empty_like(values)
+    slices = [slice(lo, lo + _BLOCK) for lo in range(0, values.size, _BLOCK)]
+    if not env.is_atomic:
+        for s in slices:
+            batch = draw_env_batch(env, rng, values[s].size)
+            t = thin_for_batch(batch, values[s], rng)
+            t += imm_for_batch(batch, rng)
+            out[s] = t
         return out
-    threshold, alias, tails = _step_tables(batch.groups)
-    out = _table_draw(threshold, alias, STEP_COLS, values, batch, rng)
-    # a row past the tables draws -1, which reads as 2^64 - 1 unsigned
-    left = np.flatnonzero(out.view(np.uint64) >= _TAIL)
-    if left.size:
-        tail = out[left] == _TAIL
-        group = batch.group[left]
-        out[left] = thin_for_batch(EnvBatch(groups=batch.groups, group=group), values[left], rng)
-        u = rng.uniform_open(left.size)
-        u[tail] *= tails.take(group[tail])
-        for k, g in enumerate(batch.groups):
-            sel = np.flatnonzero(group == k) if len(batch.groups) > 1 else slice(None)
-            b = _invert_immigration(g.immigration, u[sel])
-            out[left[sel]] += np.maximum(b, ALIAS_COLS, out=b, where=tail[sel])
+    threshold, alias, tails = _step_tables(env.groups)
+    left = []
+    for s in slices:
+        x = values[s]
+        batch = draw_env_batch(env, rng, x.size)
+        step = _table_draw(threshold, alias, STEP_COLS, x, batch, rng)
+        # a row past the tables draws -1, which reads as 2^64 - 1 unsigned
+        at = np.flatnonzero(step.view(np.uint64) >= _TAIL)
+        if at.size:
+            left.append((at + s.start, x[at], step[at] == _TAIL, batch.group[at]))
+        out[s] = step
+    if not left:
+        return out
+    at, old, tail, group = (np.concatenate(col) for col in zip(*left))
+    out[at] = thin_for_batch(EnvBatch(groups=env.groups, group=group), old, rng)
+    u = rng.uniform_open(at.size)
+    u[tail] *= tails.take(group[tail])
+    for k, g in enumerate(env.groups):
+        sel = np.flatnonzero(group == k) if len(env.groups) > 1 else slice(None)
+        b = _invert_immigration(g.immigration, u[sel])
+        out[at[sel]] += np.maximum(b, ALIAS_COLS, out=b, where=tail[sel])
     return out
 
 
 def simulate_forward_batch(x0: int, steps: int, env: EnvSpec, rng: RngState, size: int) -> np.ndarray:
-    """Terminal values of `size` independent forward trajectories."""
+    """Terminal values of `size` independent forward trajectories, stepped
+    together in place (`step_batch`)."""
     v = np.full(size, int(x0), dtype=np.int64)
     for _ in range(steps):
-        v = step_batch(v, env, rng)
+        step_batch(v, env, rng, out=v)
         if v.max(initial=0) > OVERFLOW_LIMIT:
             raise OverflowError("population exceeds 2^62; model looks supercritical")
     return v

@@ -110,24 +110,39 @@ def full_width_kernel(env: EnvSpec, n_max: int) -> tuple[np.ndarray, np.ndarray]
     return body, np.maximum(0.0, body[:, n_max] - exact_at_cap)
 
 
+# the most cells `chi_square_pvalue` evaluates a law on
+_CHI_SQUARE_CELLS = 1 << 20
+
+
 def chi_square_pvalue(samples, pmf, min_expected: float = 5.0) -> float:
     """Goodness-of-fit p-value of integer samples against an exact pmf.
 
-    `pmf` is a callable on integer arrays.  Adjacent cells are pooled left to
-    right until each pooled cell expects at least `min_expected` counts; the
-    remainder joins the last pool.  Pooling also absorbs structural zeros
-    (e.g. a law with no mass at 0), keeping the chi-square statistic defined.
+    `pmf` is a callable on integer arrays 0 .. hi.  The cells come from the
+    law: it is evaluated from 0 on, at least to the sample maximum, until
+    the mass past its last cell expects fewer than `min_expected` counts or
+    it spans _CHI_SQUARE_CELLS cells; that mass joins the last cell.
+    Adjacent cells are pooled left to right until each pooled cell expects
+    at least `min_expected` counts; the remainder joins the last pool.  So
+    the pools past the sample maximum stand apart, with nothing observed,
+    and draws piled at the maximum cannot hide in the law's mass past it.
+    Pooling also absorbs structural zeros (e.g. a law with no mass at 0),
+    keeping the chi-square statistic defined.
     """
     samples = np.asarray(samples)
     n = samples.size
     hi = int(samples.max())
-    probs = np.asarray(pmf(np.arange(hi + 1)), dtype=float)
-    exp_cells = np.append(n * probs, n * max(1.0 - float(probs.sum()), 0.0))
-    obs_cells = np.append(np.bincount(samples, minlength=hi + 1).astype(float), 0.0)
+    while True:
+        probs = np.asarray(pmf(np.arange(hi + 1)), dtype=float)
+        past = n * max(1.0 - float(probs.sum()), 0.0)
+        if past < min_expected or hi + 1 >= _CHI_SQUARE_CELLS:
+            break
+        hi = min(2 * hi + 1, _CHI_SQUARE_CELLS - 1)
+    exp_cells = n * probs
+    exp_cells[-1] += past
     obs_g: list[float] = []
     exp_g: list[float] = []
     o_acc = e_acc = 0.0
-    for o, e in zip(obs_cells, exp_cells):
+    for o, e in zip(np.bincount(samples, minlength=hi + 1).astype(float), exp_cells):
         o_acc += o
         e_acc += e
         if e_acc >= min_expected:

@@ -28,7 +28,7 @@ from bpire.experiments import (
     run_experiment,
 )
 from bpire.rng import STREAM_VERSION
-from bpire.simulator import sample_stationary_backward_batch
+from bpire.simulator import grey_sum_batch, sample_stationary_backward_batch
 
 from conftest import two_atom_model
 
@@ -502,66 +502,66 @@ i_max = 2
 n_gens = 5
 """,
 }
-# sha256 of each artifact under STREAM_VERSION 7; report.json without its
+# sha256 of each artifact under STREAM_VERSION 8; report.json without its
 # wall_ms and out_dir lines.  oracle/stationary.csv and oracle/report.json
 # also hold the exact kernel route (build_kernel, stationary_power_iteration),
 # which draws nothing: a change there moves only these two.  Likewise
 # check/condition.json and check/report.json hold the offspring-moment series.
 PIN_DIGESTS = {
     "check/condition.json": "198fa30ffb71773ca5e63fd61a25a993d876bf2356d8b69efb8ba01f25013326",
-    "check/report.json": "d7325e462f468ba6eb2cd3b0a3f2ddd9096537ff752c62297a694da90ed4edcc",
+    "check/report.json": "27fde14e720ca65c8080049d763fe77fe81ecff4e57714afbe215f481071846c",
     "theorem/ratio.csv": "44f0cb7e2cc9f223b1a5d46b769a9a458b39aae5bfdd4e14795a35d6fbe84725",
     "theorem/summary.json": "07d9e7a3705c6960b6c702e4e027a69385bf1ba3886e2359470f81aedf8333ad",
     "theorem/hill.csv": "e573130b9c11f5d934b86bc80b47a0553fcbaa6da2160efbcea2ac270fe5fa85",
     "theorem/samples.txt": "eb7ff845c93517ae0a814b44808332f01e5d2d8a03b07e8b472dfc05d2307428",
-    "theorem/report.json": "984a13a69cd607ab0c4734fc2aea2aaefa8428c59f4c877fb39364876aa58381",
+    "theorem/report.json": "c2b657db54e0eb22b2279b27160adc16b6b78da7627407eb0add2f245078ebb9",
     "lemma1/ratio.csv": "dfcb574c30524fe95bf89d3df3a3d43164af0e943e96c95a0ac7f69b1bfcebe5",
     "lemma1/summary.json": "2f7c64be63843876f1792b18b233a4d962a75c3c0a27335fafeea04dbcbe7518",
-    "lemma1/report.json": "b137995ee192a2d83a2b77f104e459d9601c8c92d2763368a523e9de501604ac",
+    "lemma1/report.json": "668d052e70d5747bc50029115147b269bc192342d3676c07145ade44e4525f5e",
     "corollary/depth_ratio.csv": "69cd8e9395823c3a9559d4622613cc21c0b3fcc0c107ea43beb566f9891482f6",
-    "corollary/report.json": "5b8a569be7ee2f14548b998a143b0971202962806b341610cb0493a4b9d01f89",
+    "corollary/report.json": "2b71f699a044789f778f81caea6d7f4e708d7db2c66136f5ae23da6363b68704",
     "grey/ratio.csv": "8e339752d5e0ef25b0c78aa4ff1a4f15d42b3027cc631984e2bfbbf047739088",
     "grey/summary.json": "0e0240e67098ad6ae6ad0d51eb367e5c45ee6ca8a72c8799d53723280e619b33",
-    "grey/report.json": "f63e3ddf11aeb71d90748a121a574e8353cceeb829798a958bb6b76014dfa39c",
+    "grey/report.json": "c29fbe95e337c6f7d3e705c09d0513993813a8f4f70fd1819f647f39e29a6593",
     "decay/decay.csv": "cb010d5d36e0600f23b98337efc637f2dfd78034245518460eb6f95826ca15bb",
-    "decay/report.json": "fd2c3e85ce2c19c80459d000a1609f655811bc1964af6d44e3889baf64cb183c",
+    "decay/report.json": "356a60abe0281d38f6bee704955c969626ce33de31a44647435574633de14194",
     "sre/ratio.csv": "24668b2bdf2e6b1eaf17829ee175a2ad5e69d725606aaff4029b596c55c109b1",
     "sre/summary.json": "a0bad560eefba2996ffbd28fb612319b888224238f0bacb6420a1bd4fea616b3",
-    "sre/report.json": "4d9674043c0286db0ed6bf47f5e837f30eacc5a1c26e10d4f5fd31f2c499f010",
+    "sre/report.json": "35652a02cafc5d869c31f6aab7af6106539fb12ab169773cdc2c5ccfd61a6575",
     "oracle/stationary.csv": "9e68edb082e4e35b1526458305854b60c6e65a04b6adddfc6f88864d8ad0ae74",
     "oracle/empirical.csv": "d4104f1fc092db3112a183da952ca869bac80805702943024803e9bd2ee3565c",
-    "oracle/report.json": "5e46edc78b9ba8e0fd27de84bd0af642885e46da75c9295555c2071aa6756e01",
+    "oracle/report.json": "02dab5cf4d365562c3626e0de3164617b45390931cef6ef3a45a49d8139c691f",
     "hill/hill.csv": "e573130b9c11f5d934b86bc80b47a0553fcbaa6da2160efbcea2ac270fe5fa85",
     "hill/samples.txt": "eb7ff845c93517ae0a814b44808332f01e5d2d8a03b07e8b472dfc05d2307428",
-    "hill/report.json": "dfcf0581e3ee8f223d2cf04a78fe46a3311b65cd70fdf5392ef2c908445258f2",
+    "hill/report.json": "265dd0ff420416a34c43754c47318f2881bffbc979710d406c7a4f45e0a6304c",
     "continuous/theorem/ratio.csv": "6a3195e729a7300496486b9976c9bb27b649efd90b3de7cb366b7e0aa9191db5",
     "continuous/theorem/summary.json": "99ad08a02fbee78af8867dd5406fe3c63471a05929bd686879b0ce313621e340",
     "continuous/theorem/hill.csv": "fe2ea93de706b9630d9ab86e2e449921a05c55368d209bb99572fc115601fa29",
     "continuous/theorem/samples.txt": "617cd275652168425258b52a3dd0656e22f7b9fe3ae12f756553b9f3e76633e4",
-    "continuous/theorem/report.json": "e166ea05dcad97ddd130180e6b90e13ad003dda6b24b763cdf68af52c5d4a51b",
+    "continuous/theorem/report.json": "694d471be6bd6295becab46dafcda9ba91b3e283970a2739a730bd1a204d1a8c",
     "continuous/lemma1/ratio.csv": "5107532def3f2f68f2d38ea0436838d749a7b186fca7a681ce333611598e880e",
     "continuous/lemma1/summary.json": "d5e1eda9d9fde33fe2dc037c32b486a8dd72b5788b46b8618fc80913c6a1d1c7",
-    "continuous/lemma1/report.json": "341049d1629fece7910618887e3361e2a3d931284b9f485bd01b37987f656e45",
+    "continuous/lemma1/report.json": "40a6392409226cc691017e399884a8faf9f4f9792c1cd7e82b317eacd34ada46",
     "continuous/sre/ratio.csv": "5c6b0c8898b4e479404b6f755405ad694a561d48f9498b6abf1c3f3b6bbdd800",
     "continuous/sre/summary.json": "fe05a28ad2a8b66f0096c2580a4f6261a581081afef682da2df2664eccc89877",
-    "continuous/sre/report.json": "09f2dc16834c4a3765861dd68f7e8c62be3e7a29cd29951bd6935ceac7b23cdc",
+    "continuous/sre/report.json": "3169f42c8911077dfeaebafe6c4e5b1aed7a3fa854c745382e6be4f1d11bdee9",
     "continuous/decay/decay.csv": "7db49b9bb7f057719073e988c2084756684e50b45e2aa98cba1c9df98a7d93f3",
-    "continuous/decay/report.json": "6a2efd7eff88f6f251b12e2a2105b75514eae40174e8a55e313f2c67321c693b",
+    "continuous/decay/report.json": "b5e496446cfc202027b5fffe3dabadfd61503136dc943c3a94d7c381313c34b2",
     "mixed/theorem/ratio.csv": "251f351121be50ba072d8ab84ac0edf6e939831f79c35fd98f7d89d350822f3d",
     "mixed/theorem/summary.json": "685d980fd2e2a3803963a426dd938b39b3585b4c7833f6c18263ca106353617e",
     "mixed/theorem/hill.csv": "560c3a40fc3f363b3d75340e50437eba556dae1b159048c8c7233dd082375bf4",
     "mixed/theorem/samples.txt": "1f7a5661e71f5c605a57a5ddf4ce3824e658172b5edd6a724419217f0f4d87c3",
-    "mixed/theorem/report.json": "7a12105abf578df4e1af694b0db9911a90ddf690bdfa2965f8ea4b6e9acabad6",
+    "mixed/theorem/report.json": "735c99e9088e3e17710ee2fc18b1e57b07a07530206c53d79665da40ba3f481b",
     "mixed/lemma1/ratio.csv": "76763bc62549723077e07bf861aa253ad3d06b6222f3afa64632483dd682da68",
     "mixed/lemma1/summary.json": "7c7a3f88645b91df97603640614358f9291f8ea536ddd16c40d960028467667d",
-    "mixed/lemma1/report.json": "02cd8497242761ed4df5e53e40938c167466b83c820fb5eb8ec8c20dcea98a1e",
+    "mixed/lemma1/report.json": "c78b4f6320c6f024da8d1f45d6b2ada5f51b86c270da86d31e52801590ad785d",
     "mixed/corollary/depth_ratio.csv": "fea2b2db84e3fbc95795df3498e8fb2c9b8de08df8267267b7daf06f76f6ef9d",
-    "mixed/corollary/report.json": "b79991e7e8139e0ae602ce52140786f2edaacf905b0149374a78a0b4af076edf",
+    "mixed/corollary/report.json": "171d225fa23c56e82b85a8c16cf9b51092df0864a4ce266bed204189fd001ac9",
     "mixed/sre/ratio.csv": "a09e8c99d47dfcdbfd0d103dda89a70a7e81ee1d12d7094c24d8d04b0cfa733b",
     "mixed/sre/summary.json": "82204e55f927feb0590f7f0428c009f0b11a4abdca6000cfa9fc2636ad1a8215",
-    "mixed/sre/report.json": "8874d37f5dda7c92b929c4e772c270ad6d50fce12b07b6b3026cfaf91ac7f9c7",
+    "mixed/sre/report.json": "4709ffed54cbe33fbe82db6fe4cf40c566fe41b2a77740f58b4def5efb8a34ef",
     "mixed/decay/decay.csv": "336deabe0d0d6d8a30ebc0208ed5e958a38d4175870229dbe915eb775adecc0c",
-    "mixed/decay/report.json": "c8813563fe41e315fb6c6346d0f24bb09bc3bba864cb8f211cc01b4cddda95c9",
+    "mixed/decay/report.json": "dcb0b1ebd1960eda6c9a84a432c454b2585deaa3dd6ccaf6914a0ea7f48d2dd7",
 }
 
 
@@ -590,9 +590,9 @@ def test_bundled_experiments_keep_their_streams(tmp_path, monkeypatch):
     monkeypatch.setattr(experiments, "CHUNK_REPLICAS", PIN_CHUNK)
     got = _pin_digests(tmp_path)
     changed = sorted(k for k in got.keys() | PIN_DIGESTS.keys() if got.get(k) != PIN_DIGESTS.get(k))
-    assert STREAM_VERSION == 7, "STREAM_VERSION moved: re-record PIN_DIGESTS under the new version"
+    assert STREAM_VERSION == 8, "STREAM_VERSION moved: re-record PIN_DIGESTS under the new version"
     assert not changed, (
-        f"outputs changed under STREAM_VERSION 7: {changed}. A sampler change must bump STREAM_VERSION and "
+        f"outputs changed under STREAM_VERSION 8: {changed}. A sampler change must bump STREAM_VERSION and "
         "re-record PIN_DIGESTS; an exact-route change (build_kernel, stationary_power_iteration) keeps the "
         "version and re-records only oracle/stationary.csv and oracle/report.json; an offspring-moment change "
         "(offspring_moment, moment_A) keeps the version and re-records only check/condition.json and "
@@ -601,15 +601,20 @@ def test_bundled_experiments_keep_their_streams(tmp_path, monkeypatch):
 
 
 def test_chunks_sample_in_blocks_on_one_stream():
-    # two full blocks and a partial one, drawn in order from the chunk's stream
+    # two full blocks and a partial one from the chunk's stream: the
+    # stationary sampler draws them in one call, its blocks stepping
+    # together; every other sampler draws them one call per block, in order
     block = experiments._BLOCK
     model = two_atom_model()
-    task = experiments._Task(
-        sample_stationary_backward_batch, model, 4, 7, (1, 3), 2 * block + 5, np.asarray, np.concatenate
-    )
-    rng = experiments._stream(7, (1, 3))
-    want = np.concatenate([sample_stationary_backward_batch(model, 4, rng, n) for n in (block, block, 5)])
-    assert np.array_equal(experiments._run_chunk(task), want)
+    heavy = ImmigrationFamily.discrete_pareto(2.0, 1.0)
+    for sampler, arg, sizes in (
+        (sample_stationary_backward_batch, 4, (2 * block + 5,)),
+        (grey_sum_batch, heavy, (block, block, 5)),
+    ):
+        task = experiments._Task(sampler, model, arg, 7, (1, 3), 2 * block + 5, np.asarray, np.concatenate)
+        rng = experiments._stream(7, (1, 3))
+        want = np.concatenate([sampler(model, arg, rng, n) for n in sizes])
+        assert np.array_equal(experiments._run_chunk(task), want)
 
 
 # the merge `_gather` applies unless told otherwise
@@ -627,8 +632,9 @@ _SUM = inspect.signature(experiments._gather).parameters["merge"].default
     ids=["exceedances", "moments", "histogram", "draws"],
 )
 def test_each_block_reduces_to_the_statistic_of_the_chunk(stat, merge):
-    # no statistic sees more than one block, and the merged block statistics
-    # equal the statistic of the blocks concatenated
+    # no statistic sees more than one block, though the stationary sampler
+    # draws the whole chunk in one call, and the merged block statistics
+    # equal the statistic of the chunk's draws
     block = experiments._BLOCK
     model = two_atom_model()
     sizes = []
@@ -641,7 +647,7 @@ def test_each_block_reduces_to_the_statistic_of_the_chunk(stat, merge):
     got = experiments._run_chunk(task)
     assert sizes == [block, block, 5]
     rng = experiments._stream(7, (1, 3))
-    want = stat(np.concatenate([sample_stationary_backward_batch(model, 4, rng, n) for n in (block, block, 5)]))
+    want = stat(sample_stationary_backward_batch(model, 4, rng, 2 * block + 5))
     got, want = (r if isinstance(r, tuple) else (r,) for r in (got, want))
     assert len(got) == len(want)
     for g, w in zip(got, want):
@@ -975,7 +981,7 @@ def test_report_records_stream_version(tmp_path):
     cfg = load_config(_cfg_file(tmp_path, SUBCRITICAL), experiment="check")
     emit_report(run_experiment(cfg), tmp_path / "o")
     with open(tmp_path / "o" / "report.json") as fh:
-        assert json.load(fh)["stream_version"] == 7
+        assert json.load(fh)["stream_version"] == 8
 
 
 def test_cli_seed_override_lands_in_report(tmp_path, capsys):

@@ -10,6 +10,7 @@ these catch a wrong closure, a wrong pmf, or a biased sampler.
 
 import copy
 import dataclasses
+import hashlib
 import math
 import warnings
 
@@ -18,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from bpire import simulator
+from bpire import experiments, simulator
 from bpire.env_model import (
     DPARETO_BETA_PER_KAPPA,
     EnvAtom,
@@ -39,7 +40,7 @@ from bpire.env_model import (
     thinned_offspring_pmf,
 )
 from bpire.errors import NotSubcritical
-from bpire.oracle import build_kernel
+from bpire.oracle import build_kernel, stationary_power_iteration
 from bpire.rng import RngState
 from bpire.simulator import (
     choose_truncation,
@@ -739,10 +740,14 @@ def _step_pvalues(env, exact_env, seed):
     rng = RngState.from_seed(seed)
     for x in (0, 7, 63, 64, 200):
         draws = step_batch(np.full(100_000, x), env, rng)
-        ks = np.arange(int(draws.max()) + 1)
-        thinned = sum(a.weight * thinned_offspring_pmf(a.offspring, x, ks) for a in exact_env.atoms)
-        law = np.convolve(thinned, immigration_pmf(exact_env.atoms[0].immigration, ks))[: ks.size]
-        out.append(chi_square_pvalue(draws, lambda k: law[k]))
+
+        def law(ks, x=x):
+            # every x-fold sum here has mean below 200 and no float mass
+            # past 1024
+            thinned = sum(a.weight * thinned_offspring_pmf(a.offspring, x, ks[:1024]) for a in exact_env.atoms)
+            return np.convolve(thinned, immigration_pmf(exact_env.atoms[0].immigration, ks))[: ks.size]
+
+        out.append(chi_square_pvalue(draws, law))
     return out
 
 
@@ -856,8 +861,8 @@ def fresh_step_tables():
 def test_step_chi_square_fails_with_the_tail_cell_inverted_at_unscaled_u(monkeypatch):
     # a mutation: tail-cell draws invert at u, not u S(127), and so nearly
     # all read 128 + T; populations past the rows invert at u either way.
-    # At x = 0 they all read 128, the sample maximum, and the chi-square's
-    # last pool, which takes the law's mass past the maximum, hides them
+    # At x = 0 they all read 128, the sample maximum, which the chi-square
+    # sees because its pools past the maximum stand apart
     tables = simulator._step_tables
 
     def unscaled(groups):
@@ -866,7 +871,7 @@ def test_step_chi_square_fails_with_the_tail_cell_inverted_at_unscaled_u(monkeyp
 
     monkeypatch.setattr(simulator, "_step_tables", unscaled)
     pvalues = _step_pvalues(HEAVY_ENV, HEAVY_ENV, 71)
-    assert max(pvalues[1:3]) < 1e-12
+    assert max(pvalues[:3]) < 1e-12
     assert min(pvalues[3:]) > 1e-3
 
 
@@ -898,6 +903,133 @@ def test_term_by_term_route_and_kernel_do_not_read_the_step_tables(monkeypatch):
     assert build_kernel(model.env, 64).matrix.shape == (65, 65)
     with pytest.raises(AssertionError, match="step tables read"):
         step_batch(np.zeros(4, dtype=np.int64), model.env, RngState.from_seed(2))
+
+
+# ---- lockstep steps -------------------------------------------------------------
+
+# two immigration groups: a heavy dpareto law shared by two atoms, whose
+# steps land in the tail cell about 3 times in 1000, and a geometric law
+LOCKSTEP_ENV = EnvSpec.from_atoms(
+    [
+        EnvAtom(0.4, OffspringFamily.poisson(0.3), ImmigrationFamily.discrete_pareto(1.2, 1.0)),
+        EnvAtom(0.2, OffspringFamily.poisson(0.9), ImmigrationFamily.discrete_pareto(1.2, 1.0)),
+        EnvAtom(0.4, OffspringFamily.poisson(0.6), ImmigrationFamily.geometric0(0.5)),
+    ]
+)
+THREE_SLICES = 2 * simulator._BLOCK + 5
+
+
+def _step_in_documented_order(values, env, rng):
+    """One step rebuilt from explicit calls in the documented order: per
+    slice of _BLOCK entries, its environments and its step-table draw; then,
+    over the unfinished entries of every slice, one thinning of their
+    populations and one immigration uniform each, inverted per group.  A
+    continuous environment draws, thins and immigrates slice by slice."""
+    slices = [values[lo : lo + simulator._BLOCK] for lo in range(0, values.size, simulator._BLOCK)]
+    if not env.is_atomic:
+        out = []
+        for x in slices:
+            batch = draw_env_batch(env, rng, x.size)
+            out.append(thin_for_batch(batch, x, rng) + imm_for_batch(batch, rng))
+        return np.concatenate(out)
+    threshold, alias, tails = simulator._step_tables(env.groups)
+    steps, groups = [], []
+    for x in slices:
+        batch = draw_env_batch(env, rng, x.size)
+        steps.append(simulator._table_draw(threshold, alias, simulator.STEP_COLS, x, batch, rng))
+        groups.append(batch.group)
+    out = np.concatenate(steps)
+    left = np.flatnonzero((out < 0) | (out == simulator._TAIL))
+    tail, group = out[left] == simulator._TAIL, np.concatenate(groups)[left]
+    out[left] = thin_for_batch(EnvBatch(groups=env.groups, group=group), values[left], rng)
+    u = rng.uniform_open(left.size)
+    u[tail] *= tails[group[tail]]
+    for k, g in enumerate(env.groups):
+        b = simulator._invert_immigration(g.immigration, u[group == k])
+        out[left[group == k]] += np.where(tail[group == k], np.maximum(b, simulator.ALIAS_COLS), b)
+    return out
+
+
+@pytest.mark.parametrize(
+    "env",
+    [UNEVEN_ENV, LOCKSTEP_ENV, EnvSpec.uniform_poisson_rate(0.0, 0.9, ImmigrationFamily.discrete_pareto(2.0, 1.0))],
+    ids=["uneven", "two-groups", "continuous"],
+)
+def test_a_step_over_slices_draws_in_the_documented_order(env):
+    # populations 0..99 put about a third of every slice past the rows
+    values = np.random.default_rng(5).integers(0, 100, THREE_SLICES)
+    want = _step_in_documented_order(values, env, RngState.from_seed(3))
+    kept = values.copy()
+    assert np.array_equal(step_batch(values, env, RngState.from_seed(3)), want)
+    assert np.array_equal(values, kept)
+    # in place, each slice is overwritten before the unfinished entries thin
+    assert step_batch(values, env, RngState.from_seed(3), out=values) is values
+    assert np.array_equal(values, want)
+
+
+# sha256 of `step_batch` on populations 0..99 under LOCKSTEP_ENV at seed 3,
+# recorded under STREAM_VERSION 7, when every step was one slice
+V7_STEP_DIGESTS = {
+    5: "554a12293b9eff7fe4ed44a2ad97f76e549f7dbe988c6f060357d5018465de4c",
+    simulator._BLOCK: "b975a7fa3ac44728a61a767ae6739aa519994fed280df51c1eb266c2568120d2",
+}
+
+
+@pytest.mark.parametrize("size", V7_STEP_DIGESTS)
+def test_a_step_of_one_slice_draws_as_stream_version_7(size):
+    values = np.random.default_rng(5).integers(0, 100, size)
+    out = step_batch(values, LOCKSTEP_ENV, RngState.from_seed(3))
+    assert hashlib.sha256(out.tobytes()).hexdigest() == V7_STEP_DIGESTS[size]
+    assert np.array_equal(out, _step_in_documented_order(values, LOCKSTEP_ENV, RngState.from_seed(3)))
+
+
+# two immigration groups whose unfinished entries draw far apart: every step
+# of the constant group lands in its tail cell, and its populations, at
+# least 130, lie past the rows of both groups
+FINISHING_MODEL = ModelSpec(
+    env=EnvSpec.from_atoms(
+        [
+            EnvAtom(0.3, OffspringFamily.poisson(0.3), ImmigrationFamily.constant(130)),
+            EnvAtom(0.2, OffspringFamily.poisson(0.6), ImmigrationFamily.constant(130)),
+            EnvAtom(0.5, OffspringFamily.poisson(0.5), ImmigrationFamily.geometric0(0.5)),
+        ]
+    ),
+    kappa=2.0,
+)
+
+
+def test_stationary_draws_over_three_slices_follow_the_kernel_law():
+    # finishing an entry under another slice's groups, or thinning the value
+    # a slice wrote over its population, fails this test
+    model = FINISHING_MODEL
+    exact = stationary_power_iteration(build_kernel(model.env, 1024))
+    assert exact.residual < 1e-12
+    trunc = choose_truncation(model, 1e-6)
+    draws = sample_stationary_backward_batch(model, trunc, RngState.from_seed(41), THREE_SLICES)
+    assert draws.max() <= 1024
+    pmf = np.pad(exact.pmf, (0, 1025))  # the helper looks at most twice as far
+    assert chi_square_pvalue(draws, lambda ks: pmf[ks]) > 1e-3
+
+
+def test_a_stationary_chunk_thins_once_per_generation(monkeypatch):
+    # a chunk of CHUNK_REPLICAS replicas is 16 slices, each with unfinished
+    # entries in most generations, but one finishing pass per generation
+    calls = []
+    thin = simulator.thin_for_batch
+
+    def counted(batch, values, rng):
+        calls.append(1)
+        return thin(batch, values, rng)
+
+    monkeypatch.setattr(simulator, "thin_for_batch", counted)
+    model = two_atom_model()
+    trunc = choose_truncation(model, 1e-6)
+    task = experiments._Task(
+        sample_stationary_backward_batch, model, trunc, 1, (1, 0), experiments.CHUNK_REPLICAS,
+        experiments._value_histogram, experiments._merge_histograms,
+    )
+    experiments._run_chunk(task)
+    assert 0 < len(calls) <= trunc + 1
 
 
 def test_simulate_forward_trajectory_shape():
