@@ -15,9 +15,11 @@ fall into `EnvGroup`s, one per immigration law, in order of first
 appearance; a draw picks a group, and a uniform only where there are two or
 more.  Thinning under a group of several atoms draws from their offspring
 mixture.  The readers that need the atom itself, thinning past the
-simulator's tables and the perpetuity's offspring mean, resolve it
-(`atom_index`, `resolve_atoms`).  The continuous mode is a single group
-whose offspring law is Poisson at the draw's own mean.
+simulator's tables and the perpetuity's offspring mean, resolve it to its
+index among the groups' atoms (`atom_index`) and read its offspring mean
+(`atom_means`) or x-fold parameters from one cached table of the atoms.  The
+continuous mode is a single group whose offspring law is Poisson at the
+draw's own mean, its rate.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ __all__ = [
     "check_conditions",
     "draw_env_batch",
     "atom_index",
-    "resolve_atoms",
+    "atom_means",
     "offspring_pmf",
     "thinned_offspring_pmf",
     "thinned_offspring_mode",
@@ -321,19 +323,6 @@ class EnvBatch:
     group: np.ndarray
     rates: np.ndarray | None = None
 
-    @property
-    def means(self) -> np.ndarray:
-        """Offspring mean m(xi) of each draw, where every group is one atom.
-
-        Atomic batches `take` it from the group means only when asked: held
-        eagerly, an array per generation that thinning never reads cost the
-        stationary sampler about 5 % of its run time in page faults.
-        """
-        if self.rates is not None:
-            return self.rates
-        _require(all(len(g.offspring) == 1 for g in self.groups), "resolve the atoms of a batch before its means")
-        return np.array([mean_offspring(g.offspring[0]) for g in self.groups]).take(self.group)
-
 
 def _cut_count(u: np.ndarray, cuts) -> np.ndarray:
     """Number of cut points at or below each uniform: one comparison pass per
@@ -366,21 +355,20 @@ def draw_env_batch(env: EnvSpec, rng: RngState, size: int) -> EnvBatch:
 
 
 @functools.lru_cache(maxsize=16)
-def _atom_table(groups: tuple[EnvGroup, ...]) -> tuple[tuple[EnvGroup, ...], np.ndarray, np.ndarray, np.ndarray]:
-    """What resolving the atoms of a batch with these groups reads: every
-    atom as a one-atom group, group by group; each group's index of its
-    first atom there; whether each group has several atoms; and each group's
-    cut points (within-group cumulative weights but the last) as columns,
-    padded with 2, above every uniform."""
-    atoms = tuple(
-        EnvGroup(g.weight * w, g.immigration, (law,), (1.0,)) for g in groups for law, w in zip(g.offspring, g.weights)
-    )
+def _atom_table(groups: tuple[EnvGroup, ...]) -> tuple[np.ndarray, ...]:
+    """The atoms of a batch with these groups, numbered group by group:
+    each group's index of its first atom; whether each group has several
+    atoms; each group's cut points (within-group cumulative weights but the
+    last) as columns, padded with 2, above every uniform; then each atom's
+    offspring mean and the columns draw, n, p of its `x_fold`."""
     sizes = np.array([len(g.offspring) for g in groups])
     first = np.concatenate([[0], np.cumsum(sizes)[:-1]]).astype(np.int64)
     cuts = np.full((len(groups), max(sizes.max() - 1, 0)), 2.0)
     for j, g in enumerate(groups):
         cuts[j, : sizes[j] - 1] = np.cumsum(g.weights)[:-1]
-    return atoms, first, sizes > 1, cuts
+    laws = [law for g in groups for law in g.offspring]
+    draw, n, p = (np.array(col) for col in zip(*(law.x_fold() for law in laws)))
+    return first, sizes > 1, cuts, np.array([mean_offspring(law) for law in laws]), draw, n, p
 
 
 def atom_index(groups: tuple[EnvGroup, ...], group: np.ndarray, rng: RngState) -> np.ndarray:
@@ -393,7 +381,7 @@ def atom_index(groups: tuple[EnvGroup, ...], group: np.ndarray, rng: RngState) -
     skip the gathers by group: the perpetuity resolves every draw of every
     generation, and 8192 of them took 25 us this way against 80 us through
     the gathers (2 vCPUs)."""
-    _, first, several, cuts = _atom_table(groups)
+    first, several, cuts, *_ = _atom_table(groups)
     if not cuts.shape[1]:
         return group
     if len(groups) == 1:
@@ -404,12 +392,14 @@ def atom_index(groups: tuple[EnvGroup, ...], group: np.ndarray, rng: RngState) -
     return atom
 
 
-def resolve_atoms(batch: EnvBatch, rng: RngState) -> EnvBatch:
-    """Each draw's atom (`atom_index`), as a batch whose groups are single
-    atoms.  A continuous batch is its own resolution."""
+def atom_means(batch: EnvBatch, rng: RngState) -> np.ndarray:
+    """Offspring mean m(xi) of each draw: its rate in the continuous mode,
+    with no uniform spent, else its atom's mean, the atom resolved by
+    `atom_index` with the uniforms that spends."""
     if batch.rates is not None:
-        return batch
-    return EnvBatch(groups=_atom_table(batch.groups)[0], group=atom_index(batch.groups, batch.group, rng))
+        return batch.rates
+    means = _atom_table(batch.groups)[3]
+    return means.take(atom_index(batch.groups, batch.group, rng))
 
 
 # ---- moments -------------------------------------------------------------

@@ -5,16 +5,17 @@ mean gives a scalar stochastic recurrence whose stationary tail obeys the
 same limit constant.  Its perpetuity sampler draws environments and
 immigration generation by generation like the backward sampler's inputs.
 The offspring mean m(xi) needs each draw's atom, not only its immigration
-group, so every generation then resolves its atoms (`resolve_atoms`): one
-uniform per draw in a group of several atoms.  A spec of one group, as
-config_a, so spends as many uniforms as a version 5 environment draw did.
+group, so every generation then reads its means (`env_model.atom_means`):
+one uniform per draw in a group of several atoms, resolving it, and none in
+the continuous mode, whose means are the drawn rates.  A spec of one group,
+as config_a, so spends as many uniforms as a version 5 environment draw did.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .env_model import ModelSpec, draw_env_batch, resolve_atoms
+from .env_model import ModelSpec, atom_means, draw_env_batch
 from .rng import RngState
 from .simulator import imm_for_batch
 
@@ -38,5 +39,5 @@ def sample_perpetuity_batch(model: ModelSpec, trunc: int, rng: RngState, size: i
         batch = draw_env_batch(model.env, rng, size)
         b = imm_for_batch(batch, rng)
         total += prod * b
-        prod *= resolve_atoms(batch, rng).means
+        prod *= atom_means(batch, rng)
     return total

@@ -11,13 +11,15 @@ import scipy.stats as st
 
 from bpire.env_model import (
     EnvAtom,
+    EnvBatch,
+    EnvGroup,
     EnvSpec,
     ImmigrationFamily,
     ModelSpec,
     OffspringFamily,
+    atom_index,
     draw_env_batch,
     immigration_pmf,
-    resolve_atoms,
     thinned_offspring_pmf,
 )
 from bpire.oracle import _BAND_FLOOR, _KERNEL_BLOCK
@@ -51,6 +53,19 @@ def coin_model() -> ModelSpec:
     return ModelSpec(env=coin_env(), kappa=2.0, delta=0.5)
 
 
+def _one_atom_batch(batch: EnvBatch, rng) -> EnvBatch:
+    """`batch` with each draw's atom (`atom_index`) as its group, every group
+    one atom; a continuous batch as it is."""
+    if batch.rates is not None:
+        return batch
+    atoms = tuple(
+        EnvGroup(g.weight * w, g.immigration, (law,), (1.0,))
+        for g in batch.groups
+        for law, w in zip(g.offspring, g.weights)
+    )
+    return EnvBatch(groups=atoms, group=atom_index(batch.groups, batch.group, rng))
+
+
 def backward_terms(model: ModelSpec, trunc: int, rng, size: int) -> np.ndarray:
     """(K+1, size) matrix of individual backward terms; rows share their
     environment draws, so cumulative sums over rows are the partial sums.
@@ -65,7 +80,7 @@ def backward_terms(model: ModelSpec, trunc: int, rng, size: int) -> np.ndarray:
     # of generation i pushed through generations i-1 down to 0, innermost
     # first
     gens = [draw_env_batch(model.env, rng, size) for _ in range(trunc + 1)]
-    atoms = [resolve_atoms(batch, rng) for batch in gens]
+    atoms = [_one_atom_batch(batch, rng) for batch in gens]
     terms = np.zeros((trunc + 1, size), dtype=np.int64)
     total = np.zeros(size, dtype=np.int64)
     for i in range(trunc + 1):

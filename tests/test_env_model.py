@@ -25,9 +25,10 @@ from bpire.env_model import (
     ImmigrationFamily,
     ModelSpec,
     OffspringFamily,
+    atom_index,
+    atom_means,
     check_conditions,
     draw_env_batch,
-    resolve_atoms,
     env_immigration_survival,
     env_pareto_prefactor,
     immigration_pmf,
@@ -518,19 +519,17 @@ def _two_group_env() -> EnvSpec:
 def test_draw_env_batch_frequencies_and_determinism(which):
     # two groups draw one each half the time; config_a's one group resolves
     # to each atom half the time
-    rng = RngState.from_seed(42)
-    if which == "groups":
-        batch = draw_env_batch(_two_group_env(), rng, 200_000)
-    else:
-        batch = resolve_atoms(draw_env_batch(two_atom_env(), rng, 200_000), rng)
-    freq = float((batch.group == 0).mean())
+    def draw(rng):
+        if which == "groups":
+            return draw_env_batch(_two_group_env(), rng, 200_000).group
+        batch = draw_env_batch(two_atom_env(), rng, 200_000)
+        return atom_index(batch.groups, batch.group, rng)
+
+    index = draw(RngState.from_seed(42))
+    freq = float((index == 0).mean())
     se = math.sqrt(0.25 / 200_000)
     assert abs(freq - 0.5) <= 4 * se
-    again = RngState.from_seed(42)
-    if which == "groups":
-        assert np.array_equal(draw_env_batch(_two_group_env(), again, 200_000).group, batch.group)
-    else:
-        assert np.array_equal(resolve_atoms(draw_env_batch(two_atom_env(), again, 200_000), again).group, batch.group)
+    assert np.array_equal(draw(RngState.from_seed(42)), index)
 
 
 def test_groups_gather_atoms_by_immigration_law_on_first_use(tmp_path):
@@ -612,20 +611,21 @@ def test_draw_env_batch_groups_match_a_right_sided_search(weights, seed):
 @given(weights=ATOM_WEIGHTS, seed=hst.integers(0, 2**32 - 1))
 @example(weights=[0.1] * 10, seed=0)
 @settings(max_examples=40, deadline=None)
-def test_resolve_atoms_matches_a_right_sided_search(weights, seed):
+def test_atom_index_matches_a_right_sided_search(weights, seed):
     # atoms sharing one immigration law are one group: the atom each uniform
     # resolves to is the one a right-sided search of the group's cumulative
-    # weights gives, and a group of one atom resolves with no uniform
+    # weights gives, a group of one atom resolves with no uniform, and each
+    # draw's mean is its atom's
     laws = [OffspringFamily.poisson(0.1 * (i + 1)) for i in range(len(weights))]
     env = EnvSpec.from_atoms([EnvAtom(w, law, ImmigrationFamily.constant(1)) for w, law in zip(weights, laws)])
     (group,) = env.groups
     cw = np.cumsum(group.weights)
     u = _pinned_uniforms(cw, seed)
     batch = draw_env_batch(env, _FixedGen(np.empty(0)), u.size)
-    resolved = resolve_atoms(batch, _FixedGen(u if len(weights) > 1 else np.empty(0)))
+    pinned = u if len(weights) > 1 else np.empty(0)
     want = np.clip(np.searchsorted(cw, u, side="right"), 0, len(weights) - 1)
-    assert np.array_equal(resolved.group, want)
-    assert [g.offspring for g in resolved.groups] == [(law,) for law in laws]
+    assert np.array_equal(atom_index(batch.groups, batch.group, _FixedGen(pinned)), want)
+    assert np.array_equal(atom_means(batch, _FixedGen(pinned)), np.array([law.rate for law in laws])[want])
 
 
 def test_draw_env_batch_cut_points_belong_to_their_spec():
@@ -654,26 +654,39 @@ def test_draw_env_batch_cut_points_belong_to_their_spec():
         v = u[: np.count_nonzero(want == 0)]
         atoms = np.full(u.size, 2)
         atoms[want == 0] = np.searchsorted([w[0] / (w[0] + w[1])], v, side="right")
-        assert np.array_equal(resolve_atoms(batch, _FixedGen(v)).group, atoms)
+        assert np.array_equal(atom_index(batch.groups, batch.group, _FixedGen(v)), atoms)
 
 
-def test_batch_offspring_means_lookup():
-    env = two_atom_env()
-    rng = RngState.from_seed(3)
-    batch = draw_env_batch(env, rng, 1000)
+def test_atom_means_lookup():
+    # each draw reads its resolved atom's mean, spending exactly the uniforms
+    # atom_index spends: one per draw of the group of two atoms, none for
+    # the group of one
+    env = EnvSpec.from_atoms(
+        [
+            EnvAtom(0.2, OffspringFamily.poisson(0.3), ImmigrationFamily.constant(1)),
+            EnvAtom(0.3, OffspringFamily.binomial(2, 0.2), ImmigrationFamily.constant(1)),
+            EnvAtom(0.5, OffspringFamily.geometric0(0.6), ImmigrationFamily.constant(2)),
+        ]
+    )
+    batch = draw_env_batch(env, RngState.from_seed(3), 1000)
     assert batch.groups == env.groups
-    # a group of two atoms has no one mean: the atoms are resolved first
-    with pytest.raises(ValueError, match="resolve the atoms"):
-        batch.means
-    resolved = resolve_atoms(batch, rng)
-    assert resolved.groups == tuple(EnvGroup(0.5, a.immigration, (a.offspring,), (1.0,)) for a in env.atoms)
-    assert np.allclose(resolved.means, np.where(resolved.group == 0, 0.3, 0.9))
-    # the continuous mode is one group, Poisson at each draw's uniform rate
+    rng, again = RngState.from_seed(4), RngState.from_seed(4)
+    means = atom_means(batch, rng)
+    atoms = atom_index(batch.groups, batch.group, again)
+    assert np.array_equal(means, np.array([mean_offspring(a.offspring) for a in env.atoms])[atoms])
+    assert set(atoms.tolist()) == {0, 1, 2}
+    spent = RngState.from_seed(4)
+    spent.gen.random(int(np.count_nonzero(batch.group == 0)))
+    assert rng.gen.random(4).tolist() == spent.gen.random(4).tolist()
+    # the continuous mode is one group, Poisson at each draw's uniform rate:
+    # the means are the rates, and spend no uniform
     imm = ImmigrationFamily.constant(1)
     cont = EnvSpec.uniform_poisson_rate(0.2, 0.8, imm)
     cbatch = draw_env_batch(cont, RngState.from_seed(3), 1000)
     assert cbatch.groups == (EnvGroup(1.0, imm, (), ()),)
     assert not cbatch.group.any()
-    assert resolve_atoms(cbatch, None) is cbatch
-    assert np.array_equal(cbatch.means, 0.2 + (0.8 - 0.2) * RngState.from_seed(3).gen.random(1000))
-    assert cbatch.means.min() >= 0.2 and cbatch.means.max() <= 0.8
+    rng = RngState.from_seed(5)
+    assert atom_means(cbatch, rng) is cbatch.rates
+    assert np.array_equal(cbatch.rates, 0.2 + (0.8 - 0.2) * RngState.from_seed(3).gen.random(1000))
+    assert cbatch.rates.min() >= 0.2 and cbatch.rates.max() <= 0.8
+    assert rng.gen.random(4).tolist() == RngState.from_seed(5).gen.random(4).tolist()

@@ -565,14 +565,21 @@ PIN_DIGESTS = {
 }
 
 
+def _pin_config(tmp_path, name, config, replicas):
+    """The config of pin run `name`, whose experiment follows its last "/",
+    on `config`, a bundled config file or a PIN_INLINE key: seed 7, one
+    worker, dumps on."""
+    text = PIN_INLINE[config] if config in PIN_INLINE else (CONFIGS / config).read_text()
+    path = tmp_path / f"pin_{name.replace('/', '_')}.cfg"
+    path.write_text(text + f"\nreplicas = {replicas}\ndump_samples = true\n")
+    experiment = name.rpartition("/")[2]
+    return load_config(str(path), experiment=experiment, seed=7, workers=1, out_dir=str(tmp_path / name))
+
+
 def _pin_digests(tmp_path) -> dict:
     digests = {}
     for name, config, replicas in PIN_RUNS:
-        text = PIN_INLINE[config] if config in PIN_INLINE else (CONFIGS / config).read_text()
-        path = tmp_path / f"pin_{name.replace('/', '_')}.cfg"
-        path.write_text(text + f"\nreplicas = {replicas}\ndump_samples = true\n")
-        experiment = name.rpartition("/")[2]
-        cfg = load_config(str(path), experiment=experiment, seed=7, workers=1, out_dir=str(tmp_path / name))
+        cfg = _pin_config(tmp_path, name, config, replicas)
         for file in emit_report(run_experiment(cfg), cfg.out_dir):
             data = pathlib.Path(file).read_bytes()
             if file.endswith("report.json"):
@@ -598,6 +605,26 @@ def test_bundled_experiments_keep_their_streams(tmp_path, monkeypatch):
         "(offspring_moment, moment_A) keeps the version and re-records only check/condition.json and "
         "check/report.json"
     )
+
+
+# sha256 of theorem's samples.txt under STREAM_VERSION 8 at seed 7 on
+# 2 * _BLOCK + 5 replicas at the default CHUNK_REPLICAS: one chunk whose three
+# slices step together, which no PIN_CHUNK run reaches.
+SLICE_PIN_DIGESTS = {
+    "config_a.cfg": "3ff0c96861fdc677676c784f5374c473a937b0f8a551cb2d5a4f4c2d647922c7",
+    "mixed": "b0e7ea616bfcb8f10b191e26d9da2b0aada373fad4e3d748df99d462764c7b02",
+    "continuous": "a93bd48d25c08138ecf86de8d03100f5908b3d7c035066e760aba01a3127dc2b",
+}
+
+
+@pytest.mark.parametrize("config", SLICE_PIN_DIGESTS)
+def test_stationary_slices_keep_their_stream(tmp_path, config):
+    replicas = 2 * experiments._BLOCK + 5
+    assert replicas <= CHUNK_REPLICAS
+    cfg = _pin_config(tmp_path, f"slices/{config}/theorem", config, replicas)
+    emit_report(run_experiment(cfg), cfg.out_dir)
+    data = (pathlib.Path(cfg.out_dir) / "samples.txt").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == SLICE_PIN_DIGESTS[config]
 
 
 def test_chunks_sample_in_blocks_on_one_stream():
