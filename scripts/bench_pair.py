@@ -10,7 +10,10 @@ on odd i, so that a machine drifting over the session weighs on both sides
 alike.  The file records, per end-to-end metric, each side's runs with their
 median and quartiles, the ratio of the medians (change over parent) and the
 number of pairs in which the change was better; the failed and attempted
-operation counts; the src line count of both checkouts; and the host.  With
+operation counts; the src line count and a sha256 of the `src/bpire/*.py`
+files of both checkouts; and the host, with whether PYTHONDONTWRITEBYTECODE
+is set: the timed processes inherit it, and then each compiles the source,
+so its size shows in `wall_s` and `peak_rss_mb`.  With
 `--trace`, five `--trace 1` runs per checkout and workload, paired and
 alternated like the untraced ones, add each per-layer metric and, per chunk
 sampler layer, the total time of its spans, with their median and quartiles:
@@ -23,7 +26,9 @@ root of the change checkout.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
+import os
 import platform
 import statistics
 import subprocess
@@ -71,8 +76,12 @@ def paired_runs(sides: dict, workload: str, seed: int, seconds: float, trace: in
 
 def checkout_info(path: Path) -> dict:
     rev = subprocess.run(["git", "describe", "--always", "--dirty"], cwd=path, capture_output=True, text=True)
-    lines = sum(len(p.read_text().splitlines()) for p in sorted((path / "src" / "bpire").glob("*.py")))
-    return {"revision": rev.stdout.strip(), "src_lines": lines}
+    files = sorted((path / "src" / "bpire").glob("*.py"))
+    digest = hashlib.sha256()
+    for p in files:
+        digest.update(p.name.encode() + b"\0" + p.read_bytes())
+    lines = sum(len(p.read_text().splitlines()) for p in files)
+    return {"revision": rev.stdout.strip(), "src_sha256": digest.hexdigest(), "src_lines": lines}
 
 
 def main(argv=None) -> int:
@@ -121,7 +130,12 @@ def main(argv=None) -> int:
         workloads[workload] = entry
 
     doc = {
-        "host": {**host, "machine": platform.machine(), "system": platform.system()},
+        "host": {
+            **host,
+            "machine": platform.machine(),
+            "system": platform.system(),
+            "pythondontwritebytecode": bool(os.environ.get("PYTHONDONTWRITEBYTECODE")),
+        },
         **{side: checkout_info(path) for side, path in sides.items()},
         "pairs": PAIRS,
         "seconds": seconds,

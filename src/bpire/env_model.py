@@ -49,7 +49,6 @@ __all__ = [
     "draw_env_batch",
     "atom_index",
     "atom_means",
-    "offspring_pmf",
     "thinned_offspring_pmf",
     "thinned_offspring_mode",
     "immigration_pmf",
@@ -642,11 +641,6 @@ def thinned_offspring_mode(law: OffspringFamily, x) -> np.ndarray:
         trials = _trials(n, each)
         mode = np.minimum(np.floor((trials + 1) * p), trials)
     return np.where(x == 0, 0.0, mode)
-
-
-def offspring_pmf(law: OffspringFamily, ks: np.ndarray) -> np.ndarray:
-    """Single-draw offspring pmf at integers `ks`."""
-    return thinned_offspring_pmf(law, 1, ks)
 
 
 def immigration_survival(law: ImmigrationFamily, x) -> np.ndarray | float:

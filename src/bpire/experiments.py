@@ -14,8 +14,9 @@ a chunk's blocks, then a job's chunks, in order: per-threshold exceedance
 counts or moment sums merge by summing, and value histograms, where order
 statistics are needed (theorem, hill, oracle), by adding counts on the
 union of values.  Memory therefore does not grow with the replica count.  A
-sample dump (`dump_samples`) is one more such statistic: raw draws, merged
-by concatenation, whose histogram it builds.
+sample dump (`dump_samples`) keeps its blocks of draws as drawn, in a list
+merged without copying, and folds their value histograms as every other
+stationary run does.
 """
 
 from __future__ import annotations
@@ -166,12 +167,13 @@ def _gather(cfg: ExperimentConfig, sampler, jobs, stat, merge=partial(np.sum, ax
 
 def _stationary_histogram(cfg: ExperimentConfig, keep_samples: bool):
     """Value histogram (values, counts) of cfg.replicas stationary draws, and
-    the draws in chunk order when kept for a dump (else None).  A dump's
-    histogram is built from the dumped draws, which gives the same arrays."""
+    for a dump the list of their blocks in order (else None).  A dump's
+    histogram merges its blocks' histograms, which gives the same arrays."""
     job = ((_P_STATIONARY,), choose_truncation(cfg.model, cfg.epsilon_trunc))
     if keep_samples:
-        [samples] = _gather(cfg, sample_stationary_backward_batch, [job], np.asarray, np.concatenate)
-        return _value_histogram(samples), samples
+        [chunks] = _gather(cfg, sample_stationary_backward_batch, [job], np.asarray, list)
+        blocks = [block for chunk in chunks for block in chunk]
+        return _merge_histograms([_value_histogram(block) for block in blocks]), blocks
     [hist] = _gather(cfg, sample_stationary_backward_batch, [job], _value_histogram, _merge_histograms)
     return hist, None
 

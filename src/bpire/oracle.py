@@ -21,7 +21,6 @@ from .env_model import (
     EnvSpec,
     ImmigrationFamily,
     immigration_pmf,
-    offspring_pmf,
     thinned_offspring_mode,
     thinned_offspring_pmf,
 )
@@ -161,7 +160,7 @@ def brute_force_random_sum_tail(env: EnvSpec, b_law: ImmigrationFamily, x: int, 
         raise ResidualTooLarge(f"B mass beyond cap is {residual:.3e} (> 1e-12)")
     total = 0.0
     for atom in env.atoms:
-        base = offspring_pmf(atom.offspring, np.arange(x + 1))
+        base = thinned_offspring_pmf(atom.offspring, 1, np.arange(x + 1))
         v = np.zeros(x + 1)
         v[0] = 1.0
         tails = np.zeros(cap + 1)

@@ -290,8 +290,7 @@ def _thin_past_table(groups: tuple[EnvGroup, ...], x: np.ndarray, group: np.ndar
     """numpy's draw of each entry's x-fold sum, after its atom among
     `groups` is resolved (`atom_index`): one draw per kind of
     `OffspringFamily.x_fold`, in numbering order, with parameters gathered
-    per entry from its atom's columns in the atom table.  Where the entries
-    have one kind, its draw takes them all, unmasked."""
+    per entry from its atom's columns in the atom table."""
     *_, draw, n, p = _atom_table(groups)
     atom = atom_index(groups, group, rng)
     entry_draw = draw[atom]
@@ -301,7 +300,7 @@ def _thin_past_table(groups: tuple[EnvGroup, ...], x: np.ndarray, group: np.ndar
     lo, hi = int(entry_draw.min()), int(entry_draw.max())
     out = np.empty_like(x)
     for d in range(lo, hi + 1):
-        sel = slice(None) if lo == hi else np.flatnonzero(entry_draw == d)
+        sel = np.flatnonzero(entry_draw == d)
         xd, nd, pd = x[sel], n[atom[sel]], p[atom[sel]]
         if not xd.size:
             continue
@@ -635,17 +634,14 @@ def grey_sum_batch(model: ModelSpec, n_law: ImmigrationFamily, rng: RngState, si
 
 # ---- sample dumps --------------------------------------------------------------
 
-# values a sample dump formats and writes at once: the text of a whole
-# 10^7-sample dump would take about a gigabyte
-_DUMP_SLICE = 1 << 16
-
-
-def write_samples_text(path, samples) -> None:
-    """One sample per line, as a decimal integer, written _DUMP_SLICE values
-    at a time."""
-    arr = np.asarray(samples)
-    if not np.issubdtype(arr.dtype, np.integer) or (arr.size and arr.min() < 0):
-        raise ValueError("sample dumps hold integers >= 0")
+def write_samples_text(path, blocks) -> None:
+    """One sample per line, as a decimal integer: the blocks of samples in
+    order, each formatted and written at once, so the text of a whole dump,
+    about a gigabyte at 10^7 samples, is never held."""
+    blocks = [np.asarray(block) for block in blocks]
+    for block in blocks:
+        if not np.issubdtype(block.dtype, np.integer) or (block.size and block.min() < 0):
+            raise ValueError("sample dumps hold integers >= 0")
     with open(path, "w") as fh:
-        for lo in range(0, arr.size, _DUMP_SLICE):
-            fh.write("".join(f"{v}\n" for v in arr[lo : lo + _DUMP_SLICE].tolist()))
+        for block in blocks:
+            fh.write("".join(f"{v}\n" for v in block.tolist()))

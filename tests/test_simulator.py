@@ -35,7 +35,6 @@ from bpire.env_model import (
     immigration_survival,
     mean_offspring,
     offspring_moment,
-    offspring_pmf,
     thinned_offspring_mode,
     thinned_offspring_pmf,
 )
@@ -100,7 +99,7 @@ def test_thin_degenerate_laws():
 def test_closure_pmf_equals_explicit_convolution(law, x):
     # independent route: convolve the single-draw pmf x times
     hi = 40 + 4 * x
-    base = np.asarray(offspring_pmf(law, np.arange(hi + 1)), dtype=float)
+    base = np.asarray(thinned_offspring_pmf(law, 1, np.arange(hi + 1)), dtype=float)
     conv = np.array([1.0])
     for _ in range(x):
         conv = np.convolve(conv, base)
@@ -1197,35 +1196,61 @@ def test_unit_progeny_mean_decays_geometrically():
 def test_text_dump_round_trip(tmp_path):
     path = tmp_path / "samples.txt"
     data = np.array([0, 3, 17, 2**40], dtype=np.int64)
-    write_samples_text(path, data)
+    write_samples_text(path, [data[:1], data[1:]])
     assert path.read_text() == "0\n3\n17\n1099511627776\n"
     assert np.array_equal(np.loadtxt(path, dtype=np.int64), data)
-    with pytest.raises(ValueError):
-        write_samples_text(path, np.array([0.5]))
 
 
-@pytest.mark.parametrize("dump_slice", [7, simulator._DUMP_SLICE], ids=["slice-7", "slice-default"])
 @pytest.mark.parametrize(
-    "data",
+    "blocks",
+    [
+        [np.array([3]), np.array([0.5])],
+        [np.array([3]), np.array([-1])],
+        [np.array([], dtype=float)],
+    ],
+    ids=["non-integer", "negative", "empty-float"],
+)
+def test_text_dump_refuses_a_bad_block_before_writing(tmp_path, blocks):
+    path = tmp_path / "samples.txt"
+    with pytest.raises(ValueError):
+        write_samples_text(path, blocks)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize(
+    "blocks",
     [
         [],
-        [0],
-        [2**62 - 1],
-        np.arange(14),
-        np.random.default_rng(9).integers(0, 2**62, 1000),
-        np.random.default_rng(9).integers(0, 2**62, simulator._DUMP_SLICE + 3),
+        [[]],
+        [[0]],
+        [[2**62 - 1]],
+        [[], [0, 2**62 - 1], [], [7]],
+        np.array_split(np.random.default_rng(9).integers(0, 2**62, 2 * 8192 + 5), [8192, 2 * 8192]),
+        np.array_split(np.random.default_rng(9).integers(0, 10, 8493), [1, 8193, 8193]),
+        np.array_split(np.arange(100), 37),
+        [np.r_[0, np.random.default_rng(9).integers(0, 2**62, 8190), 2**62 - 1], [2**62 - 1, 0]],
     ],
-    ids=["empty", "zero", "2^62-1", "two-slices-of-7", "random", "past-one-default-slice"],
+    ids=[
+        "no-blocks",
+        "one-empty",
+        "zero",
+        "2^62-1",
+        "empty-among-others",
+        "three-blocks",
+        "uneven-blocks",
+        "many-small-blocks",
+        "extremes-at-block-edges",
+    ],
 )
-def test_text_dump_matches_a_line_by_line_writer(tmp_path, monkeypatch, data, dump_slice):
-    # the dump writes in slices: arrays of whole slices, several slices and
-    # a partial last slice write the bytes one line at a time would
-    monkeypatch.setattr(simulator, "_DUMP_SLICE", dump_slice)
-    arr = np.asarray(data, dtype=np.int64)
-    write_samples_text(tmp_path / "dump.txt", arr)
+def test_text_dump_matches_a_line_by_line_writer(tmp_path, blocks):
+    # the dump writes its blocks in order: empty blocks, the extreme values
+    # and runs of several blocks write the bytes one line at a time would
+    blocks = [np.asarray(b, dtype=np.int64) for b in blocks]
+    write_samples_text(tmp_path / "dump.txt", blocks)
     with open(tmp_path / "lines.txt", "w") as fh:
-        for v in arr:
-            fh.write(f"{int(v)}\n")
+        for block in blocks:
+            for v in block:
+                fh.write(f"{int(v)}\n")
     assert (tmp_path / "dump.txt").read_bytes() == (tmp_path / "lines.txt").read_bytes()
 
 
